@@ -71,7 +71,12 @@ def build_parser() -> _Parser:
     )
     p_map.add_argument("spec", help="map name, e.g. ow | timar:3 | star:0.25 | swap")
     p_map.add_argument("--input", default=None, help="configuration JSON file, or - for stdin")
-    p_map.add_argument("--sample-radius", type=int, default=None, help="sample a random input on this ball instead")
+    p_map.add_argument(
+        "--sample-radius",
+        type=int,
+        default=None,
+        help="sample a random input on this ball instead (star:p draws from star_base(p), other maps uniformly)",
+    )
     p_map.add_argument("--seed", type=int, default=0)
     p_map.add_argument("--emit-output", action="store_true", help="include the output configuration in the report")
 
@@ -215,7 +220,7 @@ def _cmd_map(args) -> int:
     if args.input is not None:
         x = _load_config(args.input)
     elif args.sample_radius is not None:
-        x = sample(uniform(fmap.input_alphabet), ball(args.sample_radius), args.seed)
+        x = sample(_input_dist(fmap, None), ball(args.sample_radius), args.seed)
     else:
         raise UsageError("map needs --input or --sample-radius")
     y = fmap.apply(x)
@@ -365,7 +370,7 @@ def dispatch(argv: list[str]) -> int:
     except UsageError as exc:
         _emit({"error": {"code": "usage", "message": str(exc)}})
         return USAGE_ERROR
-    except (ValueError, ExternalStageUnresolved, OSError, KeyError) as exc:
+    except (ValueError, NotImplementedError, ExternalStageUnresolved, OSError, KeyError) as exc:
         _emit({"error": {"code": type(exc).__name__, "message": str(exc)}})
         return USAGE_ERROR
 

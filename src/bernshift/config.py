@@ -314,12 +314,17 @@ def sample_matrix(
     """(n_draws, n_sites) i.i.d. symbol indices with law ``dist``.
 
     Inversion sampling against the cumulative weights, so one uniform
-    stream drives every alphabet identically.
+    stream drives every alphabet identically: the index of a draw u is
+    the number of cumulative weights (all but the last) that u reaches,
+    which is ``searchsorted(cdf, u, side="right")``.  The matrix is int8
+    for alphabets of at most 128 symbols and int64 otherwise.
     """
     cdf = np.cumsum(np.asarray(dist.float_weights(), dtype=np.float64))
-    cdf[-1] = 1.0
     u = rng.random((n_draws, n_sites))
-    return np.searchsorted(cdf, u, side="right").astype(np.int64)
+    out = np.zeros(u.shape, dtype=np.int8 if len(cdf) <= 128 else np.int64)
+    for c in cdf[:-1]:
+        out += u >= c
+    return out
 
 
 def enumeration_size(alphabet: Alphabet, sites: SiteSet) -> int:

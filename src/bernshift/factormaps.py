@@ -288,6 +288,8 @@ class StarMap(FactorMap):
     """
 
     def __init__(self, p: float = 0.25):
+        if not 0 < p <= 0.5:
+            raise ValueError(f"star map weight p must lie in (0, 1/2], got {p!r}")
         self.name = f"star:{p:g}"
         self.p = p
         self.input_alphabet = star_alphabet(1)
@@ -420,12 +422,34 @@ def _pad_rows(rows: list[list[int]]) -> np.ndarray:
     return out
 
 
+def _stage_windows(
+    stages: tuple[FactorMap, ...], sites: SiteSet, out_sites: SiteSet
+) -> tuple[SiteSet, ...]:
+    """The site set each stage of a composition must emit so that the
+    last one covers ``out_sites`` inside the window ``sites``."""
+    need = SiteSet(g for g in out_sites if g in sites)
+    windows = [need]
+    for stage in reversed(stages[1:]):
+        if isinstance(stage, BlockMap):
+            need = SiteSet(w for w in stage.dependency_sites(need, 0) if w in sites)
+        else:
+            need = sites
+        windows.append(need)
+    return tuple(reversed(windows))
+
+
 class ComposedMap(FactorMap):
     """Left-to-right composition with window bookkeeping.
 
     The defined region shrinks by the sum of the stage window costs;
     unbounded stages propagate undefinedness exactly as they do alone.
     An empty composition is the identity.
+
+    Batch evaluation runs each stage only on its dependency cone: walking
+    back from the output sites inside the window, a ``BlockMap`` stage
+    needs the window sites its offsets reach, and any other stage needs
+    the whole window.  The result equals stage-by-stage evaluation on the
+    full window restricted to ``out_sites``.
     """
 
     def __init__(self, stages: Sequence[FactorMap], name: str | None = None):
@@ -452,10 +476,11 @@ class ComposedMap(FactorMap):
         return x
 
     def apply_batch(self, values, sites, out_sites):
-        cur = values
-        for stage in self.stages:
-            cur = stage.apply_batch(cur, sites, sites)
-        cols = [sites.position(g) for g in out_sites.words]
+        cur, cur_sites = values, sites
+        for stage, stage_out in zip(self.stages, _stage_windows(self.stages, sites, out_sites)):
+            cur = stage.apply_batch(cur, cur_sites, stage_out)
+            cur_sites = stage_out
+        cols = [cur_sites.position(g) for g in out_sites.words]
         n = cur.shape[0]
         out = np.full((n, len(cols)), -1, dtype=np.int64)
         for j, i in enumerate(cols):

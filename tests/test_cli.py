@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from bernshift import Configuration, ball, bit_alphabet, sample, uniform
 from bernshift.cli import dispatch
 
@@ -82,6 +84,35 @@ def test_map_sampled_star_reports_truncation(capsys):
     assert code == 0
     assert data["map"]["window_cost"] == "unbounded_lookahead"
     assert data["truncation_count"] >= 0
+
+
+@pytest.mark.parametrize("p", [0.1, 0.4])
+def test_map_sampled_star_draws_from_the_star_law(capsys, p):
+    code, data = run_cli(capsys, "map", f"star:{p}", "--sample-radius", "6", "--seed", "12", "--emit-output")
+    assert code == 0
+    values = data["output"]["values"]
+    star_freq = sum(1 for v in values if v == 4) / len(values)
+    assert abs(star_freq - (1 - 2 * p)) < 0.04
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("map", "star:0.6", "--sample-radius", "2"),
+        ("verify", "mc", "--map", "star:nan", "--rin", "4", "--rout", "0", "-N", "100"),
+        ("verify", "equivariance", "--map", "star:0", "--trials", "1"),
+    ],
+)
+def test_star_p_outside_its_domain_is_usage_error(capsys, argv):
+    code, data = run_cli(capsys, *argv)
+    assert code == 2
+    assert data["error"]["code"] == "ValueError" and "1/2" in data["error"]["message"]
+
+
+def test_verify_exact_on_a_map_without_batch_evaluation_is_usage_error(capsys):
+    code, data = run_cli(capsys, "verify", "exact", "--map", "coinduced:swap", "--rin", "2", "--rout", "1")
+    assert code == 2
+    assert data["error"]["code"] == "NotImplementedError"
 
 
 def test_map_without_input_is_usage_error(capsys):

@@ -166,6 +166,56 @@ def test_sample_respects_weights():
     assert abs(counts[2] - 0.5) < 0.005
 
 
+def _searchsorted_reference(dist, n_sites, n_draws, rng):
+    cdf = np.cumsum(np.asarray(dist.float_weights(), dtype=np.float64))
+    cdf[-1] = 1.0
+    return np.searchsorted(cdf, rng.random((n_draws, n_sites)), side="right")
+
+
+def _plain_law(weights):
+    w = np.asarray(weights, dtype=np.float64)
+    alpha = plain_alphabet(f"P{len(w)}", (str(i) for i in range(len(w))))
+    return Distribution(alpha, tuple(float(x) for x in w / w.sum()))
+
+
+_LAWS = {
+    "U2": uniform(U2),
+    "star3": star_base(0.25),
+    "skew5": _plain_law([0.2, 0.0, 0.3, 0.0, 0.5]),
+    "p128": _plain_law(np.arange(1, 129)),
+    "p129": _plain_law(np.arange(1, 130)),
+}
+
+
+@pytest.mark.parametrize("law", list(_LAWS))
+def test_sample_matrix_matches_searchsorted(law):
+    dist = _LAWS[law]
+    got = sample_matrix(dist, 37, 2000, np.random.default_rng(21))
+    want = _searchsorted_reference(dist, 37, 2000, np.random.default_rng(21))
+    assert got.dtype == (np.int8 if dist.alphabet.size <= 128 else np.int64)
+    np.testing.assert_array_equal(got, want)
+
+
+class _FixedUniforms:
+    """Stands in for a generator: returns the given draws."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=np.float64)
+
+    def random(self, shape):
+        return self.u.reshape(shape)
+
+
+def test_sample_matrix_draws_on_a_cdf_step_take_the_upper_symbol():
+    dist = _LAWS["skew5"]
+    cdf = np.cumsum(dist.float_weights())
+    u = [0.0, cdf[0], np.nextafter(cdf[0], 0), cdf[2], np.nextafter(cdf[2], 0), np.nextafter(1.0, 0)]
+    got = sample_matrix(dist, len(u), 1, _FixedUniforms(u))
+    want = _searchsorted_reference(dist, len(u), 1, _FixedUniforms(u))
+    np.testing.assert_array_equal(got, want)
+    assert got.tolist() == [[0, 2, 0, 4, 2, 4]]
+
+
 # ------------------------------------------------------------- enumeration
 
 

@@ -3,16 +3,19 @@ import pytest
 
 from bernshift import (
     AlphabetMismatch,
+    BlockMap,
     ComposedMap,
     Configuration,
     IDENTITY,
     InsufficientRadius,
+    SiteSet,
     Word,
     ball,
     bit_alphabet,
     compose,
     first_factor_projection,
     identity_map,
+    mul,
     ow,
     parse_map_spec,
     plane_projection,
@@ -243,6 +246,16 @@ def test_star_matches_direct_scan():
             assert y.value_at(w) == star_direct(x, w)
 
 
+@pytest.mark.parametrize("spec", ["star:0.6", "star:0", "star:-0.1", "star:nan"])
+def test_star_rejects_p_outside_its_domain(spec):
+    with pytest.raises(ValueError, match="1/2"):
+        parse_map_spec(spec)
+
+
+def test_star_accepts_the_domain_boundary():
+    assert star(0.5).p == 0.5
+
+
 def test_star_pushforward():
     from bernshift import Distribution
 
@@ -288,6 +301,89 @@ def test_composed_window_cost():
     assert ComposedMap([ow(), timar_stage(1)]).window_cost == 2
     assert ComposedMap([star(0.25)]).window_cost is None
     assert ComposedMap([]).window_cost == 0
+
+
+def _full_window_reference(fmap, values, sites, out_sites):
+    """Every stage on the whole window, then the out_sites columns."""
+    cur = values
+    for stage in fmap.stages:
+        cur = stage.apply_batch(cur, sites, sites)
+    out = np.full((values.shape[0], len(out_sites)), -1, dtype=np.int64)
+    for j, g in enumerate(out_sites):
+        i = sites.position(g)
+        if i is not None:
+            out[:, j] = cur[:, i]
+    return out
+
+
+def _holey_matrix(rng, size, n, n_sites, dtype):
+    values = rng.integers(0, size, (n, n_sites)).astype(dtype)
+    values[rng.random((n, n_sites)) < 0.01] = -1
+    return values
+
+
+_B1_SHIFTED = SiteSet(mul(Word.parse("ab"), w) for w in ball(1))
+
+
+# input radius, output window, and whether any output is defined, for timar:m
+_CONE_WINDOWS = {
+    "b1_in_margin": (lambda m: m + 1, ball(1), lambda m: True),
+    "b0_in_b_m": (lambda m: m, ball(0), lambda m: True),
+    "b3_over_b3": (lambda m: 3, ball(3), lambda m: m <= 3),
+    "b3_over_b2": (lambda m: 2, ball(3), lambda m: m <= 2),
+    "shifted_b1": (lambda m: m + 2, _B1_SHIFTED, lambda m: True),
+}
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("window", list(_CONE_WINDOWS))
+def test_composed_cone_matches_full_window_evaluation(m, window):
+    r_in, out_sites, some_defined = _CONE_WINDOWS[window]
+    rng = np.random.default_rng(100 + m)
+    fmap = timar(m)
+    sites = ball(r_in(m))
+    for dtype in (np.int8, np.int64):
+        values = _holey_matrix(rng, 2, 200, len(sites), dtype)
+        got = fmap.apply_batch(values, sites, out_sites)
+        want = _full_window_reference(fmap, values, sites, out_sites)
+        assert got.dtype == np.int64
+        assert (want >= 0).any() == some_defined(m)
+        np.testing.assert_array_equal(got, want)
+        # sites outside the window are undefined, as they are stage by stage
+        for j, g in enumerate(out_sites):
+            if g not in sites:
+                assert (got[:, j] == -1).all()
+
+
+def test_composed_cone_with_a_star_stage():
+    rng = np.random.default_rng(120)
+    swap_bits_star = relabel("swap01", STAR1, STAR1, [1, 0, 2])
+    cycle5 = relabel("cycle5", star_alphabet(2), star_alphabet(2), [1, 2, 3, 4, 0])
+    spread = BlockMap(
+        "spread", star_alphabet(2), star_alphabet(2), (IDENTITY, Word.parse("a")),
+        np.add.outer(np.arange(5), np.arange(5)) % 5,
+    )
+    # reads only g*a, so it would see into the window from sites outside it
+    look_a = BlockMap("look_a", star_alphabet(2), star_alphabet(2), (Word.parse("a"),), np.arange(5))
+    fmap = ComposedMap([swap_bits_star, star(0.25), cycle5, spread, look_a])
+    sites = ball(3)
+    for out_sites in (ball(1), ball(4), _B1_SHIFTED):
+        values = _holey_matrix(rng, 3, 400, len(sites), np.int8)
+        got = fmap.apply_batch(values, sites, out_sites)
+        want = _full_window_reference(fmap, values, sites, out_sites)
+        assert (want >= 0).any()
+        np.testing.assert_array_equal(got, want)
+
+
+def test_empty_composition_batch_is_the_identity_on_the_window():
+    values = np.arange(15, dtype=np.int8).reshape(3, 5) % 2
+    out = ComposedMap([]).apply_batch(values, ball(1), ball(2))
+    assert out.dtype == np.int64
+    b2 = ball(2)
+    for j, g in enumerate(b2):
+        i = ball(1).position(g)
+        want = values[:, i] if i is not None else -1
+        np.testing.assert_array_equal(out[:, j], want)
 
 
 # ---------------------------------------------------- relabels & projections

@@ -83,6 +83,26 @@ def test_exact_report_json_field_order():
     assert list(data)[:6] == ["map", "mode", "input_alphabet", "output_alphabet", "input_sites", "output_sites"]
 
 
+class _LeakyDoubling(type(ow())):
+    """The doubling rule with a fault: it forgets its output at the centre
+    whenever the centre holds a 1, although every input it reads is there."""
+
+    def apply_batch(self, values, sites, out_sites):
+        out = super().apply_batch(values, sites, out_sites)
+        out[values[:, sites.position(IDENTITY)] == 1, out_sites.position(IDENTITY)] = -1
+        return out
+
+
+def test_exact_fails_a_bounded_map_that_leaves_outputs_undefined():
+    base = ow()
+    leaky = _LeakyDoubling("leaky_ow", base.input_alphabet, base.output_alphabet, base.offsets, base.table)
+    rep = exact_pushforward(leaky, 2, 1)
+    assert rep.verdict == "fail"
+    assert rep.truncation_count == 2**16
+    assert sum(rep.counts) == 2**17 - rep.truncation_count
+    assert exact_pushforward(leaky, 2, 1, threads=2).to_json() == rep.to_json()
+
+
 # -------------------------------------------------------------- monte carlo
 
 
@@ -118,6 +138,18 @@ def test_mc_seeded_reproducibility_and_thread_independence():
     assert r1.to_json() == r2.to_json() == r4.to_json()
     other = mc_pushforward(star(0.25), star_base(0.25), 10, 0, 20_000, 9, **kw)
     assert other.counts != r1.counts
+
+
+def test_mc_withholds_when_the_threshold_cannot_be_exceeded():
+    # 8^5 output patterns from 20000 samples: 4 * sqrt(32768 / 20000) = 5.12,
+    # and total variation never exceeds 1
+    rep = mc_pushforward(timar(3), uniform(U2), 3, 1, 20_000, 11)
+    assert rep.threshold == pytest.approx(5.12)
+    assert rep.valid_samples == 20_000
+    assert rep.verdict == "withheld"
+    explicit = mc_pushforward(timar(3), uniform(U2), 3, 1, 20_000, 11, threshold=1.0)
+    assert explicit.verdict == "withheld"
+    assert mc_pushforward(timar(3), uniform(U2), 3, 1, 20_000, 11, threshold=0.99).verdict == "pass"
 
 
 def test_mc_fails_when_the_declared_target_is_wrong():
