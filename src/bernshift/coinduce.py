@@ -17,27 +17,12 @@ from typing import Sequence
 import numpy as np
 
 from .config import Alphabet, Configuration, alphabet_by_name, translate
-from .freegroup import GEN_A, SiteSet, Word, gen_power, inv, mul
+from .freegroup import GEN_A, GEN_A_INV, SiteSet, Word, a_power_decomposition, bulk_words, inv, mul
 
 
 class NotInSubgroup(ValueError):
     """A cocycle value failed to reduce to an a-power (implementation bug
     by construction; surfaced as a runtime check rather than trusted)."""
-
-
-def a_power_decomposition(g: Word) -> tuple[Word, int]:
-    """Split g = rep * a^n where rep has no trailing a-family letter.
-
-    In a reduced word the trailing a-run has a single sign, so n is just
-    the signed run length.
-    """
-    letters = g.letters
-    i = len(letters)
-    while i > 0 and letters[i - 1] in (0, 1):
-        i -= 1
-    run = letters[i:]
-    n = len(run) if (not run or run[0] == 0) else -len(run)
-    return Word._from_reduced(letters[:i]), n
 
 
 def coset_of(g: Word) -> Word:
@@ -226,30 +211,87 @@ def to_coset_config(x: Configuration, window: int | None = None) -> CosetConfigu
 
     This is the conjugacy between the shift on group-indexed points and
     the coinduced action on coset-indexed ones; on finite windows it is a
-    pure re-indexing bijection of sites.
+    pure re-indexing bijection of sites.  The re-indexing is compiled
+    once per site set (``SiteSet.coset_table``), so a split is one
+    scatter of the values into the (coset, position) grid.  The window
+    defaults to the longest site length; with a smaller explicit window,
+    sites farther than it along their coset are dropped.
     """
-    w = window if window is not None else max((len(s) for s in x.sites), default=0)
-    cosets = sorted({coset_of(s) for s in x.sites}, key=lambda c: c.shortlex_key)
-    rows = []
-    for c in cosets:
-        rows.append(tuple(x.value_at(gen_power(c, GEN_A, j)) for j in range(-w, w + 1)))
-    return CosetConfiguration(x.alphabet, tuple(cosets), w, tuple(rows))
+    table = x.sites.coset_table()
+    # shortlex order: the last site is a longest one
+    w = window if window is not None else (len(x.sites[-1]) if len(x.sites) else 0)
+    if w < 0:
+        raise ValueError(f"window must be nonnegative, got {w}")
+    width = 2 * w + 1
+    keep = np.abs(table.power) <= w
+    slots = (table.coset * width + table.power + w)[keep]
+    grid = np.full(len(table.reps) * width, None, dtype=object)
+    grid[slots] = np.array(x.values, dtype=object)[keep]
+    rows = tuple(map(tuple, grid.reshape(len(table.reps), width).tolist()))
+    return CosetConfiguration(x.alphabet, table.reps, w, rows)
 
 
 def from_coset_config(y: CosetConfiguration) -> Configuration:
     """Merge coset windows back to a group-indexed configuration: the
-    value at g is the entry at (gH, a-exponent of g)."""
+    value at g is the entry at (gH, a-exponent of g).
+
+    The result's sites are every slot rep(c) * a^j with |j| <= window,
+    defined or not.  A canonical representative ends in no a-letter, so
+    each slot's word is its representative's letters followed by the
+    a-run; the slots are put in shortlex order by an integer sort on
+    (length, letters), and the values are one permutation of the grid.
+    """
     w = y.window
-    pairs: list[tuple[Word, int | None]] = []
-    for i, c in enumerate(y.cosets):
-        row = y.values[i]
-        for j in range(-w, w + 1):
-            pairs.append((gen_power(c, GEN_A, j), row[j + w]))
-    sites = SiteSet(word for word, _ in pairs)
-    values: list[int | None] = [None] * len(sites)
-    for word, v in pairs:
-        values[sites.position(word)] = v  # type: ignore[index]
+    width = 2 * w + 1
+    reps = [c.letters for c in y.cosets]
+    runs = [(GEN_A_INV,) * -j if j < 0 else (GEN_A,) * j for j in range(-w, w + 1)]
+    order = _shortlex_slot_order(reps, w)
+    cs, js = np.divmod(order, width)
+    from_reduced = Word._from_reduced
+    with bulk_words():
+        words = tuple([from_reduced(reps[c] + runs[j]) for c, j in zip(cs.tolist(), js.tolist())])
+        sites = SiteSet._from_sorted(words)
+    flat = [v for row in y.values for v in row]
+    values = [flat[k] for k in order.tolist()]
     return Configuration(y.alphabet, sites, values)
+
+
+# Letters per packed sort key: 2 bits each fit 31 letters in 64 bits.
+_LETTERS_PER_KEY = 31
+
+
+def _shortlex_slot_order(reps: list[tuple[int, ...]], w: int) -> np.ndarray:
+    """Shortlex order of the slot words rep * a^j (|j| <= w), as indices
+    into the row-major (coset, j + w) grid.
+
+    Each word is written out as a letter matrix padded with 0; rows of
+    equal length compare lexicographically exactly as their padded rows
+    do.  The letters are packed 31 to a uint64 key, so any word length
+    sorts exactly with one more key per 31 letters.
+    """
+    n_cos, width = len(reps), 2 * w + 1
+    rep_len = np.fromiter(map(len, reps), dtype=np.int64, count=n_cos)
+    cols = (int(rep_len.max()) if n_cos else 0) + w
+    rep_letters = np.zeros((n_cos, cols), dtype=np.uint8)
+    owner = np.repeat(np.arange(n_cos), rep_len)
+    starts = np.cumsum(rep_len) - rep_len
+    rep_letters[owner, np.arange(len(owner)) - np.repeat(starts, rep_len)] = np.fromiter(
+        (s for r in reps for s in r), dtype=np.uint8, count=len(owner)
+    )
+    j = np.arange(-w, w + 1)
+    pos = np.arange(cols)
+    # (coset, j, position): inside the a-run after the representative
+    in_run = (pos >= rep_len[:, None, None]) & (pos < (rep_len[:, None] + np.abs(j))[:, :, None])
+    letters = np.where(in_run, (j < 0).astype(np.uint8)[:, None], rep_letters[:, None, :])
+    letters = letters.reshape(n_cos * width, cols)
+    keys = []
+    for lo in range(0, cols, _LETTERS_PER_KEY):
+        key = np.zeros(n_cos * width, dtype=np.uint64)
+        for col in letters[:, lo : lo + _LETTERS_PER_KEY].T:
+            key = (key << np.uint64(2)) | col.astype(np.uint64)
+        keys.append(key)
+    lengths = (rep_len[:, None] + np.abs(j)).ravel()
+    return np.lexsort(keys[::-1] + [lengths])
 
 
 def coset_configs_agree(y1: CosetConfiguration, y2: CosetConfiguration) -> dict | None:

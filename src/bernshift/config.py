@@ -19,6 +19,8 @@ import numpy as np
 from .freegroup import SiteSet, Word, translated_sites
 
 DEFAULT_ENUMERATION_CAP = 2**24
+# Bytes of float64 uniforms ``sample_matrix`` draws at a time.
+SAMPLE_BLOCK_BYTES = 2**22
 
 
 class EnumerationTooLarge(ValueError):
@@ -317,13 +319,19 @@ def sample_matrix(
     stream drives every alphabet identically: the index of a draw u is
     the number of cumulative weights (all but the last) that u reaches,
     which is ``searchsorted(cdf, u, side="right")``.  The matrix is int8
-    for alphabets of at most 128 symbols and int64 otherwise.
+    for alphabets of at most 128 symbols and int64 otherwise.  The
+    uniforms are drawn in row blocks of at most ``SAMPLE_BLOCK_BYTES``;
+    consecutive ``rng.random`` blocks continue one stream, so the result
+    equals a single (n_draws, n_sites) draw.
     """
     cdf = np.cumsum(np.asarray(dist.float_weights(), dtype=np.float64))
-    u = rng.random((n_draws, n_sites))
-    out = np.zeros(u.shape, dtype=np.int8 if len(cdf) <= 128 else np.int64)
-    for c in cdf[:-1]:
-        out += u >= c
+    out = np.zeros((n_draws, n_sites), dtype=np.int8 if len(cdf) <= 128 else np.int64)
+    rows = max(1, SAMPLE_BLOCK_BYTES // (8 * max(1, n_sites)))
+    for lo in range(0, n_draws, rows):
+        block = out[lo : lo + rows]
+        u = rng.random(block.shape)
+        for c in cdf[:-1]:
+            block += u >= c
     return out
 
 

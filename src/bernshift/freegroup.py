@@ -13,8 +13,10 @@ to share across threads.
 
 from __future__ import annotations
 
+import contextlib
 import functools
-from typing import Iterable, Iterator, Sequence
+import gc
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -48,15 +50,15 @@ class Word:
 
     def __init__(self, letters: Iterable[int] = ()):
         reduced = _reduce_letters(letters)
-        object.__setattr__(self, "letters", reduced)
-        object.__setattr__(self, "_hash", hash(reduced))
+        _set_letters(self, reduced)
+        _set_hash(self, hash(reduced))
 
     @classmethod
     def _from_reduced(cls, letters: tuple[int, ...]) -> "Word":
         """Wrap letters already known to be reduced (internal fast path)."""
         w = cls.__new__(cls)
-        object.__setattr__(w, "letters", letters)
-        object.__setattr__(w, "_hash", hash(letters))
+        _set_letters(w, letters)
+        _set_hash(w, hash(letters))
         return w
 
     @classmethod
@@ -119,6 +121,31 @@ class Word:
         return f"Word({str(self)!r})"
 
 
+# The slot descriptors write past Word.__setattr__, which refuses every
+# assignment; they are cheaper than object.__setattr__ on the hot path.
+_set_letters = Word.__dict__["letters"].__set__
+_set_hash = Word.__dict__["_hash"].__set__
+
+
+@contextlib.contextmanager
+def bulk_words() -> Iterator[None]:
+    """Pause the cyclic garbage collector while building many Words.
+
+    A Word holds only a tuple of ints, so Words never form reference
+    cycles, but each one is a tracked object: allocating a few hundred
+    thousand of them sets off several full collections that rescan the
+    whole heap, which doubles the cost of the allocation.  The collector
+    is re-enabled on exit only if it was enabled on entry.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 def _reduce_letters(letters: Iterable[int]) -> tuple[int, ...]:
     stack: list[int] = []
     for s in letters:
@@ -151,6 +178,22 @@ def mul(g1: Word, g2: Word) -> Word:
         else:
             left.append(s)
     return Word._from_reduced(tuple(left))
+
+
+def a_power_decomposition(g: Word) -> tuple[Word, int]:
+    """Split g = rep * a^n where rep has no trailing a-family letter.
+
+    In a reduced word the trailing a-run has a single sign, so n is just
+    the signed run length.  rep is the canonical representative of the
+    coset g<a>.
+    """
+    letters = g.letters
+    i = len(letters)
+    while i > 0 and letters[i - 1] in (GEN_A, GEN_A_INV):
+        i -= 1
+    run = letters[i:]
+    n = len(run) if (not run or run[0] == GEN_A) else -len(run)
+    return Word._from_reduced(letters[:i]), n
 
 
 def inv(g: Word) -> Word:
@@ -195,16 +238,30 @@ def ball(r: int, cap: int = DEFAULT_RADIUS_CAP) -> "SiteSet":
     return SiteSet._from_sorted(tuple(words))
 
 
+class CosetTable(NamedTuple):
+    """The <a>-coset decomposition of a site set: site i is
+    ``reps[coset[i]] * a**power[i]``.
+
+    ``reps`` lists the canonical representative of every coset that
+    meets the set, in shortlex order.
+    """
+
+    reps: tuple[Word, ...]
+    coset: np.ndarray
+    power: np.ndarray
+
+
 class SiteSet:
     """An ordered finite set of distinct group elements (shortlex order).
 
     Construction canonicalizes: duplicates are dropped and the words are
-    sorted.  The set is immutable; derived lookup tables (neighbor and
-    generator-ray indices) are memoized on the instance, which is safe
-    because they are pure functions of the site list.
+    sorted.  The set is immutable; derived lookup tables (neighbor,
+    generator-ray and coset indices) are memoized on the instance, which
+    is safe because they are pure functions of the site list.  The cached
+    arrays are read-only, since every caller shares them.
     """
 
-    __slots__ = ("words", "_index", "_neighbors", "_rays", "_hash")
+    __slots__ = ("words", "_index", "_neighbors", "_rays", "_cosets", "_hash")
 
     def __init__(self, words: Iterable[Word]):
         ordered = tuple(sorted(set(words), key=lambda w: w.shortlex_key))
@@ -221,6 +278,7 @@ class SiteSet:
         object.__setattr__(self, "_index", {w: i for i, w in enumerate(ordered)})
         object.__setattr__(self, "_neighbors", {})
         object.__setattr__(self, "_rays", {})
+        object.__setattr__(self, "_cosets", None)
         object.__setattr__(self, "_hash", hash(ordered))
 
     def __setattr__(self, name, value):
@@ -260,6 +318,7 @@ class SiteSet:
                 dtype=np.int64,
                 count=len(self.words),
             )
+            cached.setflags(write=False)
             self._neighbors[offset] = cached
         return cached
 
@@ -292,9 +351,35 @@ class SiteSet:
             for i, row in enumerate(rows):
                 padded[i, : len(row)] = row
                 lengths[i] = len(row)
+            padded.setflags(write=False)
+            lengths.setflags(write=False)
             cached = (padded, lengths)
             self._rays[letter] = cached
         return cached
+
+    def coset_table(self) -> CosetTable:
+        """Each site's <a>-coset number and a-exponent, from one pass over
+        the letters of every site (no group multiplication)."""
+        if self._cosets is None:
+            object.__setattr__(self, "_cosets", _build_coset_table(self.words))
+        return self._cosets
+
+
+def _build_coset_table(words: Sequence[Word]) -> CosetTable:
+    first: dict[Word, int] = {}  # representative -> number in order of first appearance
+    seen = np.empty(len(words), dtype=np.int64)
+    power = np.empty(len(words), dtype=np.int64)
+    for i, w in enumerate(words):
+        rep, n = a_power_decomposition(w)
+        seen[i] = first.setdefault(rep, len(first))
+        power[i] = n
+    reps = sorted(first, key=lambda c: c.shortlex_key)
+    rank = np.empty(len(reps), dtype=np.int64)
+    rank[[first[c] for c in reps]] = np.arange(len(reps))
+    coset = rank[seen]
+    coset.setflags(write=False)
+    power.setflags(write=False)
+    return CosetTable(tuple(reps), coset, power)
 
 
 _SINGLE = tuple(Word._from_reduced((s,)) for s in (GEN_A, GEN_A_INV, GEN_B, GEN_B_INV))

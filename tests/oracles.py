@@ -11,7 +11,7 @@ import math
 
 from scipy.optimize import brentq
 
-from bernshift import Configuration, Word, gen_power, inv, mul
+from bernshift import Configuration, CosetConfiguration, SiteSet, Word, coset_of, gen_power, inv, mul
 from bernshift.freegroup import GEN_A, GEN_B
 
 
@@ -69,6 +69,32 @@ def star_direct(x: Configuration, g: Word):
     if first_a is None or first_b is None:
         return None
     return ((v + first_a) % 2) + 2 * ((v + first_b) % 2)
+
+
+def split_direct(x: Configuration, window=None) -> CosetConfiguration:
+    """The <a>-coset split slot by slot: (c, j) holds x at c * a^j."""
+    w = window if window is not None else max((len(s) for s in x.sites), default=0)
+    cosets = sorted({coset_of(s) for s in x.sites}, key=lambda c: c.shortlex_key)
+    rows = []
+    for c in cosets:
+        rows.append(tuple(x.value_at(gen_power(c, GEN_A, j)) for j in range(-w, w + 1)))
+    return CosetConfiguration(x.alphabet, tuple(cosets), w, tuple(rows))
+
+
+def merge_direct(y: CosetConfiguration) -> Configuration:
+    """The merge slot by slot: the site c * a^j holds entry (c, j), for
+    every slot of the window, defined or not."""
+    w = y.window
+    pairs = []
+    for i, c in enumerate(y.cosets):
+        row = y.values[i]
+        for j in range(-w, w + 1):
+            pairs.append((gen_power(c, GEN_A, j), row[j + w]))
+    sites = SiteSet(word for word, _ in pairs)
+    values = [None] * len(sites)
+    for word, v in pairs:
+        values[sites.position(word)] = v
+    return Configuration(y.alphabet, sites, values)
 
 
 def three_symbol_entropy(p):

@@ -5,6 +5,7 @@ from bernshift import (
     Configuration,
     CosetConfiguration,
     IDENTITY,
+    SiteSet,
     Word,
     a_power_decomposition,
     ball,
@@ -23,8 +24,11 @@ from bernshift import (
     uniform,
     z_relabel,
 )
+from bernshift import freegroup, verify
 from bernshift.coinduce import coset_configs_agree
-from bernshift.freegroup import random_word
+from bernshift.freegroup import random_word, translated_sites
+
+from oracles import merge_direct, split_direct
 
 U2 = bit_alphabet(1)
 
@@ -249,6 +253,96 @@ def test_full_group_degenerate_case():
     g1, g2 = Word.parse("ab"), Word.parse("Ba")
     assert full_group_act(g1, x) == translate(g1, x)
     assert full_group_act(g1, full_group_act(g2, x)) == full_group_act(mul(g1, g2), x)
+
+
+# ------------------------------------- compiled conjugacy vs the oracles
+
+
+def _partial_config(rng, sites, p_none=0.3):
+    vals = [None if rng.random() < p_none else int(v) for v in rng.integers(0, 2, len(sites))]
+    return Configuration(U2, sites, vals)
+
+
+def _assert_matches_oracles(x, window=None):
+    y = to_coset_config(x, window)
+    assert y == split_direct(x, window)
+    assert from_coset_config(y) == merge_direct(y)
+
+
+@pytest.mark.parametrize("r", range(6))
+def test_split_and_merge_match_oracles_on_balls(r):
+    rng = np.random.default_rng(40 + r)
+    sites = ball(r)
+    _assert_matches_oracles(_random_config(rng, sites))
+    _assert_matches_oracles(_partial_config(rng, sites))
+    for window in (0, 1, r + 2):
+        _assert_matches_oracles(_partial_config(rng, sites), window)
+
+
+def test_split_and_merge_match_oracles_on_translated_balls():
+    rng = np.random.default_rng(46)
+    for g in ball(2).words + (Word.parse("BAbaa"), Word.parse("aaab")):
+        sites, _ = translated_sites(ball(3), g)
+        _assert_matches_oracles(_partial_config(rng, sites))
+        _assert_matches_oracles(_random_config(rng, sites), 1)
+
+
+def test_split_and_merge_match_oracles_on_random_subsets():
+    rng = np.random.default_rng(47)
+    words = ball(4).words
+    for _ in range(30):
+        keep = rng.random(len(words)) < rng.uniform(0.05, 0.9)
+        sites = SiteSet(w for w, k in zip(words, keep) if k)
+        _assert_matches_oracles(_partial_config(rng, sites))
+        _assert_matches_oracles(_partial_config(rng, sites), int(rng.integers(0, 6)))
+    _assert_matches_oracles(Configuration(U2, SiteSet([]), []))
+
+
+def test_merge_matches_oracle_on_rows_past_any_ball():
+    rng = np.random.default_rng(48)
+    for window in (0, 2, 7):
+        width = 2 * window + 1
+        data = {
+            "alphabet": "U2",
+            "cosets": ["e", "b", "aB", "bab", "BAbAB", "bbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbb"],
+            "window": window,
+            "values": [[None if rng.random() < 0.3 else int(rng.integers(2)) for _ in range(width)]
+                       for _ in range(6)],
+        }
+        y = CosetConfiguration.from_json(data)
+        x = from_coset_config(y)
+        assert x == merge_direct(y)
+        assert to_coset_config(x, window) == y
+
+
+def test_negative_window_is_rejected():
+    with pytest.raises(ValueError):
+        to_coset_config(Configuration(U2, ball(1), [0] * 5), -1)
+
+
+def test_coset_table_is_built_once_per_site_set(monkeypatch):
+    built = []
+    real = freegroup._build_coset_table
+    monkeypatch.setattr(freegroup, "_build_coset_table", lambda words: built.append(1) or real(words))
+    rng = np.random.default_rng(49)
+    sites = ball(3)
+    first = to_coset_config(_random_config(rng, sites))
+    second = to_coset_config(_random_config(rng, sites), 2)
+    assert len(built) == 1 and first.cosets is second.cosets
+    # a cached translate keeps its table
+    moved, _ = translated_sites(sites, Word.parse("bbAbA"))
+    to_coset_config(_random_config(rng, moved))
+    n_built = len(built)
+    again, _ = translated_sites(ball(3), Word.parse("bbAbA"))
+    to_coset_config(_random_config(rng, again))
+    assert again is moved and len(built) == n_built
+
+
+def test_exact_coset_pushforward_matches_the_oracle_split(monkeypatch):
+    got = verify.exact_coset_pushforward(2).to_json()
+    monkeypatch.setattr(verify, "to_coset_config", split_direct)
+    assert got == verify.exact_coset_pushforward(2).to_json()
+    assert got["verdict"] == "pass"
 
 
 # ------------------------------------------------------------------- JSON

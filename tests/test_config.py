@@ -28,7 +28,7 @@ from bernshift import (
     translate,
     uniform,
 )
-from bernshift.config import enumeration_size, index_matrix, sample_matrix
+from bernshift.config import SAMPLE_BLOCK_BYTES, enumeration_size, index_matrix, sample_matrix
 from bernshift.freegroup import random_word
 
 from oracles import translate_direct
@@ -193,6 +193,18 @@ def test_sample_matrix_matches_searchsorted(law):
     got = sample_matrix(dist, 37, 2000, np.random.default_rng(21))
     want = _searchsorted_reference(dist, 37, 2000, np.random.default_rng(21))
     assert got.dtype == (np.int8 if dist.alphabet.size <= 128 else np.int64)
+    np.testing.assert_array_equal(got, want)
+
+
+def test_sample_matrix_row_blocks_continue_one_stream():
+    # two full row blocks and a partial third one
+    n_sites = 37
+    rows = SAMPLE_BLOCK_BYTES // (8 * n_sites)
+    n_draws = 2 * rows + rows // 3
+    dist = _LAWS["star3"]
+    got = sample_matrix(dist, n_sites, n_draws, np.random.default_rng(22))
+    want = _searchsorted_reference(dist, n_sites, n_draws, np.random.default_rng(22))
+    assert n_draws % rows != 0
     np.testing.assert_array_equal(got, want)
 
 

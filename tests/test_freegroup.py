@@ -140,6 +140,16 @@ def test_word_is_immutable_and_hashable():
     assert len({w, Word.parse("ab"), Word.parse("ba")}) == 2
 
 
+@pytest.mark.parametrize("make", [Word, Word._from_reduced, lambda t: mul(Word(t), IDENTITY)])
+def test_every_word_constructor_sets_both_slots_and_stays_immutable(make):
+    w = make((0, 3, 1))
+    assert w.letters == (0, 3, 1) and hash(w) == hash((0, 3, 1))
+    for name, value in (("letters", ()), ("_hash", 0), ("other", 1)):
+        with pytest.raises(AttributeError):
+            setattr(w, name, value)
+    assert w.letters == (0, 3, 1) and hash(w) == hash((0, 3, 1))
+
+
 def test_siteset_canonicalizes():
     sset = SiteSet([Word.parse("b"), IDENTITY, Word.parse("b"), Word.parse("a")])
     assert [str(w) for w in sset] == ["e", "a", "b"]
@@ -162,6 +172,37 @@ def test_ray_indices_follow_membership_not_length():
     ray = [str(sites[j]) for j in idx[i] if j >= 0]
     assert ray[:2] == ["b", "ba"]
     assert lengths[i] == 2
+
+
+def test_cached_site_tables_are_read_only():
+    sites = ball(2)
+    idx, lengths = sites.ray_indices(GEN_B)
+    table = sites.coset_table()
+    for arr in (sites.neighbor_indices(Word.parse("ab")), idx, lengths, table.coset, table.power):
+        with pytest.raises(ValueError):
+            arr[0] = 7
+    assert sites.neighbor_indices(Word.parse("ab")) is sites.neighbor_indices(Word.parse("ab"))
+
+
+@pytest.mark.parametrize(
+    "sites",
+    [
+        ball(0),
+        ball(3),
+        SiteSet([]),
+        # the coset of b first appears at ba, after the coset of bb appears
+        SiteSet(Word.parse(t) for t in ("bAA", "bb", "ba", "Ba", "BAbaa", "aa", "A")),
+        SiteSet(random_word(np.random.default_rng(8), 9) for _ in range(60)),
+    ],
+)
+def test_coset_table_decomposes_every_site(sites):
+    table = sites.coset_table()
+    assert table.reps == tuple(sorted(set(table.reps), key=lambda c: c.shortlex_key))
+    assert all(not c.letters or c.letters[-1] not in (GEN_A, GEN_A_INV) for c in table.reps)
+    assert sorted(set(table.coset.tolist())) == list(range(len(table.reps)))
+    for i, w in enumerate(sites):
+        assert gen_power(table.reps[table.coset[i]], GEN_A, int(table.power[i])) == w
+    assert sites.coset_table() is table
 
 
 def test_random_word_is_reduced():
