@@ -11,13 +11,14 @@ the degenerate one-coset case and needs no machinery (see
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .config import Alphabet, Configuration, alphabet_by_name, translate
-from .freegroup import GEN_A, GEN_A_INV, SiteSet, Word, a_power_decomposition, bulk_words, inv, mul
+from .freegroup import GEN_A, GEN_A_INV, SiteSet, Word, a_power_decomposition, encode, inv, mul
+from .freegroup import right_mul_codes
 
 
 class NotInSubgroup(ValueError):
@@ -56,36 +57,30 @@ class CosetConfiguration:
 
     Rows are indexed by the canonical (shortlex-sorted) representative
     list; each row covers positions -window..window, with None marking
-    undefined slots.
+    undefined slots.  ``coset_sites`` is the representatives' site set.
     """
 
     alphabet: Alphabet
     cosets: tuple[Word, ...]
     window: int
     values: tuple[tuple[int | None, ...], ...]
+    coset_sites: SiteSet = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if list(self.cosets) != sorted(set(self.cosets), key=lambda w: w.shortlex_key):
+        codes = encode(self.cosets)
+        if (codes[1:] <= codes[:-1]).any():
             raise ValueError("cosets must be distinct and shortlex-sorted")
         width = 2 * self.window + 1
         if any(len(row) != width for row in self.values):
             raise ValueError(f"each row must have {width} slots")
-        for c in self.cosets:
-            if coset_of(c) != c:
-                raise ValueError(f"{c} is not a canonical coset representative")
+        # a canonical representative's last letter is no a-letter
+        bad = np.flatnonzero((codes > 0) & ((codes - 1) % 4 <= GEN_A_INV))
+        if len(bad):
+            raise ValueError(f"{self.cosets[bad[0]]} is not a canonical coset representative")
+        object.__setattr__(self, "coset_sites", SiteSet._from_sorted(codes))
 
     def coset_index(self, c: Word) -> int | None:
-        lo, hi = 0, len(self.cosets)
-        key = c.shortlex_key
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.cosets[mid].shortlex_key < key:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo < len(self.cosets) and self.cosets[lo] == c:
-            return lo
-        return None
+        return self.coset_sites.position(c)
 
     def value_at(self, c: Word, j: int) -> int | None:
         i = self.coset_index(coset_of(c))
@@ -237,61 +232,22 @@ def from_coset_config(y: CosetConfiguration) -> Configuration:
 
     The result's sites are every slot rep(c) * a^j with |j| <= window,
     defined or not.  A canonical representative ends in no a-letter, so
-    each slot's word is its representative's letters followed by the
-    a-run; the slots are put in shortlex order by an integer sort on
-    (length, letters), and the values are one permutation of the grid.
+    each step along the a-run appends one digit to the slot's code; the
+    slots are put in shortlex order by one sort of their codes, and the
+    values are one permutation of the grid.
     """
-    w = y.window
-    width = 2 * w + 1
-    reps = [c.letters for c in y.cosets]
-    runs = [(GEN_A_INV,) * -j if j < 0 else (GEN_A,) * j for j in range(-w, w + 1)]
-    order = _shortlex_slot_order(reps, w)
-    cs, js = np.divmod(order, width)
-    from_reduced = Word._from_reduced
-    with bulk_words():
-        words = tuple([from_reduced(reps[c] + runs[j]) for c, j in zip(cs.tolist(), js.tolist())])
-        sites = SiteSet._from_sorted(words)
+    a, a_inv = Word((GEN_A,)), Word((GEN_A_INV,))
+    up = down = y.coset_sites.codes
+    columns = [up]
+    for _ in range(y.window):
+        up, down = right_mul_codes(up, a), right_mul_codes(down, a_inv)
+        columns = [down, *columns, up]
+    slots = np.stack(columns, axis=1).ravel()
+    order = np.argsort(slots)
+    sites = SiteSet._from_sorted(slots[order])
     flat = [v for row in y.values for v in row]
     values = [flat[k] for k in order.tolist()]
     return Configuration(y.alphabet, sites, values)
-
-
-# Letters per packed sort key: 2 bits each fit 31 letters in 64 bits.
-_LETTERS_PER_KEY = 31
-
-
-def _shortlex_slot_order(reps: list[tuple[int, ...]], w: int) -> np.ndarray:
-    """Shortlex order of the slot words rep * a^j (|j| <= w), as indices
-    into the row-major (coset, j + w) grid.
-
-    Each word is written out as a letter matrix padded with 0; rows of
-    equal length compare lexicographically exactly as their padded rows
-    do.  The letters are packed 31 to a uint64 key, so any word length
-    sorts exactly with one more key per 31 letters.
-    """
-    n_cos, width = len(reps), 2 * w + 1
-    rep_len = np.fromiter(map(len, reps), dtype=np.int64, count=n_cos)
-    cols = (int(rep_len.max()) if n_cos else 0) + w
-    rep_letters = np.zeros((n_cos, cols), dtype=np.uint8)
-    owner = np.repeat(np.arange(n_cos), rep_len)
-    starts = np.cumsum(rep_len) - rep_len
-    rep_letters[owner, np.arange(len(owner)) - np.repeat(starts, rep_len)] = np.fromiter(
-        (s for r in reps for s in r), dtype=np.uint8, count=len(owner)
-    )
-    j = np.arange(-w, w + 1)
-    pos = np.arange(cols)
-    # (coset, j, position): inside the a-run after the representative
-    in_run = (pos >= rep_len[:, None, None]) & (pos < (rep_len[:, None] + np.abs(j))[:, :, None])
-    letters = np.where(in_run, (j < 0).astype(np.uint8)[:, None], rep_letters[:, None, :])
-    letters = letters.reshape(n_cos * width, cols)
-    keys = []
-    for lo in range(0, cols, _LETTERS_PER_KEY):
-        key = np.zeros(n_cos * width, dtype=np.uint64)
-        for col in letters[:, lo : lo + _LETTERS_PER_KEY].T:
-            key = (key << np.uint64(2)) | col.astype(np.uint64)
-        keys.append(key)
-    lengths = (rep_len[:, None] + np.abs(j)).ravel()
-    return np.lexsort(keys[::-1] + [lengths])
 
 
 def coset_configs_agree(y1: CosetConfiguration, y2: CosetConfiguration) -> dict | None:

@@ -291,14 +291,15 @@ def translate(g: Word, x: Configuration) -> Configuration:
     the value of x at f, i.e. (g.x)(h) = x(g^-1 h)."""
     new_sites, perm = translated_sites(x.sites, g)
     values: list[int | None] = [None] * len(new_sites)
-    for i, v in enumerate(x.values):
-        values[perm[i]] = v
+    for i, v in zip(perm.tolist(), x.values):
+        values[i] = v
     return Configuration(x.alphabet, new_sites, values)
 
 
 def restrict(x: Configuration, sub: SiteSet) -> Configuration:
     """Restriction to a site set; sites absent from x become undefined."""
-    return Configuration(x.alphabet, sub, [x.value_at(w) for w in sub])
+    idx = x.sites.indices_of(sub).tolist()
+    return Configuration(x.alphabet, sub, [None if i < 0 else x.values[i] for i in idx])
 
 
 def sample(

@@ -21,7 +21,7 @@ from .config import (
     bit_alphabet,
     star_alphabet,
 )
-from .freegroup import GEN_A, GEN_B, IDENTITY, SiteSet, Word, ball, mul
+from .freegroup import GEN_A, GEN_B, IDENTITY, SiteSet, Word, ball, code_lengths, right_mul_codes
 
 
 class AlphabetMismatch(ValueError):
@@ -74,8 +74,7 @@ class FactorMap:
         """
         if self.window_cost is None:
             raise NotImplementedError
-        closure = ball(self.window_cost, cap=max(self.window_cost, 12))
-        return SiteSet(mul(g, w) for g in out_sites for w in closure)
+        return out_sites.times(ball(self.window_cost, cap=max(self.window_cost, 12)))
 
     def describe(self) -> dict:
         return {
@@ -91,13 +90,9 @@ class FactorMap:
 
 def _safe_gather(values: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """values[:, idx] treating idx == -1 as undefined (-1)."""
-    gathered = values[:, np.clip(idx, 0, None)]
-    if np.ndim(idx) == 0:
-        if idx < 0:
-            gathered = np.full_like(gathered, -1)
-    else:
-        gathered = np.where(idx >= 0, gathered, -1)
-    return gathered
+    if values.shape[1] == 0:
+        return np.full((values.shape[0], *idx.shape), -1, dtype=values.dtype)
+    return np.where(idx >= 0, values[:, np.maximum(idx, 0)], -1)
 
 
 class BlockMap(FactorMap):
@@ -129,44 +124,23 @@ class BlockMap(FactorMap):
         self.window_cost = max((len(w) for w in self.offsets), default=0)
 
     def apply_batch(self, values, sites, out_sites):
-        n = values.shape[0]
-        out = np.full((n, len(out_sites)), -1, dtype=np.int64)
-        same = out_sites is sites or out_sites == sites
-        for j, g in enumerate(out_sites.words):
-            if same:
-                cols = [_safe_gather(values, sites.neighbor_indices(off)[j]) for off in self.offsets]
-            else:
-                idxs = [sites.position(mul(g, off)) for off in self.offsets]
-                cols = [
-                    values[:, i] if i is not None else np.full(n, -1, dtype=np.int64)
-                    for i in idxs
-                ]
-            valid = np.ones(n, dtype=bool)
-            for c in cols:
-                valid &= c >= 0
-            looked = self.table[tuple(np.clip(c, 0, None) for c in cols)]
-            out[:, j] = np.where(valid, looked, -1)
+        # one flat table index per output cell, by Horner's rule over the offsets
+        size = self.input_alphabet.size
+        flat = np.zeros((values.shape[0], len(out_sites)), dtype=np.int64)
+        valid = np.ones(flat.shape, dtype=bool)
+        for off in self.offsets:
+            col = _safe_gather(values, sites.neighbor_indices(off, out_sites))
+            valid &= col >= 0
+            flat *= size
+            flat += np.maximum(col, 0, out=col)
+        out = self.table.ravel()[flat].astype(np.int64, copy=False)
+        out[~valid] = -1
         return out
 
-    def apply(self, x: Configuration) -> Configuration:
-        # Vectorized over the whole site set via cached neighbor indices.
-        self.check_alphabet(x)
-        values = x.as_index_array()
-        valid = np.ones(len(values), dtype=bool)
-        cols = []
-        for off in self.offsets:
-            nb = x.sites.neighbor_indices(off)
-            col = np.where(nb >= 0, values[np.clip(nb, 0, None)], -1)
-            valid = valid & (col >= 0)
-            cols.append(np.clip(col, 0, None))
-        looked = self.table[tuple(cols)]
-        out = np.where(valid, looked, -1)
-        return Configuration(
-            self.output_alphabet, x.sites, [None if v < 0 else int(v) for v in out]
-        )
+    apply = FactorMap.apply  # the batch kernel, bound here so a tracer can wrap it per class
 
     def dependency_sites(self, out_sites, budget_radius):
-        return SiteSet(mul(g, off) for g in out_sites for off in self.offsets)
+        return out_sites.times(self.offsets)
 
     def pushforward(self, dist: Distribution) -> Distribution:
         if dist.alphabet != self.input_alphabet:
@@ -322,70 +296,28 @@ class StarMap(FactorMap):
         found = any_event & hit
         return found, np.clip(take, 0, None)
 
-    def apply(self, x: Configuration) -> Configuration:
-        self.check_alphabet(x)
-        values = x.as_index_array()[None, :]
-        a_idx, _ = x.sites.ray_indices(GEN_A)
-        b_idx, _ = x.sites.ray_indices(GEN_B)
-        out = self._evaluate(values, values[0], a_idx, b_idx)[0]
-        return Configuration(
-            self.output_alphabet, x.sites, [None if v < 0 else int(v) for v in out]
-        )
-
-    def _evaluate(self, values, centers, a_idx, b_idx):
-        star_in = self.input_alphabet.star_index
-        found_a, bit_a = self._scan(values, a_idx)
-        found_b, bit_b = self._scan(values, b_idx)
-        if centers.ndim == 1:
-            centers = np.broadcast_to(centers, (values.shape[0], centers.shape[0]))
-        center_star = centers == star_in
-        center_bit = (centers == 0) | (centers == 1)
-        pair = ((centers + bit_a) % 2) + 2 * ((centers + bit_b) % 2)
-        out = np.where(
-            center_star,
-            self.output_alphabet.star_index,
-            np.where(center_bit & found_a & found_b, pair, -1),
-        )
-        return out
+    apply = FactorMap.apply
 
     def apply_batch(self, values, sites, out_sites):
-        n = values.shape[0]
-        centers = np.full((n, len(out_sites)), -1, dtype=np.int64)
-        a_rows, b_rows = [], []
-        for j, g in enumerate(out_sites.words):
-            i = sites.position(g)
-            if i is not None:
-                centers[:, j] = values[:, i]
-            a_rows.append(self._ray_row(sites, g, GEN_A))
-            b_rows.append(self._ray_row(sites, g, GEN_B))
-        a_idx = _pad_rows(a_rows)
-        b_idx = _pad_rows(b_rows)
-        return self._evaluate(values, centers, a_idx, b_idx)
-
-    @staticmethod
-    def _ray_row(sites: SiteSet, g: Word, letter: int) -> list[int]:
-        row: list[int] = []
-        cur = g
-        step = Word((letter,))
-        while True:
-            cur = mul(cur, step)
-            i = sites.position(cur)
-            if i is None:
-                return row
-            row.append(i)
+        centers = _safe_gather(values, sites.indices_of(out_sites)).astype(np.int64)
+        found_a, bit_a = self._scan(values, sites.ray_indices(GEN_A, out_sites)[0])
+        found_b, bit_b = self._scan(values, sites.ray_indices(GEN_B, out_sites)[0])
+        center_star = centers == self.input_alphabet.star_index
+        center_bit = (centers == 0) | (centers == 1)
+        pair = ((centers + bit_a) % 2) + 2 * ((centers + bit_b) % 2)
+        defined = np.where(center_bit & found_a & found_b, pair, -1)
+        return np.where(center_star, self.output_alphabet.star_index, defined)
 
     def dependency_sites(self, out_sites, budget_radius):
-        words: set[Word] = set(out_sites.words)
-        for g in out_sites.words:
-            for letter in (GEN_A, GEN_B):
-                cur = g
-                step = Word((letter,))
-                while True:
-                    cur = mul(cur, step)
-                    if len(cur) > budget_radius:
-                        break
-                    words.add(cur)
-        return SiteSet(words)
+        # each ray up to its first power longer than the budget
+        parts = [out_sites.codes]
+        for step in (_A_WORD, _B_WORD):
+            cur = out_sites.codes
+            while len(cur):
+                cur = right_mul_codes(cur, step)
+                cur = cur[code_lengths(cur) <= budget_radius]
+                parts.append(cur)
+        return SiteSet.from_codes(np.concatenate(parts))
 
     def pushforward(self, dist: Distribution) -> Distribution:
         """Output law for an i.i.d. star-alphabet input.
@@ -414,24 +346,17 @@ class StarMap(FactorMap):
         return d
 
 
-def _pad_rows(rows: list[list[int]]) -> np.ndarray:
-    max_len = max((len(r) for r in rows), default=0)
-    out = np.full((len(rows), max_len), -1, dtype=np.int64)
-    for i, r in enumerate(rows):
-        out[i, : len(r)] = r
-    return out
-
-
 def _stage_windows(
     stages: tuple[FactorMap, ...], sites: SiteSet, out_sites: SiteSet
 ) -> tuple[SiteSet, ...]:
     """The site set each stage of a composition must emit so that the
     last one covers ``out_sites`` inside the window ``sites``."""
-    need = SiteSet(g for g in out_sites if g in sites)
+    need = SiteSet.from_codes(out_sites.codes[sites.indices_of(out_sites) >= 0])
     windows = [need]
     for stage in reversed(stages[1:]):
         if isinstance(stage, BlockMap):
-            need = SiteSet(w for w in stage.dependency_sites(need, 0) if w in sites)
+            dep = stage.dependency_sites(need, 0)
+            need = SiteSet.from_codes(dep.codes[sites.indices_of(dep) >= 0])
         else:
             need = sites
         windows.append(need)
@@ -480,13 +405,7 @@ class ComposedMap(FactorMap):
         for stage, stage_out in zip(self.stages, _stage_windows(self.stages, sites, out_sites)):
             cur = stage.apply_batch(cur, cur_sites, stage_out)
             cur_sites = stage_out
-        cols = [cur_sites.position(g) for g in out_sites.words]
-        n = cur.shape[0]
-        out = np.full((n, len(cols)), -1, dtype=np.int64)
-        for j, i in enumerate(cols):
-            if i is not None:
-                out[:, j] = cur[:, i]
-        return out
+        return _safe_gather(cur, cur_sites.indices_of(out_sites)).astype(np.int64, copy=False)
 
     def pushforward(self, dist: Distribution) -> Distribution:
         for stage in self.stages:

@@ -9,13 +9,18 @@ exactly the generator order used everywhere else in the package:
 and ``letter ^ 1`` is the inverse letter.  All values in this module are
 immutable after construction; every operation is a pure function and safe
 to share across threads.
+
+Site sets are stored as *shortlex codes*, the bijective base-4 numerals
+code(e) = 0, code(w*s) = 4 * code(w) + s + 1: integer order is shortlex
+order, and a word ending in t = (code - 1) % 4 times s is (code - 1 - t)
+// 4 if t == s ^ 1, else 4 * code + s + 1.  Code arrays are int64 while
+every code formed has at most ``MAX_INT64_LETTERS`` letters, and object
+arrays of Python ints beyond; the same functions serve both.
 """
 
 from __future__ import annotations
 
-import contextlib
 import functools
-import gc
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -44,7 +49,7 @@ class Word:
     the letter order a < a^-1 < b < b^-1).
     """
 
-    __slots__ = ("letters", "_hash")
+    __slots__ = ("letters", "_hash", "_code")
 
     letters: tuple[int, ...]
 
@@ -54,11 +59,14 @@ class Word:
         _set_hash(self, hash(reduced))
 
     @classmethod
-    def _from_reduced(cls, letters: tuple[int, ...]) -> "Word":
-        """Wrap letters already known to be reduced (internal fast path)."""
+    def _from_reduced(cls, letters: tuple[int, ...], code: int | None = None) -> "Word":
+        """Wrap letters already known to be reduced (internal fast path),
+        and their code if known."""
         w = cls.__new__(cls)
         _set_letters(w, letters)
         _set_hash(w, hash(letters))
+        if code is not None:
+            _set_code(w, code)
         return w
 
     @classmethod
@@ -98,6 +106,18 @@ class Word:
         return (len(self.letters), self.letters)
 
     @property
+    def code(self) -> int:
+        """The shortlex code, computed once (see the module docstring)."""
+        try:
+            return self._code
+        except AttributeError:
+            code = 0
+            for s in self.letters:
+                code = 4 * code + s + 1
+            _set_code(self, code)
+            return code
+
+    @property
     def is_identity(self) -> bool:
         return not self.letters
 
@@ -125,25 +145,7 @@ class Word:
 # assignment; they are cheaper than object.__setattr__ on the hot path.
 _set_letters = Word.__dict__["letters"].__set__
 _set_hash = Word.__dict__["_hash"].__set__
-
-
-@contextlib.contextmanager
-def bulk_words() -> Iterator[None]:
-    """Pause the cyclic garbage collector while building many Words.
-
-    A Word holds only a tuple of ints, so Words never form reference
-    cycles, but each one is a tracked object: allocating a few hundred
-    thousand of them sets off several full collections that rescan the
-    whole heap, which doubles the cost of the allocation.  The collector
-    is re-enabled on exit only if it was enabled on entry.
-    """
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if was_enabled:
-            gc.enable()
+_set_code = Word.__dict__["_code"].__set__
 
 
 def _reduce_letters(letters: Iterable[int]) -> tuple[int, ...]:
@@ -213,29 +215,111 @@ def gen_power(g: Word, letter: int, k: int) -> Word:
     return mul(g, Word._from_reduced((s,) * abs(k)))
 
 
+
+
+# The longest words whose codes fit int64: 4 * (4**31 - 1) / 3 < 2**63.
+MAX_INT64_LETTERS = 31
+
+
+def _longest(codes: np.ndarray) -> int:
+    """Letters in the longest word: the n with 4**n <= 3 * code + 1 < 4**(n + 1)."""
+    return ((3 * int(codes.max()) + 1).bit_length() - 1) // 2 if len(codes) else 0
+
+
+def _dtype(codes: np.ndarray, extra: int = 0):
+    """int64 if it holds codes ``extra`` letters longer than any in ``codes``."""
+    return np.int64 if _longest(codes) + extra <= MAX_INT64_LETTERS else object
+
+
+def _level_starts(codes: np.ndarray, top: int) -> np.ndarray:
+    """The first code (4**n - 1) // 3 of each length n <= top, in codes' dtype."""
+    return np.array([(4**n - 1) // 3 for n in range(top + 1)], dtype=codes.dtype)
+
+
+def code_lengths(codes: np.ndarray) -> np.ndarray:
+    """The word length of every code, by lookup in the first codes of each length."""
+    return np.searchsorted(_level_starts(codes, _longest(codes) + 1), codes, side="right") - 1
+
+
+def encode(words: Iterable[Word]) -> np.ndarray:
+    """The codes of a sequence of Words, in order."""
+    codes = np.array([w.code for w in words], dtype=object)
+    return codes.astype(_dtype(codes))
+
+
+def _step(codes: np.ndarray, letter: int) -> np.ndarray:
+    """Codes of w * letter; the caller makes room for one more letter."""
+    last = (codes - 1) % 4
+    back = (codes > 0) & (last == letter ^ 1)
+    return np.where(back, (codes - 1 - last) // 4, 4 * codes + (letter + 1))
+
+
+def right_mul_codes(codes: np.ndarray, offset: Word) -> np.ndarray:
+    """Codes of w * offset for every code of w."""
+    codes = codes.astype(_dtype(codes, len(offset)), copy=False)
+    for s in offset.letters:
+        codes = _step(codes, s)
+    return codes
+
+
+def left_mul_codes(g: Word, codes: np.ndarray) -> np.ndarray:
+    """Codes of g * w for every code of w.
+
+    w's first k letters cancel, k being the longest common prefix of w and
+    g^-1, so g * w is g minus k letters followed by w minus k letters; with
+    w = P S for the k-letter prefix P, code(w) = code(P) * 4**len(S) + code(S).
+    """
+    m = len(g)
+    codes = codes.astype(_dtype(codes, m), copy=False)
+    n = code_lengths(codes)
+    starts = _level_starts(codes, int(n.max(initial=0)) + m)
+    pow4 = 3 * starts + 1
+    g_inv, g_pre = inv(g).letters, [Word._from_reduced(g.letters[:i]).code for i in range(m + 1)]
+    k = np.zeros(len(codes), dtype=np.int64)
+    for j in range(1, m + 1):
+        rest = np.maximum(n - j, 0)
+        prefix = (codes - starts[rest]) // pow4[rest]
+        k += (n >= j) & (k == j - 1) & (prefix == Word._from_reduced(g_inv[:j]).code)
+    rest = n - k
+    suffix = starts[rest] + (codes - starts[rest]) % pow4[rest]
+    return np.array(g_pre, dtype=codes.dtype)[m - k] * pow4[rest] + suffix
+
+
+def decode(codes: np.ndarray) -> tuple[Word, ...]:
+    """The Words of an array of codes, one digit column at a time."""
+    lengths = code_lengths(codes)
+    top = int(lengths.max()) if len(codes) else 0
+    letters = np.zeros((len(codes), top), dtype=np.int8)  # right-aligned
+    cur = codes
+    for col in range(top - 1, -1, -1):
+        last = (cur - 1) % 4
+        letters[:, col] = np.where(cur > 0, last, 0)
+        cur = np.where(cur > 0, (cur - 1 - last) // 4, 0)
+    rows = zip(letters.tolist(), lengths.tolist(), codes.tolist())
+    return tuple(Word._from_reduced(tuple(row[top - n :]), code) for row, n, code in rows)
+
+
 def ball(r: int, cap: int = DEFAULT_RADIUS_CAP) -> "SiteSet":
     """All reduced words of length <= r in shortlex order.
 
     |ball(r)| = 2 * 3^r - 1 for r >= 1 and 1 for r = 0.  Guarded by a
-    radius cap because the count grows as 3^r.
+    radius cap because the count grows as 3^r.  Built level by level on
+    codes: the children 4c + s + 1 of a sorted level, in parent order, are
+    again sorted.
     """
     if r < 0:
         raise ValueError("radius must be nonnegative")
     if r > cap:
         raise RadiusTooLarge(f"radius {r} exceeds cap {cap} (|ball| would be {2 * 3**r - 1})")
-    words: list[Word] = [IDENTITY]
-    frontier: list[Word] = [IDENTITY]
+    level = np.zeros(1, dtype=np.int64 if r <= MAX_INT64_LETTERS else object)
+    levels = [level]
+    digits = np.arange(1, 5)
     for _ in range(r):
-        nxt: list[Word] = []
-        for w in frontier:
-            last = w.letters[-1] if w.letters else None
-            for s in (GEN_A, GEN_A_INV, GEN_B, GEN_B_INV):
-                if last is not None and last == s ^ 1:
-                    continue
-                nxt.append(Word._from_reduced(w.letters + (s,)))
-        words.extend(nxt)
-        frontier = nxt
-    return SiteSet._from_sorted(tuple(words))
+        last = (level - 1) % 4
+        reduced = (level[:, None] == 0) | (digits[None, :] - 1 != last[:, None] ^ 1)
+        level = (4 * level[:, None] + digits[None, :])[reduced]
+        levels.append(level)
+    return SiteSet._from_sorted(np.concatenate(levels))
 
 
 class CosetTable(NamedTuple):
@@ -254,147 +338,179 @@ class CosetTable(NamedTuple):
 class SiteSet:
     """An ordered finite set of distinct group elements (shortlex order).
 
-    Construction canonicalizes: duplicates are dropped and the words are
-    sorted.  The set is immutable; derived lookup tables (neighbor,
-    generator-ray and coset indices) are memoized on the instance, which
-    is safe because they are pure functions of the site list.  The cached
-    arrays are read-only, since every caller shares them.
+    The set is the strictly increasing, read-only array ``codes`` of its
+    sites' shortlex codes (construction drops duplicates and sorts);
+    ``words``, iteration and indexing decode it when first asked.  Derived
+    lookup tables (neighbor, generator-ray and coset indices) are built on
+    the codes and memoized on the instance, which is safe because they are
+    pure functions of the site list; they are read-only, since every
+    caller shares them.
     """
 
-    __slots__ = ("words", "_index", "_neighbors", "_rays", "_cosets", "_hash")
+    __slots__ = ("codes", "_words", "_neighbors", "_rays", "_cosets", "_hash")
 
     def __init__(self, words: Iterable[Word]):
-        ordered = tuple(sorted(set(words), key=lambda w: w.shortlex_key))
-        self._finish_init(ordered)
+        self._finish_init(np.unique(encode(words)))
 
     @classmethod
-    def _from_sorted(cls, ordered: tuple[Word, ...]) -> "SiteSet":
+    def from_codes(cls, codes: np.ndarray) -> "SiteSet":
+        """The set of the words with these codes, in any order and with repeats."""
+        return cls._from_sorted(np.unique(codes))
+
+    @classmethod
+    def _from_sorted(cls, codes: np.ndarray) -> "SiteSet":
         self = cls.__new__(cls)
-        self._finish_init(ordered)
+        self._finish_init(codes)
         return self
 
-    def _finish_init(self, ordered: tuple[Word, ...]) -> None:
-        object.__setattr__(self, "words", ordered)
-        object.__setattr__(self, "_index", {w: i for i, w in enumerate(ordered)})
+    def _finish_init(self, codes: np.ndarray) -> None:
+        codes = np.asarray(codes, dtype=_dtype(codes))
+        codes.setflags(write=False)
+        key = codes.tobytes() if codes.dtype != object else tuple(codes.tolist())
+        object.__setattr__(self, "codes", codes)
+        object.__setattr__(self, "_words", None)
         object.__setattr__(self, "_neighbors", {})
         object.__setattr__(self, "_rays", {})
         object.__setattr__(self, "_cosets", None)
-        object.__setattr__(self, "_hash", hash(ordered))
+        object.__setattr__(self, "_hash", hash(key))
 
     def __setattr__(self, name, value):
         raise AttributeError("SiteSet is immutable")
 
+    @property
+    def words(self) -> tuple[Word, ...]:
+        if self._words is None:
+            object.__setattr__(self, "_words", decode(self.codes))
+        return self._words
+
     def __len__(self) -> int:
-        return len(self.words)
+        return len(self.codes)
 
     def __iter__(self) -> Iterator[Word]:
         return iter(self.words)
 
     def __contains__(self, w: Word) -> bool:
-        return w in self._index
+        return self.position(w) is not None
 
     def __getitem__(self, i: int) -> Word:
-        return self.words[i]
+        if self._words is not None or isinstance(i, slice):
+            return self.words[i]
+        return decode(np.atleast_1d(self.codes[i]))[0]
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, SiteSet) and self.words == other.words
+        return isinstance(other, SiteSet) and np.array_equal(self.codes, other.codes)
 
     def __hash__(self) -> int:
         return self._hash
 
     def __repr__(self) -> str:
-        return f"SiteSet({len(self.words)} sites)"
+        return f"SiteSet({len(self)} sites)"
 
     def position(self, w: Word) -> int | None:
-        return self._index.get(w)
+        code, codes = w.code, self.codes
+        if codes.dtype != object and len(w) > MAX_INT64_LETTERS:
+            return None
+        i = int(codes.searchsorted(code))
+        return i if i < len(codes) and codes[i] == code else None
 
-    def neighbor_indices(self, offset: Word) -> np.ndarray:
-        """For each site g, the index of g*offset, or -1 if absent."""
+    def _find(self, codes: np.ndarray) -> np.ndarray:
+        """The index of every code in this set, or -1 if absent."""
+        mine = self.codes
+        if codes.dtype != mine.dtype:
+            mine, codes = mine.astype(object, copy=False), codes.astype(object, copy=False)
+        if not len(mine):
+            return np.full(len(codes), -1, dtype=np.int64)
+        pos = np.minimum(np.searchsorted(mine, codes), len(mine) - 1)
+        return np.where(mine[pos] == codes, pos, -1)
+
+    def indices_of(self, other: "SiteSet") -> np.ndarray:
+        """For each site of ``other``, its index in this set, or -1 if absent."""
+        return self._find(other.codes)
+
+    def times(self, offsets: Iterable[Word]) -> "SiteSet":
+        """The set {g * w : g in this set, w in offsets}."""
+        parts = [right_mul_codes(self.codes, off) for off in offsets]
+        return SiteSet.from_codes(np.concatenate(parts) if parts else self.codes[:0])
+
+    def neighbor_indices(self, offset: Word, of: "SiteSet | None" = None) -> np.ndarray:
+        """For each site g of ``of`` (default: this set), the index of
+        g*offset in this set, or -1 if absent.  Tables of this set's own
+        sites are cached."""
+        if of is not None and of is not self and of != self:
+            return self._find(right_mul_codes(of.codes, offset))
         cached = self._neighbors.get(offset)
         if cached is None:
-            idx = self._index
-            cached = np.fromiter(
-                (idx.get(mul(w, offset), -1) for w in self.words),
-                dtype=np.int64,
-                count=len(self.words),
-            )
+            cached = self._find(right_mul_codes(self.codes, offset))
             cached.setflags(write=False)
             self._neighbors[offset] = cached
         return cached
 
-    def ray_indices(self, letter: int) -> tuple[np.ndarray, np.ndarray]:
-        """Generator-ray lookup: indices of g*s^k for k = 1, 2, ...
+    def ray_indices(self, letter: int, of: "SiteSet | None" = None) -> tuple[np.ndarray, np.ndarray]:
+        """Generator-ray lookup: indices of g*s^k for k = 1, 2, ... for
+        each site g of ``of`` (default: this set; cached).
 
-        The scan along each ray stops at the first power that is not a
-        site (membership, not word length, is the criterion; reduced
-        lengths are not monotone along rays near cancellations).  Returns
-        a padded (n_sites, max_len) index array (-1 past the end) and the
-        per-site ray lengths.
+        Each ray stops at the first power that is not a site (membership,
+        not word length: lengths are not monotone near cancellations).
+        Step 1 looks up g*s, and every further step follows this set's
+        single-letter neighbour table.  Returns a padded (n_sites,
+        max_len) index array (-1 past the end) and the ray lengths.
         """
-        cached = self._rays.get(letter)
+        own = of is None or of is self or of == self
+        cached = self._rays.get(letter) if own else None
         if cached is None:
-            idx = self._index
-            rows: list[list[int]] = []
-            for w in self.words:
-                row: list[int] = []
-                cur = w
-                while True:
-                    cur = mul(cur, _SINGLE[letter])
-                    j = idx.get(cur)
-                    if j is None:
-                        break
-                    row.append(j)
-                rows.append(row)
-            max_len = max((len(r) for r in rows), default=0)
-            padded = np.full((len(rows), max_len), -1, dtype=np.int64)
-            lengths = np.zeros(len(rows), dtype=np.int64)
-            for i, row in enumerate(rows):
-                padded[i, : len(row)] = row
-                lengths[i] = len(row)
+            step = self.neighbor_indices(_SINGLE[letter])
+            cur = self.neighbor_indices(_SINGLE[letter], of)
+            cols = []
+            while (cur >= 0).any():
+                cols.append(cur)
+                cur = np.where(cur >= 0, step[np.maximum(cur, 0)], -1)
+            padded = np.stack(cols, axis=1) if cols else np.full((len(cur), 0), -1, dtype=np.int64)
+            lengths = (padded >= 0).sum(axis=1)
             padded.setflags(write=False)
             lengths.setflags(write=False)
             cached = (padded, lengths)
-            self._rays[letter] = cached
+            if own:
+                self._rays[letter] = cached
         return cached
 
     def coset_table(self) -> CosetTable:
-        """Each site's <a>-coset number and a-exponent, from one pass over
-        the letters of every site (no group multiplication)."""
+        """Each site's <a>-coset number and a-exponent, from stripping the
+        trailing a-digits of every code (no group multiplication)."""
         if self._cosets is None:
-            object.__setattr__(self, "_cosets", _build_coset_table(self.words))
+            object.__setattr__(self, "_cosets", _build_coset_table(self.codes))
         return self._cosets
 
 
-def _build_coset_table(words: Sequence[Word]) -> CosetTable:
-    first: dict[Word, int] = {}  # representative -> number in order of first appearance
-    seen = np.empty(len(words), dtype=np.int64)
-    power = np.empty(len(words), dtype=np.int64)
-    for i, w in enumerate(words):
-        rep, n = a_power_decomposition(w)
-        seen[i] = first.setdefault(rep, len(first))
-        power[i] = n
-    reps = sorted(first, key=lambda c: c.shortlex_key)
-    rank = np.empty(len(reps), dtype=np.int64)
-    rank[[first[c] for c in reps]] = np.arange(len(reps))
-    coset = rank[seen]
+def _build_coset_table(codes: np.ndarray) -> CosetTable:
+    rep = codes
+    power = np.zeros(len(codes), dtype=np.int64)
+    while True:
+        last = (rep - 1) % 4
+        run = (rep > 0) & (last <= GEN_A_INV)
+        if not run.any():
+            break
+        power += np.where(last == GEN_A, 1, -1) * run
+        rep = np.where(run, (rep - 1 - last) // 4, rep)
+    rep_codes, coset = np.unique(rep, return_inverse=True)
     coset.setflags(write=False)
     power.setflags(write=False)
-    return CosetTable(tuple(reps), coset, power)
+    return CosetTable(decode(rep_codes), coset, power)
 
 
 _SINGLE = tuple(Word._from_reduced((s,)) for s in (GEN_A, GEN_A_INV, GEN_B, GEN_B_INV))
 
 
 @functools.lru_cache(maxsize=512)
-def translated_sites(sites: SiteSet, g: Word) -> tuple[SiteSet, tuple[int, ...]]:
+def translated_sites(sites: SiteSet, g: Word) -> tuple[SiteSet, np.ndarray]:
     """Left-translate a site set: returns (g*sites, permutation).
 
     permutation[i] is the position of g*sites[i] in the new set.  Cached
     because group actions repeatedly translate the same few balls.
     """
-    moved = [mul(g, w) for w in sites.words]
-    new = SiteSet(moved)
-    perm = tuple(new.position(m) for m in moved)  # type: ignore[misc]
+    moved = left_mul_codes(g, sites.codes)
+    new = SiteSet.from_codes(moved)
+    perm = new._find(moved)
+    perm.setflags(write=False)
     return new, perm
 
 

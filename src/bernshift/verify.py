@@ -128,6 +128,12 @@ def _run_chunks(worker: Callable, chunks: Sequence, threads: int) -> list:
         return list(pool.map(worker, chunks))
 
 
+def _require_batch(fmap: FactorMap) -> None:
+    """Refuse a map without batch evaluation before any input matrix exists."""
+    if type(fmap).apply_batch is FactorMap.apply_batch:
+        raise NotImplementedError(f"{fmap.name} has no batch evaluation")
+
+
 def _pattern_counts(out: np.ndarray, out_size: int, n_patterns: int) -> tuple[np.ndarray, int]:
     """Tally output-window patterns; rows containing undefined entries are
     excluded and counted as truncated."""
@@ -155,6 +161,7 @@ def exact_pushforward(
     """
     if fmap.window_cost is None:
         raise ValueError(f"{fmap.name} has unbounded lookahead; use mc_pushforward")
+    _require_batch(fmap)
     if r_out + fmap.window_cost > r_in:
         raise WindowTooSmall(
             f"need r_out + {fmap.window_cost} <= r_in; got r_in={r_in}, r_out={r_out}"
@@ -241,6 +248,7 @@ def mc_pushforward(
         raise ValueError("need at least one sample")
     if input_dist.alphabet != fmap.input_alphabet:
         raise ValueError(f"{fmap.name} expects {fmap.input_alphabet.name} inputs")
+    _require_batch(fmap)
     out_sites = ball(r_out)
     dep_sites = fmap.dependency_sites(out_sites, r_in)
     size_out = fmap.output_alphabet.size
@@ -299,11 +307,11 @@ def mc_pushforward(
 
 def _config_mismatch(lhs: Configuration, rhs: Configuration) -> dict | None:
     """First site where both sides are defined but disagree."""
-    for i, w in enumerate(lhs.sites):
+    for i, j in enumerate(rhs.sites.indices_of(lhs.sites).tolist()):
         v1 = lhs.values[i]
-        v2 = rhs.value_at(w)
+        v2 = None if j < 0 else rhs.values[j]
         if v1 is not None and v2 is not None and v1 != v2:
-            return {"site": str(w), "lhs": v1, "rhs": v2}
+            return {"site": str(lhs.sites[i]), "lhs": v1, "rhs": v2}
     return None
 
 
@@ -373,9 +381,9 @@ def check_coset_roundtrip(r: int, trials: int, seed: int, *, g_radius: int = 2) 
         y = to_coset_config(x)
         back = from_coset_config(y)
         bad = None
-        for i, w in enumerate(x.sites):
-            if back.value_at(w) != x.values[i]:
-                bad = {"kind": "roundtrip", "site": str(w)}
+        for i, j in enumerate(back.sites.indices_of(x.sites).tolist()):
+            if (None if j < 0 else back.values[j]) != x.values[i]:
+                bad = {"kind": "roundtrip", "site": str(x.sites[i])}
                 break
         if bad is None:
             lhs = to_coset_config(translate(g, x))

@@ -11,8 +11,18 @@ import math
 
 from scipy.optimize import brentq
 
-from bernshift import Configuration, CosetConfiguration, SiteSet, Word, coset_of, gen_power, inv, mul
-from bernshift.freegroup import GEN_A, GEN_B
+from bernshift import (
+    Configuration,
+    CosetConfiguration,
+    SiteSet,
+    Word,
+    a_power_decomposition,
+    coset_of,
+    gen_power,
+    inv,
+    mul,
+)
+from bernshift.freegroup import GEN_A, GEN_A_INV, GEN_B, GEN_B_INV
 
 
 def naive_reduce(letters):
@@ -95,6 +105,85 @@ def merge_direct(y: CosetConfiguration) -> Configuration:
     for word, v in pairs:
         values[sites.position(word)] = v
     return Configuration(y.alphabet, sites, values)
+
+
+def ball_direct(r):
+    """The reduced words of length <= r in shortlex order, grown one
+    letter at a time from the words of the previous length."""
+    words = [Word()]
+    frontier = [Word()]
+    for _ in range(r):
+        nxt = []
+        for w in frontier:
+            for s in (GEN_A, GEN_A_INV, GEN_B, GEN_B_INV):
+                if not w.letters or w.letters[-1] != s ^ 1:
+                    nxt.append(Word(w.letters + (s,)))
+        words.extend(nxt)
+        frontier = nxt
+    return words
+
+
+def shortlex_sorted(words):
+    return sorted(set(words), key=lambda w: w.shortlex_key)
+
+
+def neighbor_indices_direct(words, offset, of=None):
+    """For each word g of ``of`` (default: ``words``), the shortlex rank of
+    g*offset among ``words``, or -1 if absent."""
+    index = {w: i for i, w in enumerate(shortlex_sorted(words))}
+    return [index.get(mul(g, offset), -1) for g in shortlex_sorted(of if of is not None else words)]
+
+
+def ray_indices_direct(words, letter, of=None):
+    """Rows of the ranks of g*s, g*s^2, ... among ``words``, each up to the
+    first power that is absent, and their lengths."""
+    index = {w: i for i, w in enumerate(shortlex_sorted(words))}
+    rows = []
+    for g in shortlex_sorted(of if of is not None else words):
+        row = []
+        cur = mul(g, Word((letter,)))
+        while cur in index:
+            row.append(index[cur])
+            cur = mul(cur, Word((letter,)))
+        rows.append(row)
+    width = max(map(len, rows), default=0)
+    return [row + [-1] * (width - len(row)) for row in rows], [len(row) for row in rows]
+
+
+def coset_table_direct(words):
+    """(representatives, coset number, a-exponent) by decomposing every
+    word of the shortlex-sorted set."""
+    words = shortlex_sorted(words)
+    parts = [a_power_decomposition(w) for w in words]
+    reps = shortlex_sorted(rep for rep, _ in parts)
+    rank = {rep: i for i, rep in enumerate(reps)}
+    return reps, [rank[rep] for rep, _ in parts], [n for _, n in parts]
+
+
+def dependency_direct(out_words, offsets):
+    """{g * w : g in out_words, w in offsets}, sorted."""
+    return shortlex_sorted(mul(g, w) for g in out_words for w in offsets)
+
+
+def star_dependency_direct(out_words, budget):
+    """The sites and their a- and b-rays, each up to its first power
+    longer than the budget."""
+    words = set(out_words)
+    for g in out_words:
+        for letter in (GEN_A, GEN_B):
+            cur = mul(g, Word((letter,)))
+            while len(cur) <= budget:
+                words.add(cur)
+                cur = mul(cur, Word((letter,)))
+    return shortlex_sorted(words)
+
+
+def translated_direct(words, g):
+    """g * words as a sorted list, and where each translate lands in it."""
+    moved = [mul(g, w) for w in shortlex_sorted(words)]
+    new = shortlex_sorted(moved)
+    rank = {w: i for i, w in enumerate(new)}
+    return new, [rank[m] for m in moved]
 
 
 def three_symbol_entropy(p):

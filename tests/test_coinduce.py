@@ -362,3 +362,6 @@ def test_coset_config_validation():
         CosetConfiguration(U2, (Word.parse("ba"),), 1, ((0, 0, 0),))
     with pytest.raises(ValueError):
         CosetConfiguration(U2, (IDENTITY,), 1, ((0, 0),))
+    for cosets in ((IDENTITY, IDENTITY), (Word.parse("b"), IDENTITY)):
+        with pytest.raises(ValueError, match="distinct and shortlex-sorted"):
+            CosetConfiguration(U2, cosets, 0, ((0,), (1,)))

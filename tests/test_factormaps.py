@@ -32,6 +32,7 @@ from bernshift import (
     uniform,
 )
 from bernshift.config import enumerate_configurations
+from bernshift.factormaps import _stage_windows
 
 from oracles import ow_direct, star_direct
 
@@ -353,6 +354,14 @@ def test_composed_cone_matches_full_window_evaluation(m, window):
         for j, g in enumerate(out_sites):
             if g not in sites:
                 assert (got[:, j] == -1).all()
+
+
+def test_composed_stage_windows_stay_inside_the_input_window():
+    for m in (1, 2, 3):
+        for r_in, out_sites in ((2, ball(1)), (m + 1, _B1_SHIFTED), (1, ball(3))):
+            sites = ball(r_in)
+            for stage_window in _stage_windows(timar(m).stages, sites, out_sites):
+                assert (sites.indices_of(stage_window) >= 0).all()
 
 
 def test_composed_cone_with_a_star_stage():

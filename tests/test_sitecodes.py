@@ -1,0 +1,202 @@
+"""Site sets stored as shortlex codes, checked against the Word-level
+oracles: balls, neighbour, ray and coset tables, translation, lookups and
+the SiteSet protocol, on short words (int64 codes) and long ones (Python
+int codes)."""
+
+import numpy as np
+import pytest
+
+from bernshift import CosetConfiguration, SiteSet, Word, ball, from_coset_config, gen_power, mul, ow, random_word
+from bernshift import star, timar
+from bernshift.freegroup import (
+    GEN_A,
+    GEN_A_INV,
+    GEN_B,
+    GEN_B_INV,
+    MAX_INT64_LETTERS,
+    code_lengths,
+    translated_sites,
+)
+
+from oracles import (
+    ball_direct,
+    coset_table_direct,
+    dependency_direct,
+    neighbor_indices_direct,
+    ray_indices_direct,
+    shortlex_sorted,
+    star_dependency_direct,
+    translated_direct,
+)
+
+OFFSETS = tuple(Word.parse(t) for t in ("e", "a", "A", "b", "B", "ab", "bA", "BBa", "aBAb"))
+
+
+def assert_tables_match(sites, words, of=None):
+    """Every table of ``sites`` equals its oracle over ``words``; with
+    ``of``, so do the tables looked up from that other set."""
+    assert [w.letters for w in sites] == [w.letters for w in shortlex_sorted(words)]
+    for off in OFFSETS:
+        assert sites.neighbor_indices(off).tolist() == neighbor_indices_direct(words, off)
+        if of is not None:
+            got = sites.neighbor_indices(off, SiteSet(of)).tolist()
+            assert got == neighbor_indices_direct(words, off, of)
+    for letter in (GEN_A, GEN_A_INV, GEN_B, GEN_B_INV):
+        padded, lengths = sites.ray_indices(letter)
+        assert (padded.tolist(), lengths.tolist()) == ray_indices_direct(words, letter)
+        if of is not None:
+            padded, lengths = sites.ray_indices(letter, SiteSet(of))
+            assert (padded.tolist(), lengths.tolist()) == ray_indices_direct(words, letter, of)
+    table = sites.coset_table()
+    reps, coset, power = coset_table_direct(words)
+    assert table.reps == tuple(reps)
+    assert (table.coset.tolist(), table.power.tolist()) == (coset, power)
+    assert [w.code for w in table.reps] == [w.code for w in reps]
+
+
+@pytest.mark.parametrize("r", range(8))
+def test_balls_and_their_tables_match_the_oracles(r):
+    assert_tables_match(ball(r), ball_direct(r), of=ball_direct(max(r - 1, 0)))
+
+
+def test_translated_balls_match_the_oracles():
+    words = ball_direct(3)
+    for g in ball(2).words + (Word.parse("BAbaa"), Word.parse("aaab")):
+        moved, perm = translated_sites(ball(3), g)
+        want, want_perm = translated_direct(words, g)
+        assert list(moved) == want and perm.tolist() == want_perm
+        assert_tables_match(moved, want)
+
+
+def test_random_subsets_match_the_oracles():
+    rng = np.random.default_rng(71)
+    words = ball_direct(5)
+    for _ in range(30):
+        keep = rng.random(len(words)) < rng.uniform(0.05, 0.9)
+        subset = [w for w, k in zip(words, keep) if k]
+        other = [w for w in words if rng.random() < 0.2]
+        assert_tables_match(SiteSet(subset), subset, of=other)
+
+
+def test_the_empty_set_matches_the_oracles():
+    empty = SiteSet([])
+    assert_tables_match(empty, [], of=ball_direct(1))
+    assert len(empty) == 0 and list(empty) == [] and empty.words == ()
+    assert ball(2).indices_of(empty).tolist() == [] and empty.indices_of(ball(1)).tolist() == [-1] * 5
+
+
+@pytest.mark.parametrize("length", [30, 31, 32, 40])
+def test_long_words_match_the_oracles(length):
+    # codes of up to 31 letters are int64; any longer word makes the set
+    # use Python ints, and a table that forms longer codes widens
+    rng = np.random.default_rng(length)
+    words = [random_word(rng, length) for _ in range(40)]
+    words += [Word((GEN_B,) * length), Word((GEN_A_INV,) * length), Word((GEN_A, GEN_B) * (length // 2))]
+    sites = SiteSet(words)
+    assert max(map(len, sites)) == length
+    assert sites.codes.dtype == (np.int64 if length <= MAX_INT64_LETTERS else object)
+    assert_tables_match(sites, words, of=words[:10] + ball_direct(2))
+    for g in (Word.parse("a"), Word.parse("BAb"), Word((GEN_B_INV,) * 5)):
+        moved, perm = translated_sites(sites, g)
+        want, want_perm = translated_direct(words, g)
+        assert list(moved) == want and perm.tolist() == want_perm
+
+
+def test_a_31_letter_set_stepped_past_int64_matches_the_oracle():
+    words = [Word((GEN_B,) * 31), Word((GEN_B,) * 30 + (GEN_A,)), Word((GEN_B,) * 28)]
+    sites = SiteSet(words)
+    assert sites.codes.dtype == np.int64
+    for off in (Word.parse("b"), Word.parse("B"), Word.parse("bab"), Word.parse("BBB")):
+        assert sites.neighbor_indices(off).tolist() == neighbor_indices_direct(words, off)
+        stepped = sites.times([off])
+        assert list(stepped) == shortlex_sorted(mul(w, off) for w in words)
+        assert stepped.codes.dtype == (object if max(map(len, stepped)) > 31 else np.int64)
+
+
+def test_merged_rows_past_any_ball_match_the_oracles():
+    rng = np.random.default_rng(72)
+    cosets = ["e", "b", "aB", "bab", "BAbAB", "b" * 34]
+    for window in (0, 2, 7):
+        data = {
+            "alphabet": "U2",
+            "cosets": cosets,
+            "window": window,
+            "values": [[int(v) for v in rng.integers(0, 2, 2 * window + 1)] for _ in cosets],
+        }
+        x = from_coset_config(CosetConfiguration.from_json(data))
+        slots = [gen_power(Word.parse(c), GEN_A, j) for c in cosets for j in range(-window, window + 1)]
+        assert_tables_match(x.sites, slots)
+
+
+def test_dependency_sites_match_the_oracles():
+    for out in (ball_direct(0), ball_direct(2), [Word.parse(t) for t in ("bA", "AAAA", "Bab")]):
+        for budget in (0, 1, 3, 6, 30):
+            got = star(0.25).dependency_sites(SiteSet(out), budget)
+            assert list(got) == star_dependency_direct(out, budget)
+        assert list(ow().dependency_sites(SiteSet(out), 0)) == dependency_direct(out, ow().offsets)
+        assert list(timar(2).dependency_sites(SiteSet(out), 0)) == dependency_direct(out, ball_direct(2))
+
+
+# -------------------------------------------------------------- protocol
+
+
+def _word_sets():
+    rng = np.random.default_rng(73)
+    yield [Word.parse(t) for t in ("b", "e", "b", "a", "BAbaa")]
+    yield [random_word(rng, 9) for _ in range(80)]
+    yield [random_word(rng, 40) for _ in range(30)] + [Word()]
+
+
+@pytest.mark.parametrize("words", list(_word_sets()))
+def test_siteset_protocol_agrees_with_the_word_definition(words):
+    want = shortlex_sorted(words)
+    sites = SiteSet(words)
+    # lazy views: single items decode before the whole list exists
+    assert [sites[i] for i in range(len(want))] == want and sites[-1] == want[-1]
+    assert sites.words == tuple(want) and list(sites) == want and len(sites) == len(want)
+    assert sites[1:3] == tuple(want[1:3])
+    for i, w in enumerate(want):
+        assert w in sites and sites.position(w) == i
+    for absent in (Word.parse("bbbbbbbbbbbb"), Word((GEN_B_INV,) * 45), mul(want[-1], Word.parse("bb"))):
+        if absent not in set(want):
+            assert absent not in sites and sites.position(absent) is None
+    same = SiteSet(reversed(words))
+    assert same == sites and hash(same) == hash(sites)
+    assert SiteSet.from_codes(sites.codes[::-1].copy()) == sites
+    assert SiteSet(want[1:]) != sites and sites != tuple(want)
+    lookup = SiteSet(want[::2] + [Word.parse("bbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbb")])
+    rank = {w: i for i, w in enumerate(want)}
+    assert sites.indices_of(lookup).tolist() == [rank.get(w, -1) for w in lookup]
+
+
+def test_codes_are_the_shortlex_numerals_and_read_only():
+    rng = np.random.default_rng(74)
+    words = [random_word(rng, 35) for _ in range(200)]
+    for w in words:
+        # code(e) = 0 and code(w * s) = 4 * code(w) + s + 1
+        assert w.code == (0 if not w.letters else 4 * Word(w.letters[:-1]).code + w.letters[-1] + 1)
+    assert sorted(words, key=lambda w: w.code) == sorted(words, key=lambda w: w.shortlex_key)
+    for sites in (ball(4), SiteSet(words), SiteSet([])):
+        assert np.all(sites.codes[1:] > sites.codes[:-1])
+        assert code_lengths(sites.codes).tolist() == [len(w) for w in sites]
+        with pytest.raises(ValueError):
+            sites.codes[:1] = 0
+    assert ball(3).codes.tolist() == [w.code for w in ball_direct(3)]
+
+
+def test_equal_sets_are_equal_however_they_were_built():
+    b = ball(2)
+    for other in (
+        SiteSet(ball_direct(2)),
+        SiteSet.from_codes(np.array([w.code for w in reversed(ball_direct(2))])),
+        SiteSet.from_codes(ball(3).codes[:17]),
+        translated_sites(translated_sites(b, Word.parse("ab"))[0], Word.parse("BA"))[0],
+    ):
+        assert other == b and hash(other) == hash(b)
+
+
+def test_times_matches_the_word_definition():
+    b = ball(3)
+    offsets = [Word.parse("e"), Word.parse("ab"), Word.parse("B")]
+    assert list(b.times(offsets)) == shortlex_sorted(mul(g, w) for g in b for w in offsets)
+    assert len(b.times([])) == 0

@@ -5,6 +5,7 @@ import pytest
 
 from bernshift import (
     Configuration,
+    SiteSet,
     EnumerationTooLarge,
     IDENTITY,
     WindowTooSmall,
@@ -14,6 +15,7 @@ from bernshift import (
     check_coset_roundtrip,
     check_equivariance,
     cocycle,
+    coinduced_map,
     coset_of,
     exact_coset_pushforward,
     exact_pushforward,
@@ -24,8 +26,10 @@ from bernshift import (
     ow,
     star,
     star_base,
+    swap_bits,
     timar,
     uniform,
+    verify,
 )
 from bernshift.config import enumerate_configurations
 from bernshift.freegroup import GEN_A, random_word
@@ -69,6 +73,18 @@ def test_exact_enumeration_cap():
 def test_exact_rejects_unbounded_maps():
     with pytest.raises(ValueError):
         exact_pushforward(star(0.25), 2, 0)
+
+
+def test_engines_refuse_maps_without_batch_evaluation_before_building_inputs(monkeypatch):
+    built = []
+    monkeypatch.setattr(verify, "index_matrix", lambda *args: built.append(args))
+    monkeypatch.setattr(verify, "sample_matrix", lambda *args: built.append(args))
+    lifted = coinduced_map(swap_bits())
+    with pytest.raises(NotImplementedError, match="no batch evaluation"):
+        exact_pushforward(lifted, 2, 1)
+    with pytest.raises(NotImplementedError, match="no batch evaluation"):
+        mc_pushforward(lifted, uniform(U2), 2, 1, 1000, 0)
+    assert built == []
 
 
 def test_exact_thread_count_does_not_change_the_report():
@@ -200,6 +216,14 @@ def test_equivariance_catches_corrupted_rule():
     ce = rep.first_counterexample
     assert ce is not None
     assert {"trial", "g", "site", "lhs", "rhs", "x"} <= set(ce)
+
+
+def test_config_mismatch_looks_each_site_up_in_the_other_set():
+    lhs = Configuration(U2, ball(1), [0, 1, None, 1, 0])  # e a A b B
+    rhs_sites = SiteSet(w for w in ball(2) if str(w) != "a")  # e A b B aa ...
+    rhs = Configuration(U2, rhs_sites, [1 if str(w) == "B" else 0 for w in rhs_sites])
+    assert verify._config_mismatch(lhs, rhs) == {"site": "b", "lhs": 1, "rhs": 0}
+    assert verify._config_mismatch(lhs, lhs) is None
 
 
 def test_cocycle_check():
