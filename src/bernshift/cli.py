@@ -15,6 +15,8 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from .coinduce import CosetConfiguration, cocycle, coinduced_act, coset_of, from_coset_config, to_coset_config
 from .config import Configuration, Distribution, sample, star_base, uniform
 from .entropy import LOG2, run_recursion, shannon, solve_p, star_base_entropy
@@ -226,14 +228,7 @@ def _cmd_map(args) -> int:
     y = fmap.apply(x)
     # bounded maps lose exactly the window margin, which the defined-region
     # sizes already show; truncation counts ray scans that hit the edge
-    if fmap.window_cost is None:
-        truncated = sum(
-            1
-            for i in range(len(x.sites))
-            if x.values[i] is not None and y.values[i] is None
-        )
-    else:
-        truncated = 0
+    truncated = int(np.count_nonzero((x.indices >= 0) & (y.indices < 0))) if fmap.window_cost is None else 0
     report = {
         "map": fmap.describe(),
         "input_defined": x.defined_count,

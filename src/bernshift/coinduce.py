@@ -11,14 +11,15 @@ the degenerate one-coset case and needs no machinery (see
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
 from typing import Sequence
 
 import numpy as np
 
 from .config import Alphabet, Configuration, alphabet_by_name, translate
-from .freegroup import GEN_A, GEN_A_INV, SiteSet, Word, a_power_decomposition, encode, inv, mul
-from .freegroup import right_mul_codes
+from .factormaps import BlockMap
+from .freegroup import GEN_A, GEN_A_INV, IDENTITY, SiteSet, Word, a_power_decomposition, decode, encode
+from .freegroup import gen_power, inv, left_mul_codes, mul, right_mul_codes, strip_a_codes
 
 
 class NotInSubgroup(ValueError):
@@ -50,47 +51,77 @@ def cocycle(g: Word, c: Word) -> int:
     raise NotInSubgroup(f"cocycle({g}, {c}) reduced to {prod}, not an a-power")
 
 
-@dataclass(frozen=True)
 class CosetConfiguration:
     """Per-coset windows over H = <a>: entry (c, j) is the value at the
     a-power position j in the coset with representative c.
 
-    Rows are indexed by the canonical (shortlex-sorted) representative
-    list; each row covers positions -window..window, with None marking
-    undefined slots.  ``coset_sites`` is the representatives' site set.
+    Stored as ``coset_sites``, the site set of the canonical (shortlex
+    sorted) representatives, and ``grid``, a read-only (n_cosets, 2w + 1)
+    int64 array whose row i covers positions -w..w of coset i (-1 =
+    undefined).  ``cosets`` (Words) and ``values`` (rows with None) are
+    boundary views built when first asked; the constructor takes either
+    form of each.  Immutable.
     """
 
-    alphabet: Alphabet
-    cosets: tuple[Word, ...]
-    window: int
-    values: tuple[tuple[int | None, ...], ...]
-    coset_sites: SiteSet = field(init=False, repr=False, compare=False)
+    __slots__ = ("alphabet", "coset_sites", "window", "grid", "_values")
 
-    def __post_init__(self):
-        codes = encode(self.cosets)
+    def __init__(self, alphabet: Alphabet, cosets: Sequence[Word] | SiteSet, window: int, values):
+        codes = cosets.codes if isinstance(cosets, SiteSet) else encode(cosets)
         if (codes[1:] <= codes[:-1]).any():
             raise ValueError("cosets must be distinct and shortlex-sorted")
-        width = 2 * self.window + 1
-        if any(len(row) != width for row in self.values):
-            raise ValueError(f"each row must have {width} slots")
+        width = 2 * window + 1
+        if not isinstance(values, np.ndarray) or values.dtype == object:
+            if any(len(row) != width for row in values):
+                raise ValueError(f"each row must have {width} slots")
+            values = [[-1 if v is None else v for v in row] for row in values]
+        grid = np.array(values, dtype=np.int64).reshape(len(values), width)
+        if len(grid) != len(codes):
+            raise ValueError("one row per coset required")
         # a canonical representative's last letter is no a-letter
         bad = np.flatnonzero((codes > 0) & ((codes - 1) % 4 <= GEN_A_INV))
         if len(bad):
-            raise ValueError(f"{self.cosets[bad[0]]} is not a canonical coset representative")
-        object.__setattr__(self, "coset_sites", SiteSet._from_sorted(codes))
+            raise ValueError(f"{decode(codes[bad[:1]])[0]} is not a canonical coset representative")
+        grid.setflags(write=False)
+        sites = cosets if isinstance(cosets, SiteSet) else SiteSet._from_sorted(codes)
+        for name, value in zip(self.__slots__, (alphabet, sites, window, grid, None)):
+            object.__setattr__(self, name, value)
 
-    def coset_index(self, c: Word) -> int | None:
-        return self.coset_sites.position(c)
+    def __setattr__(self, name, value):
+        raise AttributeError("CosetConfiguration is immutable")
+
+    def _key(self) -> tuple:
+        return (self.alphabet, self.coset_sites, self.window, self.grid.tobytes())
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, CosetConfiguration) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"CosetConfiguration({self.alphabet.name}, {len(self.coset_sites)} cosets, w={self.window})"
+
+    @property
+    def cosets(self) -> tuple[Word, ...]:
+        return self.coset_sites.words
+
+    @property
+    def values(self) -> tuple[tuple[int | None, ...], ...]:
+        if self._values is None:
+            rows = tuple(tuple(None if v < 0 else v for v in row) for row in self.grid.tolist())
+            object.__setattr__(self, "_values", rows)
+        return self._values
 
     def value_at(self, c: Word, j: int) -> int | None:
-        i = self.coset_index(coset_of(c))
+        i = self.coset_sites.position(coset_of(c))
         if i is None or abs(j) > self.window:
             return None
-        return self.values[i][j + self.window]
+        v = int(self.grid[i, j + self.window])
+        return None if v < 0 else v
 
     @property
     def defined_count(self) -> int:
-        return sum(1 for row in self.values for v in row if v is not None)
+        return int(np.count_nonzero(self.grid >= 0))
 
     def to_json(self) -> dict:
         return {
@@ -108,96 +139,77 @@ class CosetConfiguration:
         return cls(alpha, cosets, data["window"], values)
 
 
+@functools.lru_cache(maxsize=512)
+def _act_gather(coset_sites: SiteSet, window: int, g: Word) -> tuple[np.ndarray, ...]:
+    """Where the action of g reads each slot from: (row, column, inside).
+
+    With g^-1 c = rep(g^-1 c) * a**m the cocycle exponent is -m, so slot
+    (c, j) reads slot (g^-1 c, j + m), unless that coset is not stored or
+    j + m is off the window.  Cached like ``translated_sites``.
+    """
+    src, shift = strip_a_codes(left_mul_codes(inv(g), coset_sites.codes))
+    rows = coset_sites._find(src)
+    width = 2 * window + 1
+    cols = np.arange(width) + shift[:, None]
+    inside = (rows >= 0)[:, None] & (cols >= 0) & (cols < width)
+    gather = (np.maximum(rows, 0)[:, None], np.clip(cols, 0, width - 1), inside)
+    for arr in gather:
+        arr.setflags(write=False)
+    return gather
+
+
 def coinduced_act(g: Word, y: CosetConfiguration) -> CosetConfiguration:
     """The coinduced action: the entry at coset c is the a-shift, by the
     cocycle exponent, of the entry at coset g^-1 c.
 
-    Cosets whose source falls outside the stored list become undefined,
-    as do window positions shifted off the edge.
+    One gather of the grid.  Cosets whose source falls outside the stored
+    list become undefined, as do window positions shifted off the edge.
     """
-    w = y.window
-    rows: list[tuple[int | None, ...]] = []
-    empty: tuple[int | None, ...] = (None,) * (2 * w + 1)
-    for c in y.cosets:
-        src = coset_of(mul(inv(g), c))
-        i = y.coset_index(src)
-        if i is None:
-            rows.append(empty)
-            continue
-        n = cocycle(g, c)
-        old = y.values[i]
-        # (a^n v)(a^j) = v(a^(j-n))
-        rows.append(
-            tuple(
-                old[j - n + w] if -w <= j - n <= w else None for j in range(-w, w + 1)
-            )
-        )
-    return CosetConfiguration(y.alphabet, y.cosets, w, tuple(rows))
+    rows, cols, inside = _act_gather(y.coset_sites, y.window, g)
+    moved = np.where(inside, y.grid[rows, cols], -1)
+    return CosetConfiguration(y.alphabet, y.coset_sites, y.window, moved)
 
 
-class ZBlockMap:
+class ZBlockMap(BlockMap):
     """A sliding block code over H = <a>: output at position j is
-    table[v(j + o1), ..., v(j + ok)] for integer offsets o."""
+    table[v(j + o1), ..., v(j + ok)] for integer offsets o.
 
-    def __init__(
-        self,
-        name: str,
-        input_alphabet: Alphabet,
-        output_alphabet: Alphabet,
-        offsets: Sequence[int],
-        table: np.ndarray,
-    ):
-        self.name = name
-        self.input_alphabet = input_alphabet
-        self.output_alphabet = output_alphabet
-        self.offsets = tuple(offsets)
-        self.table = np.asarray(table)
-        if self.table.shape != (input_alphabet.size,) * len(self.offsets):
-            raise ValueError("table shape must be (size,) * len(offsets)")
+    It is stored as the block code with offsets a^o, which on group-indexed
+    configurations acts along every <a>-coset at once.
+    """
 
-    def apply_window(self, row: Sequence[int | None], w: int) -> tuple[int | None, ...]:
-        out: list[int | None] = []
-        for j in range(-w, w + 1):
-            args = []
-            for o in self.offsets:
-                jj = j + o
-                v = row[jj + w] if -w <= jj <= w else None
-                if v is None:
-                    args = None
-                    break
-                args.append(v)
-            out.append(None if args is None else int(self.table[tuple(args)]))
-        return tuple(out)
-
-    def is_bijective_relabel(self) -> bool:
-        return (
-            self.offsets == (0,)
-            and self.input_alphabet.size == self.output_alphabet.size
-            and len(set(self.table.tolist())) == self.input_alphabet.size
-        )
-
-    def inverse(self) -> "ZBlockMap":
-        if not self.is_bijective_relabel():
-            raise ValueError(f"{self.name} is not an invertible relabeling")
-        inv_table = np.empty_like(self.table)
-        inv_table[self.table] = np.arange(self.table.size)
-        return ZBlockMap(f"{self.name}^-1", self.output_alphabet, self.input_alphabet, (0,), inv_table)
-
-    def __repr__(self) -> str:
-        return f"<ZBlockMap {self.name}>"
+    def __init__(self, name: str, a_in: Alphabet, a_out: Alphabet, offsets: Sequence[int], table):
+        super().__init__(name, a_in, a_out, [gen_power(IDENTITY, GEN_A, o) for o in offsets], table)
 
 
 def z_relabel(name: str, a_in: Alphabet, a_out: Alphabet, mapping: Sequence[int]) -> ZBlockMap:
     return ZBlockMap(name, a_in, a_out, (0,), np.asarray(mapping))
 
 
-def coinduce_factor(phi: ZBlockMap, y: CosetConfiguration) -> CosetConfiguration:
-    """Coset-wise application of a per-coset map: row c of the result is
-    phi applied to row c of the input."""
+def a_exponents(phi: BlockMap) -> list[int]:
+    """The o of the offsets a^o of a block code along <a>."""
+    parts = [a_power_decomposition(w) for w in phi.offsets]
+    if any(len(rep) for rep, _ in parts):
+        raise ValueError(f"{phi.name} is not a block code along <a>")
+    return [o for _, o in parts]
+
+
+def coinduce_factor(phi: BlockMap, y: CosetConfiguration) -> CosetConfiguration:
+    """Coset-wise application of a block code along <a> (a ZBlockMap or a
+    relabeling): row c of the result is phi applied to row c of the input,
+    undefined where some j + o is off the window or undefined."""
     if y.alphabet != phi.input_alphabet:
         raise ValueError(f"{phi.name} expects {phi.input_alphabet.name}, got {y.alphabet.name}")
-    rows = tuple(phi.apply_window(row, y.window) for row in y.values)
-    return CosetConfiguration(phi.output_alphabet, y.cosets, y.window, rows)
+    width = 2 * y.window + 1
+    flat = np.zeros(y.grid.shape, dtype=np.int64)
+    valid = np.ones(y.grid.shape, dtype=bool)
+    for o in a_exponents(phi):
+        cols = np.arange(width) + o
+        col = np.where((cols >= 0) & (cols < width), y.grid[:, np.clip(cols, 0, width - 1)], -1)
+        valid &= col >= 0
+        flat = flat * phi.input_alphabet.size + np.maximum(col, 0)
+    out = np.where(valid, phi.table.ravel()[flat], -1)
+    return CosetConfiguration(phi.output_alphabet, y.coset_sites, y.window, out)
 
 
 def to_coset_config(x: Configuration, window: int | None = None) -> CosetConfiguration:
@@ -217,13 +229,10 @@ def to_coset_config(x: Configuration, window: int | None = None) -> CosetConfigu
     w = window if window is not None else (len(x.sites[-1]) if len(x.sites) else 0)
     if w < 0:
         raise ValueError(f"window must be nonnegative, got {w}")
-    width = 2 * w + 1
     keep = np.abs(table.power) <= w
-    slots = (table.coset * width + table.power + w)[keep]
-    grid = np.full(len(table.reps) * width, None, dtype=object)
-    grid[slots] = np.array(x.values, dtype=object)[keep]
-    rows = tuple(map(tuple, grid.reshape(len(table.reps), width).tolist()))
-    return CosetConfiguration(x.alphabet, table.reps, w, rows)
+    grid = np.full((len(table.reps), 2 * w + 1), -1, dtype=np.int64)
+    grid[table.coset[keep], table.power[keep] + w] = x.indices[keep]
+    return CosetConfiguration(x.alphabet, table.reps, w, grid)
 
 
 def from_coset_config(y: CosetConfiguration) -> Configuration:
@@ -244,24 +253,23 @@ def from_coset_config(y: CosetConfiguration) -> Configuration:
         columns = [down, *columns, up]
     slots = np.stack(columns, axis=1).ravel()
     order = np.argsort(slots)
-    sites = SiteSet._from_sorted(slots[order])
-    flat = [v for row in y.values for v in row]
-    values = [flat[k] for k in order.tolist()]
-    return Configuration(y.alphabet, sites, values)
+    return Configuration(y.alphabet, SiteSet._from_sorted(slots[order]), y.grid.ravel()[order])
 
 
 def coset_configs_agree(y1: CosetConfiguration, y2: CosetConfiguration) -> dict | None:
-    """First disagreement on the common defined slots, or None."""
+    """First disagreement on the common defined slots, in (coset of y1,
+    position) order, or None."""
     w = min(y1.window, y2.window)
-    for c in y1.cosets:
-        if y2.coset_index(c) is None:
-            continue
-        for j in range(-w, w + 1):
-            v1 = y1.value_at(c, j)
-            v2 = y2.value_at(c, j)
-            if v1 is not None and v2 is not None and v1 != v2:
-                return {"coset": str(c), "position": j, "lhs": v1, "rhs": v2}
-    return None
+    rows = y2.coset_sites.indices_of(y1.coset_sites)
+    common = np.flatnonzero(rows >= 0)
+    lhs = y1.grid[common, y1.window - w : y1.window + w + 1]
+    rhs = y2.grid[rows[common], y2.window - w : y2.window + w + 1]
+    bad = np.flatnonzero((lhs >= 0) & (rhs >= 0) & (lhs != rhs))
+    if not len(bad):
+        return None
+    i, k = divmod(int(bad[0]), 2 * w + 1)
+    c = y1.coset_sites[int(common[i])]
+    return {"coset": str(c), "position": k - w, "lhs": int(lhs[i, k]), "rhs": int(rhs[i, k])}
 
 
 def full_group_act(g: Word, x: Configuration) -> Configuration:

@@ -1,9 +1,9 @@
 """Alphabets, finite distributions, and partial configurations on site sets.
 
 A configuration is the finite shadow of a point of the full shift: a
-partial assignment of alphabet symbols to an ordered site set.  Missing
-values are an explicit ``None`` marker (window-boundary effects are data,
-not errors).  Everything here is an immutable value.
+partial assignment of alphabet symbols to an ordered site set, stored
+as an index array with -1 where a value is missing (window-boundary
+effects are data, not errors).  Everything here is an immutable value.
 """
 
 from __future__ import annotations
@@ -196,58 +196,67 @@ def product_distribution(d1: Distribution, d2: Distribution) -> Distribution:
 class Configuration:
     """A partial symbol assignment on a site set.
 
-    ``values[i]`` is the symbol index at ``sites[i]`` or None where the
-    configuration is undefined.  Immutable.
+    Stored as one read-only int64 array ``indices``: the symbol index at
+    ``sites[i]``, or -1 where the configuration is undefined (the batch
+    convention).  ``values`` is the boundary view, a tuple with None at
+    undefined sites, built when first asked.  The constructor takes that
+    view, or an integer array in the index form.  Immutable.
     """
 
-    __slots__ = ("alphabet", "sites", "values")
+    __slots__ = ("alphabet", "sites", "indices", "_values")
 
-    def __init__(self, alphabet: Alphabet, sites: SiteSet, values: Sequence[int | None]):
-        values = tuple(values)
-        if len(values) != len(sites):
+    def __init__(self, alphabet: Alphabet, sites: SiteSet, values: Sequence[int | None] | np.ndarray):
+        if isinstance(values, np.ndarray) and values.dtype != object:
+            indices = np.array(values, dtype=np.int64)
+            undefined = indices == -1
+        else:
+            values = tuple(values)
+            undefined = np.array([v is None for v in values], dtype=bool)
+            indices = np.array([-1 if v is None else v for v in values], dtype=np.int64)
+        if indices.shape != (len(sites),):
             raise ValueError("one value per site required")
-        size = alphabet.size
-        for v in values:
-            if v is not None and not 0 <= v < size:
-                raise ValueError(f"symbol index {v} out of range for {alphabet.name}")
+        bad = np.flatnonzero(((indices < 0) & ~undefined) | (indices >= alphabet.size))
+        if len(bad):
+            raise ValueError(f"symbol index {indices[bad[0]]} out of range for {alphabet.name}")
+        indices.setflags(write=False)
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "sites", sites)
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "indices", indices)
+        object.__setattr__(self, "_values", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Configuration is immutable")
 
+    def _key(self) -> tuple:
+        return (self.alphabet, self.sites, self.indices.tobytes())
+
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Configuration)
-            and self.alphabet == other.alphabet
-            and self.sites == other.sites
-            and self.values == other.values
-        )
+        return isinstance(other, Configuration) and self._key() == other._key()
 
     def __hash__(self) -> int:
-        return hash((self.alphabet.name, self.sites, self.values))
+        return hash(self._key())
 
     def __repr__(self) -> str:
         return f"Configuration({self.alphabet.name}, {len(self.sites)} sites, {self.defined_count} defined)"
 
+    @property
+    def values(self) -> tuple[int | None, ...]:
+        if self._values is None:
+            values = tuple(None if v < 0 else v for v in self.indices.tolist())
+            object.__setattr__(self, "_values", values)
+        return self._values
+
     def value_at(self, w: Word) -> int | None:
         i = self.sites.position(w)
-        return None if i is None else self.values[i]
+        return None if i is None or self.indices[i] < 0 else int(self.indices[i])
 
     @property
     def defined_count(self) -> int:
-        return sum(1 for v in self.values if v is not None)
+        return int(np.count_nonzero(self.indices >= 0))
 
     @property
     def is_total(self) -> bool:
-        return all(v is not None for v in self.values)
-
-    def as_index_array(self) -> np.ndarray:
-        """Values as int64 with -1 for undefined (the batch convention)."""
-        return np.fromiter(
-            (-1 if v is None else v for v in self.values), dtype=np.int64, count=len(self.values)
-        )
+        return bool((self.indices >= 0).all())
 
     def packed_bits(self) -> int | None:
         """Bit-packed form for total binary configurations.
@@ -257,10 +266,8 @@ class Configuration:
         """
         if self.alphabet.size != 2 or not self.is_total:
             return None
-        acc = 0
-        for j, v in enumerate(self.values):
-            acc |= v << j
-        return acc
+        packed = np.packbits(self.indices.astype(np.uint8), bitorder="little")
+        return int.from_bytes(packed.tobytes(), "little")
 
     def to_json(self) -> dict:
         out = {
@@ -290,16 +297,15 @@ def translate(g: Word, x: Configuration) -> Configuration:
     """The shift action on configurations: value of the result at g*f is
     the value of x at f, i.e. (g.x)(h) = x(g^-1 h)."""
     new_sites, perm = translated_sites(x.sites, g)
-    values: list[int | None] = [None] * len(new_sites)
-    for i, v in zip(perm.tolist(), x.values):
-        values[i] = v
+    values = np.empty(len(new_sites), dtype=np.int64)
+    values[perm] = x.indices
     return Configuration(x.alphabet, new_sites, values)
 
 
 def restrict(x: Configuration, sub: SiteSet) -> Configuration:
     """Restriction to a site set; sites absent from x become undefined."""
-    idx = x.sites.indices_of(sub).tolist()
-    return Configuration(x.alphabet, sub, [None if i < 0 else x.values[i] for i in idx])
+    # index -1 (absent) reads the appended undefined entry
+    return Configuration(x.alphabet, sub, np.append(x.indices, -1)[x.sites.indices_of(sub)])
 
 
 def sample(
@@ -307,8 +313,7 @@ def sample(
 ) -> Configuration:
     """One i.i.d. draw of a total configuration; deterministic given seed."""
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    values = sample_matrix(dist, len(sites), 1, rng)[0]
-    return Configuration(dist.alphabet, sites, [int(v) for v in values])
+    return Configuration(dist.alphabet, sites, sample_matrix(dist, len(sites), 1, rng)[0])
 
 
 def sample_matrix(

@@ -41,10 +41,11 @@ class FactorMap:
     window_cost: int | None  # None = unbounded lookahead
 
     def apply(self, x: Configuration) -> Configuration:
+        """The batch kernel on the one row of x, over x's own sites."""
         self.check_alphabet(x)
-        out = self.apply_batch(x.as_index_array()[None, :], x.sites, x.sites)[0]
-        values = [None if v < 0 else int(v) for v in out]
-        return Configuration(self.output_alphabet, x.sites, values)
+        out = self.apply_batch(x.indices[None, :], x.sites, x.sites)[0]
+        # only the empty composition has no output alphabet: it is the identity
+        return Configuration(self.output_alphabet or x.alphabet, x.sites, out)
 
     def apply_batch(
         self, values: np.ndarray, sites: SiteSet, out_sites: SiteSet
@@ -350,13 +351,20 @@ def _stage_windows(
     stages: tuple[FactorMap, ...], sites: SiteSet, out_sites: SiteSet
 ) -> tuple[SiteSet, ...]:
     """The site set each stage of a composition must emit so that the
-    last one covers ``out_sites`` inside the window ``sites``."""
-    need = SiteSet.from_codes(out_sites.codes[sites.indices_of(out_sites) >= 0])
+    last one covers ``out_sites`` inside the window ``sites``.
+
+    Once a stage needs the whole window, so do the stages before it, and
+    the window itself is returned (its lookup tables are memoized)."""
+
+    def inside(s: SiteSet) -> SiteSet:
+        keep = sites.indices_of(s) >= 0
+        return sites if keep.sum() == len(sites) else SiteSet._from_sorted(s.codes[keep])
+
+    need = inside(out_sites)
     windows = [need]
     for stage in reversed(stages[1:]):
-        if isinstance(stage, BlockMap):
-            dep = stage.dependency_sites(need, 0)
-            need = SiteSet.from_codes(dep.codes[sites.indices_of(dep) >= 0])
+        if isinstance(stage, BlockMap) and need is not sites:
+            need = inside(stage.dependency_sites(need, 0))
         else:
             need = sites
         windows.append(need)
@@ -392,13 +400,14 @@ class ComposedMap(FactorMap):
         costs = [s.window_cost for s in self.stages]
         self.window_cost = None if any(c is None for c in costs) else sum(costs)
 
-    def apply(self, x: Configuration) -> Configuration:
-        for k, stage in enumerate(self.stages):
+    apply = FactorMap.apply
+
+    def check_alphabet(self, x: Configuration) -> None:
+        if self.stages:
             try:
-                x = stage.apply(x)
+                self.stages[0].check_alphabet(x)
             except AlphabetMismatch as exc:
-                raise AlphabetMismatch(f"stage {k} ({stage.name}): {exc}") from exc
-        return x
+                raise AlphabetMismatch(f"stage 0 ({self.stages[0].name}): {exc}") from exc
 
     def apply_batch(self, values, sites, out_sites):
         cur, cur_sites = values, sites

@@ -326,11 +326,11 @@ class CosetTable(NamedTuple):
     """The <a>-coset decomposition of a site set: site i is
     ``reps[coset[i]] * a**power[i]``.
 
-    ``reps`` lists the canonical representative of every coset that
-    meets the set, in shortlex order.
+    ``reps`` is the site set of the canonical representative of every
+    coset that meets the set (its Words are decoded when first asked).
     """
 
-    reps: tuple[Word, ...]
+    reps: "SiteSet"
     coset: np.ndarray
     power: np.ndarray
 
@@ -481,20 +481,26 @@ class SiteSet:
         return self._cosets
 
 
-def _build_coset_table(codes: np.ndarray) -> CosetTable:
+def strip_a_codes(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Write every word as rep * a**n with rep ending in no a-letter (the
+    code form of ``a_power_decomposition``): the codes of rep, and n."""
     rep = codes
     power = np.zeros(len(codes), dtype=np.int64)
     while True:
         last = (rep - 1) % 4
         run = (rep > 0) & (last <= GEN_A_INV)
         if not run.any():
-            break
+            return rep, power
         power += np.where(last == GEN_A, 1, -1) * run
         rep = np.where(run, (rep - 1 - last) // 4, rep)
+
+
+def _build_coset_table(codes: np.ndarray) -> CosetTable:
+    rep, power = strip_a_codes(codes)
     rep_codes, coset = np.unique(rep, return_inverse=True)
     coset.setflags(write=False)
     power.setflags(write=False)
-    return CosetTable(decode(rep_codes), coset, power)
+    return CosetTable(SiteSet._from_sorted(rep_codes), coset, power)
 
 
 _SINGLE = tuple(Word._from_reduced((s,)) for s in (GEN_A, GEN_A_INV, GEN_B, GEN_B_INV))

@@ -1,6 +1,6 @@
 """Composition driver: plans the star-map boosting chain from the entropy
 recursion, runs constructive chains with window bookkeeping, and lifts
-per-coset cell maps to the whole group through the coset conjugacy.
+per-coset cell maps to the whole group as block codes along the cosets.
 
 A plan is honest about which of its links are executable: recoding stages
 that invoke a non-constructive isomorphism are first-class `external`
@@ -12,10 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coinduce import ZBlockMap, coinduce_factor, from_coset_config, to_coset_config
-from .config import Configuration, Distribution, restrict, star_base
+from .coinduce import a_exponents
+from .config import Configuration, Distribution, star_base
 from .entropy import LOG2, run_recursion, shannon
-from .factormaps import FactorMap, InsufficientRadius, parse_map_spec, star
+from .factormaps import BlockMap, FactorMap, InsufficientRadius, parse_map_spec, star
 
 
 class ExternalStageUnresolved(RuntimeError):
@@ -238,44 +238,36 @@ def run_chain(plan: ChainPlan, x: Configuration) -> ChainRun:
     return ChainRun(cur, tuple(reports))
 
 
-class CoinducedCellMap(FactorMap):
+class CoinducedCellMap(BlockMap):
     """A per-coset cell map lifted to group-indexed configurations.
 
-    The lift is split-apply-merge through the coset conjugacy: split the
-    configuration along <a>-cosets, apply the cell map to every coset
-    window, merge back, and restrict to the original sites.  The result
-    commutes with the full translation action wherever defined.
+    The site g = c * a^j gets the cell rule on the positions j + o of its
+    coset, which are the sites g * a^o: the lift is the block code with
+    the rule's offsets a^o and table.  It commutes with the translation
+    action, and equals split-apply-merge through the coset conjugacy
+    restricted to the original sites.
     """
 
-    def __init__(self, cell_map: ZBlockMap):
+    def __init__(self, cell_map: BlockMap):
+        a_exponents(cell_map)  # a cell rule reads its own coset only
+        super().__init__(
+            f"coinduced:{cell_map.name}",
+            cell_map.input_alphabet,
+            cell_map.output_alphabet,
+            cell_map.offsets,
+            cell_map.table,
+        )
         self.cell_map = cell_map
-        self.name = f"coinduced:{cell_map.name}"
-        self.input_alphabet = cell_map.input_alphabet
-        self.output_alphabet = cell_map.output_alphabet
-        self.window_cost = max((abs(o) for o in cell_map.offsets), default=0)
 
-    def apply(self, x: Configuration) -> Configuration:
-        self.check_alphabet(x)
-        split = to_coset_config(x)
-        mapped = coinduce_factor(self.cell_map, split)
-        merged = from_coset_config(mapped)
-        return restrict(merged, x.sites)
+    apply = FactorMap.apply  # bound here so a tracer can wrap it per class
 
 
-def coinduced_map(fmap) -> CoinducedCellMap:
-    """Lift a single-site relabeling (or a ZBlockMap) to the group.
-
-    Accepts either a ZBlockMap directly or a single-site BlockMap, whose
-    symbol table is reused as the per-coset cell rule.
-    """
-    if isinstance(fmap, ZBlockMap):
-        return CoinducedCellMap(fmap)
-    from .factormaps import BlockMap
-
-    if isinstance(fmap, BlockMap) and len(fmap.offsets) == 1 and fmap.offsets[0].is_identity:
-        cell = ZBlockMap(fmap.name, fmap.input_alphabet, fmap.output_alphabet, (0,), fmap.table)
-        return CoinducedCellMap(cell)
-    raise ValueError("coinduced lifts need a per-coset cell map (ZBlockMap or single-site relabel)")
+def coinduced_map(fmap: BlockMap) -> CoinducedCellMap:
+    """Lift a per-coset cell rule, a block code along <a> (a ZBlockMap or
+    a single-site BlockMap), to the group."""
+    if not isinstance(fmap, BlockMap):
+        raise ValueError("coinduced lifts need a per-coset cell rule, a block code along <a>")
+    return CoinducedCellMap(fmap)
 
 
 def coinduce_chain_step(cell_map, x: Configuration) -> Configuration:

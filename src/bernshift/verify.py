@@ -34,6 +34,7 @@ from .config import (
     bit_alphabet,
     index_matrix,
     plain_alphabet,
+    restrict,
     sample_matrix,
     translate,
 )
@@ -307,12 +308,13 @@ def mc_pushforward(
 
 def _config_mismatch(lhs: Configuration, rhs: Configuration) -> dict | None:
     """First site where both sides are defined but disagree."""
-    for i, j in enumerate(rhs.sites.indices_of(lhs.sites).tolist()):
-        v1 = lhs.values[i]
-        v2 = None if j < 0 else rhs.values[j]
-        if v1 is not None and v2 is not None and v1 != v2:
-            return {"site": str(lhs.sites[i]), "lhs": v1, "rhs": v2}
-    return None
+    v1 = lhs.indices
+    v2 = np.append(rhs.indices, -1)[rhs.sites.indices_of(lhs.sites)]
+    bad = np.flatnonzero((v1 >= 0) & (v2 >= 0) & (v1 != v2))
+    if not len(bad):
+        return None
+    i = int(bad[0])
+    return {"site": str(lhs.sites[i]), "lhs": int(v1[i]), "rhs": int(v2[i])}
 
 
 def check_equivariance(
@@ -334,8 +336,7 @@ def check_equivariance(
     first = None
     for t in range(trials):
         g = g_pool[int(rng.integers(len(g_pool)))]
-        values = rng.integers(0, alpha.size, len(sites))
-        x = Configuration(alpha, sites, [int(v) for v in values])
+        x = Configuration(alpha, sites, rng.integers(0, alpha.size, len(sites)))
         lhs = fmap.apply(translate(g, x))
         rhs = translate(g, fmap.apply(x))
         mismatch = _config_mismatch(lhs, rhs)
@@ -375,22 +376,15 @@ def check_coset_roundtrip(r: int, trials: int, seed: int, *, g_radius: int = 2) 
     failures = 0
     first = None
     for t in range(trials):
-        values = rng.integers(0, 2, len(sites))
-        x = Configuration(alpha, sites, [int(v) for v in values])
+        x = Configuration(alpha, sites, rng.integers(0, 2, len(sites)))
         g = g_pool[int(rng.integers(len(g_pool)))]
         y = to_coset_config(x)
-        back = from_coset_config(y)
-        bad = None
-        for i, j in enumerate(back.sites.indices_of(x.sites).tolist()):
-            if (None if j < 0 else back.values[j]) != x.values[i]:
-                bad = {"kind": "roundtrip", "site": str(x.sites[i])}
-                break
-        if bad is None:
-            lhs = to_coset_config(translate(g, x))
-            rhs = coinduced_act(g, y)
-            mismatch = coset_configs_agree(lhs, rhs)
-            if mismatch is not None:
-                bad = {"kind": "equivariance", "g": str(g), **mismatch}
+        lost = np.flatnonzero(restrict(from_coset_config(y), x.sites).indices != x.indices)
+        if len(lost):
+            bad = {"kind": "roundtrip", "site": str(x.sites[int(lost[0])])}
+        else:
+            mismatch = coset_configs_agree(to_coset_config(translate(g, x)), coinduced_act(g, y))
+            bad = None if mismatch is None else {"kind": "equivariance", "g": str(g), **mismatch}
         if bad is not None:
             failures += 1
             if first is None:
@@ -413,7 +407,7 @@ def exact_coset_pushforward(r: int = 2, *, threads: int = 1) -> PushforwardRepor
     if 2**n > DEFAULT_ENUMERATION_CAP:
         raise EnumerationTooLarge(f"2^{n} inputs exceed cap")
     marker = plain_alphabet(f"site_index_{n}", tuple(str(i) for i in range(n)))
-    indexed = Configuration(marker, sites, list(range(n)))
+    indexed = Configuration(marker, sites, np.arange(n))
     split = to_coset_config(indexed)
     slots: list[tuple[str, int, int]] = []  # (coset, position, site index)
     for c in split.cosets:

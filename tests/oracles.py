@@ -17,6 +17,7 @@ from bernshift import (
     SiteSet,
     Word,
     a_power_decomposition,
+    cocycle,
     coset_of,
     gen_power,
     inv,
@@ -105,6 +106,77 @@ def merge_direct(y: CosetConfiguration) -> Configuration:
     for word, v in pairs:
         values[sites.position(word)] = v
     return Configuration(y.alphabet, sites, values)
+
+
+def coinduced_act_direct(g: Word, y: CosetConfiguration) -> CosetConfiguration:
+    """The coinduced action coset by coset: row c is the row of the coset
+    of g^-1 c, a-shifted by the cocycle exponent, in Word arithmetic."""
+    w = y.window
+    rank = {c: i for i, c in enumerate(y.cosets)}
+    rows = []
+    for c in y.cosets:
+        i = rank.get(coset_of(mul(inv(g), c)))
+        if i is None:
+            rows.append((None,) * (2 * w + 1))
+            continue
+        n = cocycle(g, c)
+        old = y.values[i]
+        # (a^n v)(a^j) = v(a^(j-n))
+        rows.append(tuple(old[j - n + w] if -w <= j - n <= w else None for j in range(-w, w + 1)))
+    return CosetConfiguration(y.alphabet, y.cosets, w, tuple(rows))
+
+
+def coset_configs_agree_direct(y1: CosetConfiguration, y2: CosetConfiguration):
+    """First slot, in (coset of y1, position) order, where both are defined
+    and differ, read slot by slot."""
+    w = min(y1.window, y2.window)
+    rank = {c: i for i, c in enumerate(y2.cosets)}
+    for i1, c in enumerate(y1.cosets):
+        i2 = rank.get(c)
+        if i2 is None:
+            continue
+        for j in range(-w, w + 1):
+            v1 = y1.values[i1][j + y1.window]
+            v2 = y2.values[i2][j + y2.window]
+            if v1 is not None and v2 is not None and v1 != v2:
+                return {"coset": str(c), "position": j, "lhs": v1, "rhs": v2}
+    return None
+
+
+def cell_row_direct(cell, row, w):
+    """A block code along <a> (offsets a^o) on one window row, position
+    by position."""
+    exponents = [a_power_decomposition(off)[1] for off in cell.offsets]
+    out = []
+    for j in range(-w, w + 1):
+        args = []
+        for o in exponents:
+            v = row[j + o + w] if -w <= j + o <= w else None
+            if v is None:
+                args = None
+                break
+            args.append(v)
+        out.append(None if args is None else int(cell.table[tuple(args)]))
+    return tuple(out)
+
+
+def coinduce_factor_direct(cell, y: CosetConfiguration) -> CosetConfiguration:
+    rows = tuple(cell_row_direct(cell, row, y.window) for row in y.values)
+    return CosetConfiguration(cell.output_alphabet, y.cosets, y.window, rows)
+
+
+def coinduced_lift_direct(cell, x: Configuration) -> Configuration:
+    """Split-apply-merge: split x along the cosets, apply the cell map to
+    every coset row, merge, and read the result on x's sites."""
+    merged = merge_direct(coinduce_factor_direct(cell, split_direct(x)))
+    return Configuration(cell.output_alphabet, x.sites, [merged.value_at(w) for w in x.sites])
+
+
+def compose_stagewise(stages, x: Configuration) -> Configuration:
+    """A composition one stage at a time, each on the whole window."""
+    for stage in stages:
+        x = stage.apply(x)
+    return x
 
 
 def ball_direct(r):

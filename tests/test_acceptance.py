@@ -43,7 +43,8 @@ def test_criterion_01_ow_exact_pushforward():
     assert res.detail["n_patterns"] == 1024
     assert res.detail["expected_count"] == 128
     assert res.detail["max_deviation"] == 0.0
-    assert res.detail["runtime_under_10s"]
+    # wall-clock time is no part of a verdict
+    assert "runtime_under_10s" not in res.detail
 
 
 def test_criterion_02_ow_additivity():

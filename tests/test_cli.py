@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from bernshift import Configuration, ball, bit_alphabet, sample, uniform
+from bernshift import Configuration, FactorMap, ball, bit_alphabet, cli, sample, star_base, uniform
 from bernshift.cli import dispatch
+from bernshift.factormaps import parse_map_spec
 
 
 def run_cli(capsys, *argv):
@@ -86,6 +87,18 @@ def test_map_sampled_star_reports_truncation(capsys):
     assert data["truncation_count"] >= 0
 
 
+def test_map_counts_truncation_only_at_sites_the_input_defines(capsys, tmp_path):
+    x = sample(star_base(0.25), ball(3), 16)
+    holes = [None if i % 5 == 0 else v for i, v in enumerate(x.values)]
+    path = tmp_path / "x.json"
+    path.write_text(json.dumps(Configuration(x.alphabet, x.sites, holes).to_json()))
+    code, data = run_cli(capsys, "map", "star:0.25", "--input", str(path))
+    out = data["output"]["values"]
+    assert code == 0
+    assert data["truncation_count"] == sum(1 for v, w in zip(holes, out) if v is not None and w is None)
+    assert data["truncation_count"] < sum(1 for w in out if w is None)
+
+
 @pytest.mark.parametrize("p", [0.1, 0.4])
 def test_map_sampled_star_draws_from_the_star_law(capsys, p):
     code, data = run_cli(capsys, "map", f"star:{p}", "--sample-radius", "6", "--seed", "12", "--emit-output")
@@ -109,10 +122,51 @@ def test_star_p_outside_its_domain_is_usage_error(capsys, argv):
     assert data["error"]["code"] == "ValueError" and "1/2" in data["error"]["message"]
 
 
-def test_verify_exact_on_a_map_without_batch_evaluation_is_usage_error(capsys):
-    code, data = run_cli(capsys, "verify", "exact", "--map", "coinduced:swap", "--rin", "2", "--rout", "1")
+class _NoBatchMap(FactorMap):
+    """A bounded map with no batch evaluation."""
+
+    name = "no_batch"
+    input_alphabet = output_alphabet = bit_alphabet(1)
+    window_cost = 0
+
+
+def test_verify_exact_on_a_map_without_batch_evaluation_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "parse_map_spec", lambda spec: _NoBatchMap())
+    code, data = run_cli(capsys, "verify", "exact", "--map", "no_batch", "--rin", "2", "--rout", "1")
     assert code == 2
     assert data["error"]["code"] == "NotImplementedError"
+
+
+# every name of the README's map list, on a window it admits: (r_in, r_out);
+# Monte Carlo runs take r_out = 0, where 4000 samples give a threshold < 1
+_EVERY_MAP = {
+    "ow": (2, 1),
+    "timar:2": (2, 0),
+    "star:0.25": (8, 0),
+    "swap": (2, 1),
+    "identity": (2, 1),
+    "project:2:1": (1, 1),
+    "coinduced:identity": (2, 1),
+    "coinduced:swap": (2, 1),
+}
+# unbounded lookahead has no exact window
+_REFUSED = {("exact", "star:0.25")}
+
+
+@pytest.mark.parametrize("spec", list(_EVERY_MAP))
+@pytest.mark.parametrize("mode", ["exact", "mc"])
+def test_every_listed_map_reports_or_refuses_in_every_engine(capsys, mode, spec):
+    r_in, r_out = _EVERY_MAP[spec]
+    argv = ["verify", mode, "--map", spec, "--rin", str(r_in)]
+    if mode == "exact":
+        argv += ["--rout", str(r_out)]
+    else:
+        argv += ["--rout", "0", "-N", "4000", "--seed", "17"]
+    code, data = run_cli(capsys, *argv)
+    if (mode, spec) in _REFUSED:
+        assert code == 2 and set(data) == {"error"}
+    else:
+        assert code == 0 and data["verdict"] == "pass" and data["map"] == parse_map_spec(spec).name
 
 
 def test_map_without_input_is_usage_error(capsys):

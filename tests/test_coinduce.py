@@ -24,11 +24,18 @@ from bernshift import (
     uniform,
     z_relabel,
 )
-from bernshift import freegroup, verify
+from bernshift import ZBlockMap, coinduced_map, freegroup, verify
 from bernshift.coinduce import coset_configs_agree
 from bernshift.freegroup import random_word, translated_sites
 
-from oracles import merge_direct, split_direct
+from oracles import (
+    coinduce_factor_direct,
+    coinduced_act_direct,
+    coinduced_lift_direct,
+    coset_configs_agree_direct,
+    merge_direct,
+    split_direct,
+)
 
 U2 = bit_alphabet(1)
 
@@ -345,6 +352,67 @@ def test_exact_coset_pushforward_matches_the_oracle_split(monkeypatch):
     assert got["verdict"] == "pass"
 
 
+# ------------------------------------------- grid kernels vs the oracles
+
+_G3 = ball(3).words
+_CELLS = (
+    z_relabel("swap", U2, U2, [1, 0]),
+    z_relabel("id", U2, U2, [0, 1]),
+    ZBlockMap("asum", U2, U2, (0, 1), np.array([[0, 1], [1, 0]])),
+    ZBlockMap("spread", U2, U2, (-1, 0, 2), np.random.default_rng(59).integers(0, 2, (2, 2, 2))),
+)
+
+# rows no ball splits into: a 34-letter representative, windows up to 7
+_FAR_ROWS = ("e", "b", "aB", "bab", "BAbAB", "b" * 34)
+
+
+def _far_rows(rng, window):
+    width = 2 * window + 1
+    rows = [[None if rng.random() < 0.3 else int(rng.integers(2)) for _ in range(width)] for _ in _FAR_ROWS]
+    return CosetConfiguration.from_json(
+        {"alphabet": "U2", "cosets": list(_FAR_ROWS), "window": window, "values": rows}
+    )
+
+
+def _assert_grid_kernels_match(y, others=()):
+    for g in _G3:
+        moved = coinduced_act(g, y)
+        assert moved == coinduced_act_direct(g, y)
+        for other in (y, *others):
+            assert coset_configs_agree(other, moved) == coset_configs_agree_direct(other, moved)
+            assert coset_configs_agree(moved, other) == coset_configs_agree_direct(moved, other)
+    for cell in _CELLS:
+        assert coinduce_factor(cell, y) == coinduce_factor_direct(cell, y)
+
+
+@pytest.mark.parametrize("r", range(5))
+def test_grid_kernels_match_the_word_oracles_on_balls(r):
+    rng = np.random.default_rng(60 + r)
+    sites = ball(r)
+    for x in (_random_config(rng, sites), _partial_config(rng, sites)):
+        y = to_coset_config(x)
+        _assert_grid_kernels_match(y, [to_coset_config(x, 1), to_coset_config(translate(_G3[7], x))])
+
+
+def test_grid_kernels_match_the_word_oracles_on_rows_past_any_ball():
+    rng = np.random.default_rng(65)
+    for window in (0, 2, 7):
+        y = _far_rows(rng, window)
+        _assert_grid_kernels_match(y, [_far_rows(rng, 3), to_coset_config(_partial_config(rng, ball(3)))])
+
+
+@pytest.mark.parametrize("r", range(5))
+def test_block_map_lift_matches_split_apply_merge(r):
+    rng = np.random.default_rng(70 + r)
+    moved, _ = translated_sites(ball(r), Word.parse("bAb"))
+    words = ball(r + 1).words
+    subset = SiteSet(w for w, k in zip(words, rng.random(len(words)) < 0.5) if k)
+    for sites in (ball(r), moved, subset):
+        for x in (_random_config(rng, sites), _partial_config(rng, sites)):
+            for cell in _CELLS:
+                assert coinduced_map(cell).apply(x) == coinduced_lift_direct(cell, x)
+
+
 # ------------------------------------------------------------------- JSON
 
 
@@ -365,3 +433,17 @@ def test_coset_config_validation():
     for cosets in ((IDENTITY, IDENTITY), (Word.parse("b"), IDENTITY)):
         with pytest.raises(ValueError, match="distinct and shortlex-sorted"):
             CosetConfiguration(U2, cosets, 0, ((0,), (1,)))
+
+
+def test_coset_config_grid_form_equals_the_rows_form():
+    cosets = (IDENTITY, Word.parse("b"))
+    rows = ((None, 1, 0), (1, None, 0))
+    y = CosetConfiguration(U2, cosets, 1, rows)
+    assert y.grid.tolist() == [[-1, 1, 0], [1, -1, 0]] and y.defined_count == 4
+    for form in (np.array([[-1, 1, 0], [1, -1, 0]]), np.array(rows, dtype=object)):
+        z = CosetConfiguration(U2, SiteSet(cosets), 1, form)
+        assert z == y and z.values == rows and z.cosets == cosets and hash(z) == hash(y)
+    with pytest.raises(ValueError, match="canonical"):
+        CosetConfiguration(U2, SiteSet([Word.parse("ba")]), 0, np.zeros((1, 1), dtype=np.int64))
+    with pytest.raises(ValueError, match="one row per coset"):
+        CosetConfiguration(U2, cosets, 1, ((0, 0, 0),))

@@ -309,6 +309,25 @@ def test_config_validation():
         Configuration(U2, ball(0), [3])
 
 
+def test_index_array_form_equals_the_values_form():
+    values = [None, 1, 0, None, 1]
+    for form in (np.array([-1, 1, 0, -1, 1]), np.array([-1, 1, 0, -1, 1], dtype=np.int8),
+                 np.array(values, dtype=object)):
+        x = Configuration(U2, ball(1), form)
+        assert x == Configuration(U2, ball(1), values) and x.values == tuple(values)
+        assert hash(x) == hash(Configuration(U2, ball(1), values))
+    x = Configuration(U2, ball(1), values)
+    assert x.indices.tolist() == [-1, 1, 0, -1, 1] and x.defined_count == 3 and not x.is_total
+    with pytest.raises(ValueError):
+        x.indices[0] = 1  # read-only
+    # -1 means undefined only in the index form
+    for bad in ([-1, 1, 0, 1, 1], np.array([-2, 1, 0, 1, 1]), np.array([0, 1, 2, 1, 1])):
+        with pytest.raises(ValueError, match="out of range"):
+            Configuration(U2, ball(1), bad)
+    with pytest.raises(ValueError):
+        Configuration(U2, ball(1), np.zeros((1, 5), dtype=np.int64))
+
+
 @given(st.integers(min_value=0, max_value=131071))
 def test_packed_bits_matches_index(i):
     sites = ball(2)

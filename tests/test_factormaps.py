@@ -34,7 +34,7 @@ from bernshift import (
 from bernshift.config import enumerate_configurations
 from bernshift.factormaps import _stage_windows
 
-from oracles import ow_direct, star_direct
+from oracles import compose_stagewise, ow_direct, star_direct
 
 U2 = bit_alphabet(1)
 STAR1 = star_alphabet(1)
@@ -302,6 +302,35 @@ def test_composed_window_cost():
     assert ComposedMap([ow(), timar_stage(1)]).window_cost == 2
     assert ComposedMap([star(0.25)]).window_cost is None
     assert ComposedMap([]).window_cost == 0
+
+
+def _composed_cases():
+    cycle5 = relabel("cycle5", star_alphabet(2), star_alphabet(2), [1, 2, 3, 4, 0])
+    look_a = BlockMap("look_a", star_alphabet(2), star_alphabet(2), (Word.parse("a"),), np.arange(5))
+    cases = [(timar(m), U2, m + 1) for m in (1, 2, 3, 4)]
+    cases.append((ComposedMap([star(0.25), cycle5, look_a]), STAR1, 3))
+    cases.append((ComposedMap([ow(), ComposedMap([]), timar_stage(1)]), U2, 3))
+    return cases
+
+
+@pytest.mark.parametrize("case", range(6))
+def test_composed_apply_matches_stage_by_stage(case):
+    fmap, alphabet, r = _composed_cases()[case]
+    rng = np.random.default_rng(130 + case)
+    moved = SiteSet(mul(Word.parse("bAb"), w) for w in ball(r))
+    words = ball(r).words
+    subset = SiteSet(w for w, k in zip(words, rng.random(len(words)) < 0.7) if k)
+    for sites in (ball(r), ball(r - 1), moved, subset):
+        for p_none in (0.0, 0.1):
+            values = [None if rng.random() < p_none else int(v) for v in rng.integers(0, alphabet.size, len(sites))]
+            x = Configuration(alphabet, sites, values)
+            assert fmap.apply(x) == compose_stagewise(fmap.stages, x)
+
+
+def test_composed_apply_names_the_stage_of_a_wrong_input():
+    x = sample(uniform(bit_alphabet(2)), ball(2), 15)
+    with pytest.raises(AlphabetMismatch, match=r"stage 0 \(timar_stage0\): timar_stage0 expects U2"):
+        timar(2).apply(x)
 
 
 def _full_window_reference(fmap, values, sites, out_sites):

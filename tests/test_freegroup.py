@@ -197,7 +197,7 @@ def test_cached_site_tables_are_read_only():
 )
 def test_coset_table_decomposes_every_site(sites):
     table = sites.coset_table()
-    assert table.reps == tuple(sorted(set(table.reps), key=lambda c: c.shortlex_key))
+    assert table.reps.words == tuple(sorted(set(table.reps), key=lambda c: c.shortlex_key))
     assert all(not c.letters or c.letters[-1] not in (GEN_A, GEN_A_INV) for c in table.reps)
     assert sorted(set(table.coset.tolist())) == list(range(len(table.reps)))
     for i, w in enumerate(sites):

@@ -49,7 +49,7 @@ def assert_tables_match(sites, words, of=None):
             assert (padded.tolist(), lengths.tolist()) == ray_indices_direct(words, letter, of)
     table = sites.coset_table()
     reps, coset, power = coset_table_direct(words)
-    assert table.reps == tuple(reps)
+    assert table.reps.words == tuple(reps)
     assert (table.coset.tolist(), table.power.tolist()) == (coset, power)
     assert [w.code for w in table.reps] == [w.code for w in reps]
 

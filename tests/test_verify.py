@@ -4,18 +4,21 @@ import numpy as np
 import pytest
 
 from bernshift import (
+    CoinducedCellMap,
     Configuration,
     SiteSet,
     EnumerationTooLarge,
+    FactorMap,
     IDENTITY,
     WindowTooSmall,
+    ZBlockMap,
     ball,
     bit_alphabet,
     check_cocycle,
     check_coset_roundtrip,
     check_equivariance,
     cocycle,
-    coinduced_map,
+    coinduce,
     coset_of,
     exact_coset_pushforward,
     exact_pushforward,
@@ -24,9 +27,9 @@ from bernshift import (
     mc_pushforward,
     mul,
     ow,
+    parse_map_spec,
     star,
     star_base,
-    swap_bits,
     timar,
     uniform,
     verify,
@@ -75,11 +78,19 @@ def test_exact_rejects_unbounded_maps():
         exact_pushforward(star(0.25), 2, 0)
 
 
+class _NoBatchMap(FactorMap):
+    """A bounded map with no batch evaluation."""
+
+    name = "no_batch"
+    input_alphabet = output_alphabet = U2
+    window_cost = 0
+
+
 def test_engines_refuse_maps_without_batch_evaluation_before_building_inputs(monkeypatch):
     built = []
     monkeypatch.setattr(verify, "index_matrix", lambda *args: built.append(args))
     monkeypatch.setattr(verify, "sample_matrix", lambda *args: built.append(args))
-    lifted = coinduced_map(swap_bits())
+    lifted = _NoBatchMap()
     with pytest.raises(NotImplementedError, match="no batch evaluation"):
         exact_pushforward(lifted, 2, 1)
     with pytest.raises(NotImplementedError, match="no batch evaluation"):
@@ -279,3 +290,57 @@ def test_property_checks_are_seed_reproducible():
     j1 = check_coset_roundtrip(2, 30, 21).to_json()
     j2 = check_coset_roundtrip(2, 30, 21).to_json()
     assert j1 == j2
+
+
+# ------------------------------------------- faults in the coinduced path
+
+
+def _lifted_swap_with_table(table):
+    lifted = parse_map_spec("coinduced:swap")
+    cell = ZBlockMap(lifted.cell_map.name, U2, U2, (0,), np.asarray(table))
+    return CoinducedCellMap(cell)
+
+
+def test_a_corrupted_entry_of_the_lifted_swap_table_fails_exact():
+    bad = _lifted_swap_with_table([0, 0])  # entry 0 should be 1
+    assert bad.name == "coinduced:swap"
+    rep = exact_pushforward(bad, 2, 1)
+    assert rep.verdict == "fail" and rep.counts[0] == rep.total
+    # Monte Carlo compares the output with the law the corrupted table
+    # itself declares, and a fault that is the same at every site still
+    # commutes with the shift, so only the exact count can see this one
+    assert mc_pushforward(bad, uniform(U2), 2, 1, 20_000, 3).verdict == "pass"
+    assert check_equivariance(bad, 3, 50, 4).failures == 0
+
+
+def test_a_corrupted_entry_of_the_lifted_swap_gather_fails_every_engine(monkeypatch):
+    lifted = parse_map_spec("coinduced:swap")
+    real = SiteSet.neighbor_indices
+
+    def corrupted(self, offset, of=None):
+        # the first output site reads the second input site's value
+        idx = real(self, offset, of).copy()
+        if len(idx) > 1:
+            idx[0] = idx[1]
+        return idx
+
+    monkeypatch.setattr(SiteSet, "neighbor_indices", corrupted)
+    assert exact_pushforward(lifted, 2, 1).verdict == "fail"
+    assert mc_pushforward(lifted, uniform(U2), 2, 1, 20_000, 3).verdict == "fail"
+    assert check_equivariance(lifted, 3, 50, 4).failures > 0
+
+
+def test_an_act_shifted_by_one_fails_the_coset_roundtrip(monkeypatch):
+    real = coinduce.strip_a_codes
+
+    def off_by_one(codes):
+        rep, power = real(codes)
+        return rep, power + 1
+
+    coinduce._act_gather.cache_clear()
+    monkeypatch.setattr(coinduce, "strip_a_codes", off_by_one)
+    try:
+        rep = check_coset_roundtrip(3, 20, 9)
+    finally:
+        coinduce._act_gather.cache_clear()
+    assert rep.failures > 0 and rep.first_counterexample["kind"] == "equivariance"
