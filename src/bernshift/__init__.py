@@ -11,7 +11,6 @@ from .coinduce import (
     coinduced_act,
     coset_of,
     from_coset_config,
-    full_group_act,
     to_coset_config,
     z_relabel,
 )
@@ -22,8 +21,6 @@ from .config import (
     EnumerationTooLarge,
     alphabet_by_name,
     bit_alphabet,
-    config_from_index,
-    enumerate_configurations,
     plain_alphabet,
     point_mass,
     product_alphabet,
@@ -53,7 +50,6 @@ from .factormaps import (
     FactorMap,
     InsufficientRadius,
     StarMap,
-    compose,
     first_factor_projection,
     identity_map,
     ow,
@@ -63,7 +59,6 @@ from .factormaps import (
     star,
     swap_bits,
     timar,
-    timar_bits,
     timar_stage,
 )
 from .freegroup import (

@@ -5,8 +5,8 @@ Everything is instantiated for the concrete subgroup H = <a> inside the
 rank-2 free group, where the coset normal form is exact: the canonical
 representative of gH is g with its maximal trailing a-power stripped, and
 H-elements are integer a-exponents.  The full-group subgroup H = F2 is
-the degenerate one-coset case and needs no machinery (see
-``full_group_act``).
+the degenerate one-coset case, whose coinduced action is the shift
+itself (``config.translate``), and needs no machinery.
 """
 
 from __future__ import annotations
@@ -16,10 +16,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import Alphabet, Configuration, alphabet_by_name, translate
+from .config import Alphabet, Configuration, alphabet_by_name
 from .factormaps import BlockMap
 from .freegroup import GEN_A, GEN_A_INV, IDENTITY, SiteSet, Word, a_power_decomposition, decode, encode
-from .freegroup import gen_power, inv, left_mul_codes, mul, right_mul_codes, strip_a_codes
+from .freegroup import gen_power, inv, mul, mul_codes, right_mul_codes, strip_a_codes
 
 
 class NotInSubgroup(ValueError):
@@ -147,7 +147,7 @@ def _act_gather(coset_sites: SiteSet, window: int, g: Word) -> tuple[np.ndarray,
     (c, j) reads slot (g^-1 c, j + m), unless that coset is not stored or
     j + m is off the window.  Cached like ``translated_sites``.
     """
-    src, shift = strip_a_codes(left_mul_codes(inv(g), coset_sites.codes))
+    src, shift = strip_a_codes(mul_codes(encode([inv(g)]), coset_sites.codes))
     rows = coset_sites._find(src)
     width = 2 * window + 1
     cols = np.arange(width) + shift[:, None]
@@ -197,19 +197,14 @@ def a_exponents(phi: BlockMap) -> list[int]:
 def coinduce_factor(phi: BlockMap, y: CosetConfiguration) -> CosetConfiguration:
     """Coset-wise application of a block code along <a> (a ZBlockMap or a
     relabeling): row c of the result is phi applied to row c of the input,
-    undefined where some j + o is off the window or undefined."""
+    undefined where some j + o is off the window or undefined.
+
+    The block code itself runs on the merged slots, where the site c * a^j
+    reads c * a^(j + o), and the result is split back on the same window."""
     if y.alphabet != phi.input_alphabet:
         raise ValueError(f"{phi.name} expects {phi.input_alphabet.name}, got {y.alphabet.name}")
-    width = 2 * y.window + 1
-    flat = np.zeros(y.grid.shape, dtype=np.int64)
-    valid = np.ones(y.grid.shape, dtype=bool)
-    for o in a_exponents(phi):
-        cols = np.arange(width) + o
-        col = np.where((cols >= 0) & (cols < width), y.grid[:, np.clip(cols, 0, width - 1)], -1)
-        valid &= col >= 0
-        flat = flat * phi.input_alphabet.size + np.maximum(col, 0)
-    out = np.where(valid, phi.table.ravel()[flat], -1)
-    return CosetConfiguration(phi.output_alphabet, y.coset_sites, y.window, out)
+    a_exponents(phi)  # a rule that reads outside its own coset is refused
+    return to_coset_config(phi.apply(from_coset_config(y)), y.window)
 
 
 def to_coset_config(x: Configuration, window: int | None = None) -> CosetConfiguration:
@@ -270,9 +265,3 @@ def coset_configs_agree(y1: CosetConfiguration, y2: CosetConfiguration) -> dict 
     i, k = divmod(int(bad[0]), 2 * w + 1)
     c = y1.coset_sites[int(common[i])]
     return {"coset": str(c), "position": k - w, "lhs": int(lhs[i, k]), "rhs": int(rhs[i, k])}
-
-
-def full_group_act(g: Word, x: Configuration) -> Configuration:
-    """Degenerate subgroup H = F2: one coset, the section is the identity,
-    the cocycle is g itself, and the coinduced action is the shift."""
-    return translate(g, x)

@@ -8,11 +8,10 @@ effects are data, not errors).  Everything here is an immutable value.
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -316,6 +315,11 @@ def sample(
     return Configuration(dist.alphabet, sites, sample_matrix(dist, len(sites), 1, rng)[0])
 
 
+def block_rows(row_bytes: int) -> int:
+    """Rows of ``row_bytes`` bytes each that fit ``SAMPLE_BLOCK_BYTES``; at least one."""
+    return max(1, SAMPLE_BLOCK_BYTES // max(1, row_bytes))
+
+
 def sample_matrix(
     dist: Distribution, n_sites: int, n_draws: int, rng: np.random.Generator
 ) -> np.ndarray:
@@ -332,7 +336,7 @@ def sample_matrix(
     """
     cdf = np.cumsum(np.asarray(dist.float_weights(), dtype=np.float64))
     out = np.zeros((n_draws, n_sites), dtype=np.int8 if len(cdf) <= 128 else np.int64)
-    rows = max(1, SAMPLE_BLOCK_BYTES // (8 * max(1, n_sites)))
+    rows = block_rows(8 * n_sites)
     for lo in range(0, n_draws, rows):
         block = out[lo : lo + rows]
         u = rng.random(block.shape)
@@ -343,35 +347,6 @@ def sample_matrix(
 
 def enumeration_size(alphabet: Alphabet, sites: SiteSet) -> int:
     return alphabet.size ** len(sites)
-
-
-def config_from_index(alphabet: Alphabet, sites: SiteSet, index: int) -> Configuration:
-    """Configuration number ``index``: site j holds (index // size^j) % size."""
-    size = alphabet.size
-    values = []
-    q = index
-    for _ in range(len(sites)):
-        values.append(q % size)
-        q //= size
-    if q:
-        raise ValueError(f"index {index} out of range")
-    return Configuration(alphabet, sites, values)
-
-
-def enumerate_configurations(
-    alphabet: Alphabet, sites: SiteSet, cap: int = DEFAULT_ENUMERATION_CAP
-) -> Iterator[Configuration]:
-    """Every total configuration exactly once, in index order.
-
-    Index order is lexicographic over the shortlex site order with site 0
-    varying fastest, matching ``config_from_index``.
-    """
-    total = enumeration_size(alphabet, sites)
-    if total > cap:
-        raise EnumerationTooLarge(f"{total} configurations exceed cap {cap}")
-    n = len(sites)
-    for rev in itertools.product(range(alphabet.size), repeat=n):
-        yield Configuration(alphabet, sites, rev[::-1])
 
 
 def index_matrix(size: int, n_sites: int, lo: int, hi: int) -> np.ndarray:

@@ -422,11 +422,6 @@ class ComposedMap(FactorMap):
         return dist
 
 
-def compose(maps: Sequence[FactorMap], x: Configuration) -> Configuration:
-    """Apply a list of maps left to right (empty list: identity)."""
-    return ComposedMap(maps).apply(x)
-
-
 def timar(m: int) -> ComposedMap:
     """The first m stabilized bit planes of the iterated expansion.
 
@@ -439,16 +434,6 @@ def timar(m: int) -> ComposedMap:
     stages: list[FactorMap] = [timar_stage(n) for n in range(m)]
     stages.append(plane_projection(m + 1, m))
     return ComposedMap(stages, name=f"timar:{m}")
-
-
-def timar_bits(x: Configuration, m: int) -> Configuration:
-    """Apply the m-plane expansion; raises if the output is nowhere defined."""
-    out = timar(m).apply(x)
-    if out.defined_count == 0:
-        raise InsufficientRadius(
-            f"timar:{m} needs radius {m} of margin; no output site is defined"
-        )
-    return out
 
 
 def star(p: float = 0.25) -> StarMap:

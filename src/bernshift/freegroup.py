@@ -98,9 +98,6 @@ class Word:
     def __lt__(self, other: "Word") -> bool:
         return self.shortlex_key < other.shortlex_key
 
-    def __le__(self, other: "Word") -> bool:
-        return self.shortlex_key <= other.shortlex_key
-
     @property
     def shortlex_key(self) -> tuple:
         return (len(self.letters), self.letters)
@@ -120,17 +117,6 @@ class Word:
     @property
     def is_identity(self) -> bool:
         return not self.letters
-
-    def __mul__(self, other: "Word") -> "Word":
-        if not isinstance(other, Word):
-            return NotImplemented
-        return mul(self, other)
-
-    def __invert__(self) -> "Word":
-        return inv(self)
-
-    def inverse(self) -> "Word":
-        return inv(self)
 
     def __str__(self) -> str:
         if not self.letters:
@@ -241,10 +227,15 @@ def code_lengths(codes: np.ndarray) -> np.ndarray:
     return np.searchsorted(_level_starts(codes, _longest(codes) + 1), codes, side="right") - 1
 
 
+def codes_array(codes: Sequence[int]) -> np.ndarray:
+    """An array of the given codes (Python ints), int64 if they all fit."""
+    codes = np.array(codes, dtype=object)
+    return codes.astype(_dtype(codes))
+
+
 def encode(words: Iterable[Word]) -> np.ndarray:
     """The codes of a sequence of Words, in order."""
-    codes = np.array([w.code for w in words], dtype=object)
-    return codes.astype(_dtype(codes))
+    return codes_array([w.code for w in words])
 
 
 def _step(codes: np.ndarray, letter: int) -> np.ndarray:
@@ -262,27 +253,41 @@ def right_mul_codes(codes: np.ndarray, offset: Word) -> np.ndarray:
     return codes
 
 
-def left_mul_codes(g: Word, codes: np.ndarray) -> np.ndarray:
-    """Codes of g * w for every code of w.
+def inv_codes(codes: np.ndarray) -> np.ndarray:
+    """Codes of w**-1 for every code of w: w's letters, last first, each inverted."""
+    codes = codes.astype(_dtype(codes), copy=False)
+    out, cur = np.zeros_like(codes), codes
+    for _ in range(_longest(codes)):
+        live = cur > 0
+        last = (cur - 1) % 4
+        out = np.where(live, 4 * out + (last ^ 1) + 1, out)
+        cur = np.where(live, (cur - 1 - last) // 4, 0)
+    return out
 
-    w's first k letters cancel, k being the longest common prefix of w and
-    g^-1, so g * w is g minus k letters followed by w minus k letters; with
-    w = P S for the k-letter prefix P, code(w) = code(P) * 4**len(S) + code(S).
+
+def mul_codes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Codes of u * v, elementwise over the codes of u in x and of v in y
+    (broadcast against each other).
+
+    The k letters that cancel are u's last k, against v's first k, so u * v
+    is u's prefix P of n_u - k letters followed by v's suffix S of n_v - k;
+    code(P S) = code(P) * 4**len(S) + code(S).  Below code(w) - start(n) is
+    w's n letters as plain base-4 digits, start(n) the first code of length n.
     """
-    m = len(g)
-    codes = codes.astype(_dtype(codes, m), copy=False)
-    n = code_lengths(codes)
-    starts = _level_starts(codes, int(n.max(initial=0)) + m)
+    x, y = np.atleast_1d(x), np.atleast_1d(y)
+    dtype = np.int64 if _longest(x) + _longest(y) <= MAX_INT64_LETTERS else object
+    x, y = x.astype(dtype, copy=False), y.astype(dtype, copy=False)
+    nx, ny = code_lengths(x), code_lengths(y)
+    starts = _level_starts(x, int(nx.max(initial=0)) + int(ny.max(initial=0)))
     pow4 = 3 * starts + 1
-    g_inv, g_pre = inv(g).letters, [Word._from_reduced(g.letters[:i]).code for i in range(m + 1)]
-    k = np.zeros(len(codes), dtype=np.int64)
-    for j in range(1, m + 1):
-        rest = np.maximum(n - j, 0)
-        prefix = (codes - starts[rest]) // pow4[rest]
-        k += (n >= j) & (k == j - 1) & (prefix == Word._from_reduced(g_inv[:j]).code)
-    rest = n - k
-    suffix = starts[rest] + (codes - starts[rest]) % pow4[rest]
-    return np.array(g_pre, dtype=codes.dtype)[m - k] * pow4[rest] + suffix
+    x_digits, y_digits = x - starts[nx], y - starts[ny]
+    k = np.zeros(np.broadcast_shapes(x.shape, y.shape), dtype=np.int64)
+    for j in range(1, min(int(nx.max(initial=0)), int(ny.max(initial=0))) + 1):
+        last = x_digits // pow4[j - 1] % 4  # u's j-th letter from the end
+        first = y_digits // pow4[np.maximum(ny - j, 0)] % 4  # v's j-th letter
+        k += (k == j - 1) & (nx >= j) & (ny >= j) & (first == last ^ 1)
+    rest = ny - k
+    return (starts[nx - k] + x_digits // pow4[k]) * pow4[rest] + starts[rest] + y_digits % pow4[rest]
 
 
 def decode(codes: np.ndarray) -> tuple[Word, ...]:
@@ -513,18 +518,30 @@ def translated_sites(sites: SiteSet, g: Word) -> tuple[SiteSet, np.ndarray]:
     permutation[i] is the position of g*sites[i] in the new set.  Cached
     because group actions repeatedly translate the same few balls.
     """
-    moved = left_mul_codes(g, sites.codes)
+    moved = mul_codes(encode([g]), sites.codes)
     new = SiteSet.from_codes(moved)
     perm = new._find(moved)
     perm.setflags(write=False)
     return new, perm
 
 
-def random_word(rng: np.random.Generator, max_len: int) -> Word:
-    """A random reduced word of length uniform in [0, max_len]."""
+def random_reduced(rng: np.random.Generator, max_len: int) -> tuple[tuple[int, ...], int]:
+    """The letters and the code of a random reduced word of length uniform
+    in [0, max_len].
+
+    After the length, one draw picks every letter: the first among the
+    four, each later one among the three that do not cancel the letter
+    before it, in letter order.
+    """
     n = int(rng.integers(0, max_len + 1))
     letters: list[int] = []
-    for _ in range(n):
-        choices = [s for s in (0, 1, 2, 3) if not letters or letters[-1] != s ^ 1]
-        letters.append(int(choices[rng.integers(0, len(choices))]))
-    return Word._from_reduced(tuple(letters))
+    code, banned = 0, 4  # banned: the inverse of the letter before; none before the first
+    for i in rng.integers(0, [4] + [3] * (n - 1)).tolist() if n else ():
+        letters.append(i + (i >= banned))
+        code, banned = 4 * code + letters[-1] + 1, letters[-1] ^ 1
+    return tuple(letters), code
+
+
+def random_word(rng: np.random.Generator, max_len: int) -> Word:
+    """A random reduced word of length uniform in [0, max_len]."""
+    return Word._from_reduced(*random_reduced(rng, max_len))

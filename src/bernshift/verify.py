@@ -18,28 +18,23 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .coinduce import (
-    cocycle,
-    coinduced_act,
-    coset_configs_agree,
-    coset_of,
-    from_coset_config,
-    to_coset_config,
-)
+from .coinduce import NotInSubgroup, coinduced_act, coset_configs_agree, from_coset_config, to_coset_config
 from .config import (
     DEFAULT_ENUMERATION_CAP,
     Configuration,
     Distribution,
     EnumerationTooLarge,
     bit_alphabet,
+    block_rows,
     index_matrix,
     plain_alphabet,
     restrict,
     sample_matrix,
     translate,
 )
-from .factormaps import FactorMap
-from .freegroup import ball, inv, mul, random_word
+from .factormaps import FactorMap, InsufficientRadius
+from .freegroup import ball, codes_array, decode, inv_codes, mul_codes, random_reduced, strip_a_codes
+from .freegroup import translated_sites
 
 CHUNK_SIZE = 1 << 16
 MC_MIN_SAMPLES = 1000
@@ -131,8 +126,21 @@ def _run_chunks(worker: Callable, chunks: Sequence, threads: int) -> list:
 
 def _require_batch(fmap: FactorMap) -> None:
     """Refuse a map without batch evaluation before any input matrix exists."""
-    if type(fmap).apply_batch is FactorMap.apply_batch:
+    if getattr(type(fmap), "apply_batch", FactorMap.apply_batch) is FactorMap.apply_batch:
         raise NotImplementedError(f"{fmap.name} has no batch evaluation")
+
+
+def _require_trials(trials: int) -> None:
+    """A run of no trials could not fail; refuse it."""
+    if trials < 1:
+        raise ValueError(f"need at least one trial, got {trials}")
+
+
+def _trial_blocks(trials: int, row_bytes: int) -> list[tuple[int, int]]:
+    """Trials lo..hi-1 in blocks of ``row_bytes`` per trial within the
+    ``SAMPLE_BLOCK_BYTES`` budget."""
+    rows = block_rows(row_bytes)
+    return [(lo, min(lo + rows, trials)) for lo in range(0, trials, rows)]
 
 
 def _pattern_counts(out: np.ndarray, out_size: int, n_patterns: int) -> tuple[np.ndarray, int]:
@@ -306,69 +314,97 @@ def mc_pushforward(
     )
 
 
-def _config_mismatch(lhs: Configuration, rhs: Configuration) -> dict | None:
-    """First site where both sides are defined but disagree."""
-    v1 = lhs.indices
-    v2 = np.append(rhs.indices, -1)[rhs.sites.indices_of(lhs.sites)]
-    bad = np.flatnonzero((v1 >= 0) & (v2 >= 0) & (v1 != v2))
-    if not len(bad):
-        return None
-    i = int(bad[0])
-    return {"site": str(lhs.sites[i]), "lhs": int(v1[i]), "rhs": int(v2[i])}
-
-
-def check_equivariance(
-    fmap,
-    r: int,
-    trials: int,
-    seed: int,
-    *,
-    alphabet=None,
-    g_radius: int = 2,
-) -> PropertyReport:
+def check_equivariance(fmap, r: int, trials: int, seed: int, *, g_radius: int = 2) -> PropertyReport:
     """Translation equivariance: applying the map commutes with the shift
-    at every site where both sides are defined (exact symbol equality)."""
+    at every site where both sides are defined (exact symbol equality).
+
+    Each trial draws g from ball(g_radius), then x on ball(r).  A block of
+    trials maps its x at once on ball(r); the trials sharing a g are moved
+    by one scatter and mapped at once on g * ball(r), beside their moved
+    images.  A run that compares no site could not fail, and is refused.
+    """
+    _require_trials(trials)
+    _require_batch(fmap)
     rng = np.random.default_rng(seed)
     sites = ball(r)
     g_pool = ball(g_radius).words
-    alpha = alphabet if alphabet is not None else fmap.input_alphabet
-    failures = 0
+    alpha = fmap.input_alphabet
+    failures = compared = 0
     first = None
-    for t in range(trials):
-        g = g_pool[int(rng.integers(len(g_pool)))]
-        x = Configuration(alpha, sites, rng.integers(0, alpha.size, len(sites)))
-        lhs = fmap.apply(translate(g, x))
-        rhs = translate(g, fmap.apply(x))
-        mismatch = _config_mismatch(lhs, rhs)
-        if mismatch is not None:
-            failures += 1
-            if first is None:
-                first = {"trial": t, "g": str(g), **mismatch, "x": x.to_json()}
+    for lo, hi in _trial_blocks(trials, 8 * len(sites)):
+        draws = [(rng.integers(len(g_pool)), rng.integers(0, alpha.size, len(sites))) for _ in range(lo, hi)]
+        picks, xs = np.array([pick for pick, _ in draws]), np.stack([x for _, x in draws])
+        images = fmap.apply_batch(xs, sites, sites)
+        for pick in np.unique(picks):
+            g = g_pool[pick]
+            rows = np.flatnonzero(picks == pick)
+            moved_sites, perm = translated_sites(sites, g)
+            moved = np.empty((len(rows), len(sites)), dtype=np.int64)
+            moved[:, perm] = xs[rows]
+            lhs = fmap.apply_batch(moved, moved_sites, moved_sites)
+            rhs = np.empty_like(lhs)
+            rhs[:, perm] = images[rows]
+            both = (lhs >= 0) & (rhs >= 0)
+            compared += int(both.sum())
+            bad = both & (lhs != rhs)
+            failed = np.flatnonzero(bad.any(axis=1))
+            failures += len(failed)
+            if len(failed) and (first is None or lo + rows[failed[0]] < first["trial"]):
+                row, i = failed[0], int(np.argmax(bad[failed[0]]))
+                x = Configuration(alpha, sites, xs[rows[row]]).to_json()
+                first = {"trial": lo + int(rows[row]), "g": str(g), "site": str(moved_sites[i]),
+                         "lhs": int(lhs[row, i]), "rhs": int(rhs[row, i]), "x": x}
+    if not compared:
+        raise InsufficientRadius(f"{fmap.name} defines no site on both sides at radius {r}")
     return PropertyReport(f"equivariance[{fmap.name}]", trials, failures, first, seed)
 
 
+def _cocycles(g: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The cocycle a-exponents e for codes g and canonical representatives c:
+    g * rep(g^-1 c) must strip to exactly c * a**e, or the coset arithmetic
+    is broken and we refuse to continue."""
+    moved = mul_codes(g, strip_a_codes(mul_codes(inv_codes(g), c))[0])
+    rep, e = strip_a_codes(moved)
+    bad = np.flatnonzero(rep != c)[:1]
+    if len(bad):
+        gw, cw = decode(np.concatenate([g[bad], c[bad]]))
+        prod = decode(mul_codes(inv_codes(c[bad]), moved[bad]))[0]
+        raise NotInSubgroup(f"cocycle({gw}, {cw}) reduced to {prod}, not an a-power")
+    return e
+
+
 def check_cocycle(trials: int, seed: int, max_len: int = 6) -> PropertyReport:
-    """The cocycle identity over random pairs and cosets, as exact
-    integer equality of a-exponents."""
+    """The cocycle identity c(g1 g2, c) = c(g1, c) + c(g2, g1^-1 c) over
+    random pairs and cosets, as exact integer equality of a-exponents.
+    Words are drawn straight as shortlex codes and computed on in blocks."""
+    _require_trials(trials)
     rng = np.random.default_rng(seed)
     failures = 0
     first = None
-    for t in range(trials):
-        g1 = random_word(rng, max_len)
-        g2 = random_word(rng, max_len)
-        c = coset_of(random_word(rng, max_len))
-        lhs = cocycle(mul(g1, g2), c)
-        rhs = cocycle(g1, c) + cocycle(g2, coset_of(mul(inv(g1), c)))
-        if lhs != rhs:
-            failures += 1
-            if first is None:
-                first = {"trial": t, "g1": str(g1), "g2": str(g2), "coset": str(c), "lhs": lhs, "rhs": rhs}
+    for lo, hi in _trial_blocks(trials, 3 * 8):
+        drawn = [random_reduced(rng, max_len)[1] for _ in range(3 * (hi - lo))]
+        g1, g2, word = codes_array(drawn).reshape(-1, 3).T
+        c = strip_a_codes(word)[0]
+        c2 = strip_a_codes(mul_codes(inv_codes(g1), c))[0]
+        # a trial's three cocycles side by side, so the first to fail is the first checked
+        pairs = zip((mul_codes(g1, g2), c), (g1, c), (g2, c2))
+        g, cosets = (np.stack(side, axis=1).ravel() for side in pairs)
+        e = _cocycles(g, cosets).reshape(-1, 3)
+        lhs, rhs = e[:, 0], e[:, 1] + e[:, 2]
+        bad = np.flatnonzero(lhs != rhs)
+        failures += len(bad)
+        if len(bad) and first is None:
+            t = int(bad[0])
+            g1w, g2w, cw = decode(codes_array([int(g1[t]), int(g2[t]), int(c[t])]))
+            first = {"trial": lo + t, "g1": str(g1w), "g2": str(g2w), "coset": str(cw),
+                     "lhs": int(lhs[t]), "rhs": int(rhs[t])}
     return PropertyReport("cocycle_identity", trials, failures, first, seed)
 
 
 def check_coset_roundtrip(r: int, trials: int, seed: int, *, g_radius: int = 2) -> PropertyReport:
     """Round trip and equivariance of the coset-splitting conjugacy on
     random binary configurations."""
+    _require_trials(trials)
     rng = np.random.default_rng(seed)
     sites = ball(r)
     g_pool = ball(g_radius).words

@@ -7,22 +7,32 @@ so the fast paths are checked against something that cannot share their
 bugs.
 """
 
+import itertools
 import math
 
+import numpy as np
 from scipy.optimize import brentq
 
 from bernshift import (
+    ComposedMap,
     Configuration,
     CosetConfiguration,
+    EnumerationTooLarge,
+    InsufficientRadius,
+    PropertyReport,
     SiteSet,
     Word,
     a_power_decomposition,
+    ball,
     cocycle,
     coset_of,
     gen_power,
     inv,
     mul,
+    timar,
+    translate,
 )
+from bernshift.config import DEFAULT_ENUMERATION_CAP
 from bernshift.freegroup import GEN_A, GEN_A_INV, GEN_B, GEN_B_INV
 
 
@@ -256,6 +266,109 @@ def translated_direct(words, g):
     new = shortlex_sorted(moved)
     rank = {w: i for i, w in enumerate(new)}
     return new, [rank[m] for m in moved]
+
+
+def random_word_direct(rng, max_len):
+    """A random reduced word drawn one letter at a time: the length, then
+    each letter among those that do not cancel the one before."""
+    n = int(rng.integers(0, max_len + 1))
+    letters = []
+    for _ in range(n):
+        choices = [s for s in (0, 1, 2, 3) if not letters or letters[-1] != s ^ 1]
+        letters.append(int(choices[rng.integers(0, len(choices))]))
+    return Word(letters)
+
+
+def config_from_index(alphabet, sites, index):
+    """Configuration number ``index``: site j holds (index // size^j) % size."""
+    size = alphabet.size
+    values = []
+    q = index
+    for _ in range(len(sites)):
+        values.append(q % size)
+        q //= size
+    if q:
+        raise ValueError(f"index {index} out of range")
+    return Configuration(alphabet, sites, values)
+
+
+def enumerate_configurations(alphabet, sites, cap=DEFAULT_ENUMERATION_CAP):
+    """Every total configuration once, with site 0 varying fastest (the
+    order of ``config_from_index`` and ``config.index_matrix``)."""
+    total = alphabet.size ** len(sites)
+    if total > cap:
+        raise EnumerationTooLarge(f"{total} configurations exceed cap {cap}")
+    for rev in itertools.product(range(alphabet.size), repeat=len(sites)):
+        yield Configuration(alphabet, sites, rev[::-1])
+
+
+def compose(maps, x):
+    """Apply a list of maps left to right (empty list: identity)."""
+    return ComposedMap(maps).apply(x)
+
+
+def timar_bits(x, m):
+    """The m-plane expansion of x; raises if no output site is defined."""
+    out = timar(m).apply(x)
+    if out.defined_count == 0:
+        raise InsufficientRadius(f"timar:{m} needs radius {m} of margin; no output site is defined")
+    return out
+
+
+def full_group_act(g, x):
+    """The degenerate subgroup H = F2: one coset, the section is the
+    identity, the cocycle is g itself, and the coinduced action is the shift."""
+    return translate(g, x)
+
+
+def config_mismatch(lhs: Configuration, rhs: Configuration):
+    """First site of lhs where both sides are defined but disagree, each
+    site looked up in rhs's own site set."""
+    v1 = lhs.indices
+    v2 = np.append(rhs.indices, -1)[rhs.sites.indices_of(lhs.sites)]
+    bad = np.flatnonzero((v1 >= 0) & (v2 >= 0) & (v1 != v2))
+    if not len(bad):
+        return None
+    i = int(bad[0])
+    return {"site": str(lhs.sites[i]), "lhs": int(v1[i]), "rhs": int(v2[i])}
+
+
+def check_equivariance_direct(fmap, r, trials, seed, *, g_radius=2):
+    """The equivariance check one trial at a time: draw g and x, apply the
+    map to g.x and to x, and compare g.(map x) with map(g.x)."""
+    rng = np.random.default_rng(seed)
+    sites = ball(r)
+    g_pool = ball(g_radius).words
+    alpha = fmap.input_alphabet
+    failures = 0
+    first = None
+    for t in range(trials):
+        g = g_pool[int(rng.integers(len(g_pool)))]
+        x = Configuration(alpha, sites, rng.integers(0, alpha.size, len(sites)))
+        mismatch = config_mismatch(fmap.apply(translate(g, x)), translate(g, fmap.apply(x)))
+        if mismatch is not None:
+            failures += 1
+            if first is None:
+                first = {"trial": t, "g": str(g), **mismatch, "x": x.to_json()}
+    return PropertyReport(f"equivariance[{fmap.name}]", trials, failures, first, seed)
+
+
+def check_cocycle_direct(trials, seed, max_len=6):
+    """The cocycle check one trial at a time in Word arithmetic."""
+    rng = np.random.default_rng(seed)
+    failures = 0
+    first = None
+    for t in range(trials):
+        g1 = random_word_direct(rng, max_len)
+        g2 = random_word_direct(rng, max_len)
+        c = coset_of(random_word_direct(rng, max_len))
+        lhs = cocycle(mul(g1, g2), c)
+        rhs = cocycle(g1, c) + cocycle(g2, coset_of(mul(inv(g1), c)))
+        if lhs != rhs:
+            failures += 1
+            if first is None:
+                first = {"trial": t, "g1": str(g1), "g2": str(g2), "coset": str(c), "lhs": lhs, "rhs": rhs}
+    return PropertyReport("cocycle_identity", trials, failures, first, seed)
 
 
 def three_symbol_entropy(p):

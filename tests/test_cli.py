@@ -122,6 +122,23 @@ def test_star_p_outside_its_domain_is_usage_error(capsys, argv):
     assert data["error"]["code"] == "ValueError" and "1/2" in data["error"]["message"]
 
 
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (("verify", "cocycle", "--trials", "-3"), "ValueError"),
+        (("verify", "cocycle", "--trials", "0"), "ValueError"),
+        (("verify", "equivariance", "--map", "ow", "--trials", "0"), "ValueError"),
+        (("verify", "jroundtrip", "-r", "2", "--trials", "0"), "ValueError"),
+        (("verify", "equivariance", "--map", "timar:3", "-r", "2", "--trials", "50"), "InsufficientRadius"),
+        (("verify", "equivariance", "--map", "ow", "-r", "0", "--trials", "50"), "InsufficientRadius"),
+    ],
+)
+def test_property_runs_that_could_not_fail_are_usage_errors(capsys, argv, error):
+    code, data = run_cli(capsys, *argv)
+    assert code == 2
+    assert data["error"]["code"] == error
+
+
 class _NoBatchMap(FactorMap):
     """A bounded map with no batch evaluation."""
 

@@ -15,7 +15,6 @@ from bernshift import (
     coinduced_act,
     coset_of,
     from_coset_config,
-    full_group_act,
     inv,
     mul,
     sample,
@@ -33,6 +32,7 @@ from oracles import (
     coinduced_act_direct,
     coinduced_lift_direct,
     coset_configs_agree_direct,
+    full_group_act,
     merge_direct,
     split_direct,
 )

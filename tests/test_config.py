@@ -14,8 +14,6 @@ from bernshift import (
     alphabet_by_name,
     ball,
     bit_alphabet,
-    config_from_index,
-    enumerate_configurations,
     mul,
     plain_alphabet,
     point_mass,
@@ -31,7 +29,7 @@ from bernshift import (
 from bernshift.config import SAMPLE_BLOCK_BYTES, enumeration_size, index_matrix, sample_matrix
 from bernshift.freegroup import random_word
 
-from oracles import translate_direct
+from oracles import config_from_index, enumerate_configurations, translate_direct
 
 U2 = bit_alphabet(1)
 

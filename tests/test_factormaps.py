@@ -12,7 +12,6 @@ from bernshift import (
     Word,
     ball,
     bit_alphabet,
-    compose,
     first_factor_projection,
     identity_map,
     mul,
@@ -27,14 +26,12 @@ from bernshift import (
     star_base,
     swap_bits,
     timar,
-    timar_bits,
     timar_stage,
     uniform,
 )
-from bernshift.config import enumerate_configurations
 from bernshift.factormaps import _stage_windows
 
-from oracles import compose_stagewise, ow_direct, star_direct
+from oracles import compose, compose_stagewise, enumerate_configurations, ow_direct, star_direct, timar_bits
 
 U2 = bit_alphabet(1)
 STAR1 = star_alphabet(1)

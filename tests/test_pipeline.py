@@ -30,7 +30,8 @@ from bernshift import (
     validate_plan,
     z_relabel,
 )
-from bernshift.config import enumerate_configurations
+
+from oracles import enumerate_configurations
 
 U2 = bit_alphabet(1)
 

@@ -6,7 +6,7 @@ int codes)."""
 import numpy as np
 import pytest
 
-from bernshift import CosetConfiguration, SiteSet, Word, ball, from_coset_config, gen_power, mul, ow, random_word
+from bernshift import CosetConfiguration, SiteSet, Word, ball, from_coset_config, gen_power, inv, mul, ow, random_word
 from bernshift import star, timar
 from bernshift.freegroup import (
     GEN_A,
@@ -15,6 +15,9 @@ from bernshift.freegroup import (
     GEN_B_INV,
     MAX_INT64_LETTERS,
     code_lengths,
+    encode,
+    inv_codes,
+    mul_codes,
     translated_sites,
 )
 
@@ -23,6 +26,7 @@ from oracles import (
     coset_table_direct,
     dependency_direct,
     neighbor_indices_direct,
+    random_word_direct,
     ray_indices_direct,
     shortlex_sorted,
     star_dependency_direct,
@@ -200,3 +204,56 @@ def test_times_matches_the_word_definition():
     offsets = [Word.parse("e"), Word.parse("ab"), Word.parse("B")]
     assert list(b.times(offsets)) == shortlex_sorted(mul(g, w) for g in b for w in offsets)
     assert len(b.times([])) == 0
+
+
+def _seam_pairs(rng, length, n):
+    """Pairs (u, v) of words up to ``length`` letters, a third with v
+    starting on u^-1 so that the seam cancels, some of it all the way."""
+    pairs = []
+    for i in range(n):
+        u, v = random_word(rng, length), random_word(rng, length)
+        if i % 3 == 0:
+            v = mul(inv(u), v)
+        elif i % 3 == 1:
+            v = mul(inv(Word(u.letters[len(u) // 2 :])), v)
+        pairs.append((u, v))
+    return pairs
+
+
+@pytest.mark.parametrize("length", [0, 1, 2, 6, 15, 16, 20, 31, 40])
+def test_code_products_and_inverses_match_word_arithmetic(length):
+    rng = np.random.default_rng(length)
+    pairs = _seam_pairs(rng, length, 150)
+    us, vs = encode(u for u, _ in pairs), encode(v for _, v in pairs)
+    products = mul_codes(us, vs)
+    expected = encode(mul(u, v) for u, v in pairs)
+    assert products.tolist() == expected.tolist()
+    # int64 while the longest factors together fit it, as for every code array
+    assert products.dtype == (np.int64 if _longest_letters(pairs) <= MAX_INT64_LETTERS else object)
+    inverses = inv_codes(us)
+    assert inverses.tolist() == encode(inv(u) for u, _ in pairs).tolist()
+    assert inverses.dtype == us.dtype
+    # a one-element side broadcasts against the other
+    g = pairs[0][0]
+    assert mul_codes(encode([g]), vs).tolist() == [mul(g, v).code for _, v in pairs]
+    assert mul_codes(us, encode([g])).tolist() == [mul(u, g).code for u, _ in pairs]
+
+
+def _longest_letters(pairs):
+    return max(len(u) for u, _ in pairs) + max(len(v) for _, v in pairs)
+
+
+def test_code_products_of_empty_arrays_are_empty():
+    empty = encode([])
+    assert mul_codes(empty, empty).tolist() == [] and inv_codes(empty).tolist() == []
+    assert mul_codes(encode([Word.parse("ab")]), empty).tolist() == []
+
+
+@pytest.mark.parametrize("max_len", [0, 1, 2, 6, 40])
+def test_random_words_match_the_per_letter_draws(max_len):
+    # one draw for all letters leaves the generator where one draw per
+    # letter does: the next uniform after the words agrees too
+    for seed in range(40):
+        fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert [random_word(fast, max_len) for _ in range(50)] == [random_word_direct(slow, max_len) for _ in range(50)]
+        assert fast.random() == slow.random()

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from bernshift import (
     EnumerationTooLarge,
     FactorMap,
     IDENTITY,
+    InsufficientRadius,
+    NotInSubgroup,
     WindowTooSmall,
     ZBlockMap,
     ball,
@@ -22,8 +25,10 @@ from bernshift import (
     coset_of,
     exact_coset_pushforward,
     exact_pushforward,
+    config,
     gen_power,
     identity_map,
+    inv,
     mc_pushforward,
     mul,
     ow,
@@ -34,10 +39,16 @@ from bernshift import (
     uniform,
     verify,
 )
-from bernshift.config import enumerate_configurations
 from bernshift.freegroup import GEN_A, random_word
 
-from oracles import ow_direct
+from oracles import (
+    check_cocycle_direct,
+    check_equivariance_direct,
+    config_mismatch,
+    enumerate_configurations,
+    ow_direct,
+    random_word_direct,
+)
 
 U2 = bit_alphabet(1)
 
@@ -219,6 +230,12 @@ class _BrokenMap:
         ]
         return Configuration(U2, x.sites, values)
 
+    def apply_batch(self, values, sites, out_sites):
+        odd = np.array([len(w) % 2 == 1 for w in out_sites], dtype=bool)
+        src = sites.indices_of(out_sites)
+        v = np.where(src >= 0, values[:, np.maximum(src, 0)], -1)
+        return np.where(odd & (v >= 0), 1 - v, v)
+
 
 def test_equivariance_catches_corrupted_rule():
     rep = check_equivariance(_BrokenMap(), 2, 100, 14)
@@ -233,8 +250,8 @@ def test_config_mismatch_looks_each_site_up_in_the_other_set():
     lhs = Configuration(U2, ball(1), [0, 1, None, 1, 0])  # e a A b B
     rhs_sites = SiteSet(w for w in ball(2) if str(w) != "a")  # e A b B aa ...
     rhs = Configuration(U2, rhs_sites, [1 if str(w) == "B" else 0 for w in rhs_sites])
-    assert verify._config_mismatch(lhs, rhs) == {"site": "b", "lhs": 1, "rhs": 0}
-    assert verify._config_mismatch(lhs, lhs) is None
+    assert config_mismatch(lhs, rhs) == {"site": "b", "lhs": 1, "rhs": 0}
+    assert config_mismatch(lhs, lhs) is None
 
 
 def test_cocycle_check():
@@ -251,7 +268,7 @@ def test_cocycle_power_reduction():
         g1 = gen_power(IDENTITY, GEN_A, k)
         g2 = random_word(rng, 5)
         lhs = cocycle(mul(g1, g2), IDENTITY)
-        rhs = k + cocycle(g2, coset_of(mul(g1.inverse(), IDENTITY)))
+        rhs = k + cocycle(g2, coset_of(mul(inv(g1), IDENTITY)))
         assert lhs == rhs
 
 
@@ -290,6 +307,143 @@ def test_property_checks_are_seed_reproducible():
     j1 = check_coset_roundtrip(2, 30, 21).to_json()
     j2 = check_coset_roundtrip(2, 30, 21).to_json()
     assert j1 == j2
+
+
+# -------------------------------------- batched checks vs trial-by-trial
+
+
+BENCH_MAPS = (("ow", 3), ("timar:3", 5), ("star:0.25", 3), ("coinduced:identity", 3), ("coinduced:swap", 3))
+
+
+@pytest.mark.parametrize("spec, r", BENCH_MAPS)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_batched_equivariance_matches_the_trial_by_trial_oracle(spec, r, seed):
+    fmap = parse_map_spec(spec)
+    rep = check_equivariance(fmap, r, 60, seed)
+    assert rep.to_json() == check_equivariance_direct(fmap, r, 60, seed).to_json()
+    assert rep.verdict == "pass"
+
+
+def _drawn_g(seed, r, trials):
+    """The g of every trial, replaying the check's draws."""
+    rng = np.random.default_rng(seed)
+    pool, n = ball(2).words, len(ball(r))
+    drawn = []
+    for _ in range(trials):
+        drawn.append(pool[int(rng.integers(len(pool)))])
+        rng.integers(0, 2, n)
+    return drawn
+
+
+@pytest.mark.parametrize("seed", [3, 14, 77])
+def test_batched_equivariance_fails_like_the_oracle_across_g_groups(seed):
+    # translating by g flips the parity of every word length iff |g| is
+    # odd, so the broken map fails exactly the trials with an odd g
+    rep = check_equivariance(_BrokenMap(), 2, 100, seed)
+    assert rep.to_json() == check_equivariance_direct(_BrokenMap(), 2, 100, seed).to_json()
+    odd = [str(g) for g in _drawn_g(seed, 2, 100) if len(g) % 2]
+    assert rep.failures == len(odd) and len(set(odd)) >= 2
+    assert rep.first_counterexample["g"] == odd[0]
+
+
+class _CountingBrokenMap(_BrokenMap):
+    def __init__(self):
+        self.calls = 0
+
+    def apply_batch(self, values, sites, out_sites):
+        self.calls += 1
+        return super().apply_batch(values, sites, out_sites)
+
+
+def test_one_trial_per_block_gives_the_same_reports(monkeypatch):
+    whole = {
+        "broken": check_equivariance(_BrokenMap(), 2, 40, 3).to_json(),
+        "star": check_equivariance(star(0.25), 3, 30, 5).to_json(),
+        "cocycle": check_cocycle(200, 6).to_json(),
+    }
+    # seed 3's first odd g is drawn by trial 3, so its counterexample is
+    # found in a later block than the first
+    assert whole["broken"]["first_counterexample"]["trial"] > 0
+    monkeypatch.setattr(config, "SAMPLE_BLOCK_BYTES", 1)
+    counting = _CountingBrokenMap()
+    assert check_equivariance(counting, 2, 40, 3).to_json() == whole["broken"]
+    assert counting.calls == 2 * 40  # each block maps its one x and its one g.x
+    assert check_equivariance(star(0.25), 3, 30, 5).to_json() == whole["star"]
+    assert check_cocycle(200, 6).to_json() == whole["cocycle"]
+
+
+@pytest.mark.parametrize("seed", [0, 15, 19])
+@pytest.mark.parametrize("max_len", [0, 1, 6])
+def test_batched_cocycle_matches_the_word_oracle(seed, max_len):
+    rep = check_cocycle(300, seed, max_len)
+    assert rep.to_json() == check_cocycle_direct(300, seed, max_len).to_json()
+    assert rep.verdict == "pass"
+
+
+def test_long_cocycle_words_run_on_object_arrays(monkeypatch):
+    # products of two 20-letter words pass the 31 letters an int64 code holds
+    dtypes = []
+    real = verify.mul_codes
+    monkeypatch.setattr(verify, "mul_codes", lambda x, y: dtypes.append(real(x, y).dtype) or real(x, y))
+    rep = check_cocycle(200, 8, max_len=20)
+    assert rep.to_json() == check_cocycle_direct(200, 8, max_len=20).to_json()
+    assert object in dtypes and rep.failures == 0
+
+
+def test_a_cocycle_off_by_one_fails_every_trial(monkeypatch):
+    real = verify.strip_a_codes
+    monkeypatch.setattr(verify, "strip_a_codes", lambda codes: (real(codes)[0], real(codes)[1] + 1))
+    rep = check_cocycle(50, 12)
+    assert rep.failures == 50
+    rng = np.random.default_rng(12)
+    g1, g2, c = (random_word_direct(rng, 6) for _ in range(3))
+    expected = {"g1": str(g1), "g2": str(g2), "coset": str(coset_of(c))}
+    assert {k: rep.first_counterexample[k] for k in expected} == expected
+    ce = rep.first_counterexample
+    assert ce["trial"] == 0 and ce["lhs"] + 1 == ce["rhs"]
+
+
+def test_a_cocycle_outside_the_subgroup_is_refused_at_the_first_bad_pair(monkeypatch):
+    # the fault: every inverse comes out as the word itself, so g *
+    # rep(g c) is not of the form c * a**e; the first pair, in trial order
+    # and then lhs, rhs terms, is found with Words and the same fault
+    monkeypatch.setattr(verify, "inv_codes", lambda codes: codes)
+    rng = np.random.default_rng(21)
+    expected = None
+    for _ in range(100):
+        g1, g2, c = (random_word_direct(rng, 6) for _ in range(3))
+        c = coset_of(c)
+        for g, coset in ((mul(g1, g2), c), (g1, c), (g2, coset_of(mul(g1, c)))):
+            moved = mul(g, coset_of(mul(g, coset)))
+            if expected is None and coset_of(moved) != coset:
+                expected = f"cocycle({g}, {coset}) reduced to {mul(coset, moved)}, not an a-power"
+    assert expected is not None
+    with pytest.raises(NotInSubgroup, match=re.escape(expected)):
+        check_cocycle(100, 21)
+
+
+# ---------------------------------------------- runs that could not fail
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_property_checks_refuse_runs_without_trials(trials):
+    with pytest.raises(ValueError, match="at least one trial"):
+        check_cocycle(trials, 1)
+    with pytest.raises(ValueError, match="at least one trial"):
+        check_equivariance(ow(), 3, trials, 1)
+    with pytest.raises(ValueError, match="at least one trial"):
+        check_coset_roundtrip(3, trials, 1)
+
+
+@pytest.mark.parametrize("spec, r", [("timar:3", 2), ("ow", 0)])
+def test_equivariance_that_compares_no_site_is_refused(spec, r):
+    with pytest.raises(InsufficientRadius, match="no site on both sides"):
+        check_equivariance(parse_map_spec(spec), r, 50, 1)
+
+
+def test_equivariance_refuses_a_map_without_batch_evaluation():
+    with pytest.raises(NotImplementedError, match="no batch evaluation"):
+        check_equivariance(_NoBatchMap(), 2, 10, 1)
 
 
 # ------------------------------------------- faults in the coinduced path
