@@ -16,10 +16,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import Alphabet, Configuration, alphabet_by_name
+from .config import Alphabet, Configuration, alphabet_by_name, json_boundary, json_indices
 from .factormaps import BlockMap
 from .freegroup import GEN_A, GEN_A_INV, IDENTITY, SiteSet, Word, a_power_decomposition, decode, encode
-from .freegroup import gen_power, inv, mul, mul_codes, right_mul_codes, strip_a_codes
+from .freegroup import gen_power, inv_codes, mul_codes, right_mul_codes, strip_a_codes
 
 
 class NotInSubgroup(ValueError):
@@ -32,23 +32,29 @@ def coset_of(g: Word) -> Word:
     return a_power_decomposition(g)[0]
 
 
-def cocycle(g: Word, c: Word) -> int:
-    """The transfer cocycle rep(c)^-1 * g * rep(g^-1 c) as an a-exponent.
+def cocycles(g: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The transfer cocycle rep(c)^-1 * g * rep(g^-1 c) = a**e, elementwise
+    over codes g and canonical representatives c (broadcast against each
+    other): the codes of rep(g^-1 c), and e.
 
-    The product always lies in <a>; if it does not reduce to a pure
-    a-power the coset arithmetic is broken and we refuse to continue.
+    The product always lies in <a>: g * rep(g^-1 c) must strip to exactly
+    c * a**e, or the coset arithmetic is broken and we refuse to continue.
     """
-    c = coset_of(c)
-    rep2 = coset_of(mul(inv(g), c))
-    prod = mul(mul(inv(c), g), rep2)
-    letters = prod.letters
-    if not letters:
-        return 0
-    if all(s == 0 for s in letters):
-        return len(letters)
-    if all(s == 1 for s in letters):
-        return -len(letters)
-    raise NotInSubgroup(f"cocycle({g}, {c}) reduced to {prod}, not an a-power")
+    src = strip_a_codes(mul_codes(inv_codes(g), c))[0]
+    moved = mul_codes(g, src)
+    rep, e = strip_a_codes(moved)
+    bad = np.flatnonzero(rep != c)[:1]
+    if len(bad):
+        g, c = (np.broadcast_to(side, moved.shape)[bad] for side in (g, c))
+        gw, cw = decode(np.concatenate([g, c]))
+        prod = decode(mul_codes(inv_codes(c), moved[bad]))[0]
+        raise NotInSubgroup(f"cocycle({gw}, {cw}) reduced to {prod}, not an a-power")
+    return src, e
+
+
+def cocycle(g: Word, c: Word) -> int:
+    """The transfer cocycle at one g and the coset of c, as an a-exponent."""
+    return int(cocycles(encode([g]), encode([coset_of(c)]))[1][0])
 
 
 class CosetConfiguration:
@@ -132,11 +138,13 @@ class CosetConfiguration:
         }
 
     @classmethod
+    @json_boundary
     def from_json(cls, data: dict, alphabet: Alphabet | None = None) -> "CosetConfiguration":
         alpha = alphabet if alphabet is not None else alphabet_by_name(data["alphabet"])
         cosets = tuple(Word.parse(s) for s in data["cosets"])
-        values = tuple(tuple(row) for row in data["values"])
-        return cls(alpha, cosets, data["window"], values)
+        window = data["window"]
+        values = tuple(tuple(json_indices(row, 2 * window + 1)) for row in data["values"])
+        return cls(alpha, cosets, window, values)
 
 
 @functools.lru_cache(maxsize=512)
@@ -147,10 +155,10 @@ def _act_gather(coset_sites: SiteSet, window: int, g: Word) -> tuple[np.ndarray,
     (c, j) reads slot (g^-1 c, j + m), unless that coset is not stored or
     j + m is off the window.  Cached like ``translated_sites``.
     """
-    src, shift = strip_a_codes(mul_codes(encode([inv(g)]), coset_sites.codes))
+    src, e = cocycles(encode([g]), coset_sites.codes)
     rows = coset_sites._find(src)
     width = 2 * window + 1
-    cols = np.arange(width) + shift[:, None]
+    cols = np.arange(width) - e[:, None]
     inside = (rows >= 0)[:, None] & (cols >= 0) & (cols < width)
     gather = (np.maximum(rows, 0)[:, None], np.clip(cols, 0, width - 1), inside)
     for arr in gather:

@@ -8,6 +8,7 @@ effects are data, not errors).  Everything here is an immutable value.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -15,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .freegroup import SiteSet, Word, translated_sites
+from .freegroup import SiteSet, Word, encode, translated_sites
 
 DEFAULT_ENUMERATION_CAP = 2**24
 # Bytes of float64 uniforms ``sample_matrix`` draws at a time.
@@ -192,6 +193,31 @@ def product_distribution(d1: Distribution, d2: Distribution) -> Distribution:
     return Distribution(alpha, weights)
 
 
+def json_boundary(parse):
+    """Refuse wrong-typed JSON with a ValueError: a field of the wrong type,
+    or an integer past int64, fails ``parse`` with one of the errors below."""
+
+    @functools.wraps(parse)
+    def wrapper(*args, **kwargs):
+        try:
+            return parse(*args, **kwargs)
+        except (TypeError, AttributeError, OverflowError) as exc:
+            raise ValueError(f"malformed JSON input: {exc}") from exc
+
+    return wrapper
+
+
+def json_indices(values, count: int) -> list:
+    """A JSON list of ``count`` symbol indices, each an int or null; a
+    float or a bool is no symbol index."""
+    if not isinstance(values, list) or len(values) != count:
+        raise ValueError(f"need a list of {count} values")
+    bad = [v for v in values if v is not None and type(v) is not int]
+    if bad:
+        raise ValueError(f"value {bad[0]!r} is neither a symbol index nor null")
+    return values
+
+
 class Configuration:
     """A partial symbol assignment on a site set.
 
@@ -280,16 +306,15 @@ class Configuration:
         return out
 
     @classmethod
+    @json_boundary
     def from_json(cls, data: dict, alphabet: Alphabet | None = None) -> "Configuration":
         alpha = alphabet if alphabet is not None else alphabet_by_name(data["alphabet"])
         words = [Word.parse(s) for s in data["sites"]]
         sites = SiteSet(words)
         if len(sites) != len(words):
             raise ValueError("duplicate sites in configuration dump")
-        values: list[int | None] = [None] * len(sites)
-        for w, v in zip(words, data["values"]):
-            values[sites.position(w)] = v  # type: ignore[index]
-        return cls(alpha, sites, values)
+        values = json_indices(data["values"], len(words))
+        return cls(alpha, sites, [values[i] for i in np.argsort(encode(words))])
 
 
 def translate(g: Word, x: Configuration) -> Configuration:

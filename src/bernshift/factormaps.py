@@ -180,13 +180,10 @@ def ow() -> BlockMap:
 
     Output at g is the pair (x(g)+x(ga), x(g)+x(gb)) over Z/2 x Z/2; a
     pointwise GF(2) homomorphism that pushes the fair coin law onto the
-    uniform four-symbol law.
+    uniform four-symbol law.  Its table is bit-plane expansion stage 0.
     """
-    v = np.arange(2)
-    c1 = v[:, None, None] ^ v[None, :, None]
-    c2 = v[:, None, None] ^ v[None, None, :]
-    table = c1 + 2 * c2
-    return BlockMap("ow", bit_alphabet(1), bit_alphabet(2), (IDENTITY, _A_WORD, _B_WORD), table)
+    stage = timar_stage(0)
+    return BlockMap("ow", stage.input_alphabet, stage.output_alphabet, stage.offsets, stage.table)
 
 
 MAX_TIMAR_PLANES = 6

@@ -529,14 +529,15 @@ def random_reduced(rng: np.random.Generator, max_len: int) -> tuple[tuple[int, .
     """The letters and the code of a random reduced word of length uniform
     in [0, max_len].
 
-    After the length, one draw picks every letter: the first among the
-    four, each later one among the three that do not cancel the letter
+    After the length, one scalar draw picks each letter: the first among
+    the four, each later one among the three that do not cancel the letter
     before it, in letter order.
     """
     n = int(rng.integers(0, max_len + 1))
     letters: list[int] = []
     code, banned = 0, 4  # banned: the inverse of the letter before; none before the first
-    for i in rng.integers(0, [4] + [3] * (n - 1)).tolist() if n else ():
+    for k in range(n):
+        i = int(rng.integers(0, 3 if k else 4))
         letters.append(i + (i >= banned))
         code, banned = 4 * code + letters[-1] + 1, letters[-1] ^ 1
     return tuple(letters), code

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .coinduce import a_exponents
-from .config import Configuration, Distribution, star_base
+from .config import Configuration, Distribution, json_boundary, star_base
 from .entropy import LOG2, run_recursion, shannon
 from .factormaps import BlockMap, FactorMap, InsufficientRadius, parse_map_spec, star
 
@@ -60,6 +60,7 @@ class PlanStage:
         return out
 
     @classmethod
+    @json_boundary
     def from_json(cls, data: dict) -> "PlanStage":
         params = {
             k: v
@@ -116,6 +117,7 @@ class ChainPlan:
         }
 
     @classmethod
+    @json_boundary
     def from_json(cls, data: dict) -> "ChainPlan":
         return cls(
             H0=data["H0"],

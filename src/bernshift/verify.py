@@ -11,6 +11,7 @@ chunked runs merge associatively so thread count never changes a tally.
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -18,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .coinduce import NotInSubgroup, coinduced_act, coset_configs_agree, from_coset_config, to_coset_config
+from .coinduce import cocycles, coinduced_act, coset_configs_agree, from_coset_config, to_coset_config
 from .config import (
     DEFAULT_ENUMERATION_CAP,
     Configuration,
@@ -124,6 +125,11 @@ def _run_chunks(worker: Callable, chunks: Sequence, threads: int) -> list:
         return list(pool.map(worker, chunks))
 
 
+def _chunks(total: int, size: int = CHUNK_SIZE) -> list[tuple[int, int]]:
+    """Rows (or trials) lo..hi-1 of ``total``, ``size`` at a time."""
+    return [(lo, min(lo + size, total)) for lo in range(0, total, size)]
+
+
 def _require_batch(fmap: FactorMap) -> None:
     """Refuse a map without batch evaluation before any input matrix exists."""
     if getattr(type(fmap), "apply_batch", FactorMap.apply_batch) is FactorMap.apply_batch:
@@ -136,14 +142,7 @@ def _require_trials(trials: int) -> None:
         raise ValueError(f"need at least one trial, got {trials}")
 
 
-def _trial_blocks(trials: int, row_bytes: int) -> list[tuple[int, int]]:
-    """Trials lo..hi-1 in blocks of ``row_bytes`` per trial within the
-    ``SAMPLE_BLOCK_BYTES`` budget."""
-    rows = block_rows(row_bytes)
-    return [(lo, min(lo + rows, trials)) for lo in range(0, trials, rows)]
-
-
-def _pattern_counts(out: np.ndarray, out_size: int, n_patterns: int) -> tuple[np.ndarray, int]:
+def _pattern_counts(out: np.ndarray, out_size: int) -> tuple[np.ndarray, int]:
     """Tally output-window patterns; rows containing undefined entries are
     excluded and counted as truncated."""
     valid = (out >= 0).all(axis=1)
@@ -154,7 +153,46 @@ def _pattern_counts(out: np.ndarray, out_size: int, n_patterns: int) -> tuple[np
     for j in range(rows.shape[1]):
         pattern += rows[:, j] * base
         base *= out_size
-    return np.bincount(pattern, minlength=n_patterns), truncated
+    return np.bincount(pattern, minlength=out_size ** out.shape[1]), truncated
+
+
+def _tally(fmap: FactorMap, rows: Callable, sites_in, sites_out, chunks: Sequence, threads: int):
+    """Map the input rows ``rows(*chunk)`` of every chunk on ``sites_in`` and
+    tally the output patterns on ``sites_out``: the counts, and the number
+    of truncated rows."""
+    size_out = fmap.output_alphabet.size
+
+    def worker(chunk: tuple) -> tuple[np.ndarray, int]:
+        return _pattern_counts(fmap.apply_batch(rows(*chunk), sites_in, sites_out), size_out)
+
+    results = _run_chunks(worker, chunks, threads)
+    return np.asarray(sum(r[0] for r in results), dtype=np.int64), sum(r[1] for r in results)
+
+
+def _exact_report(names: tuple[str, str, str], input_sites, output_sites, total: int, counts: np.ndarray,
+                  truncated: int) -> PushforwardReport:
+    """The verdict of an exhaustive count: every output pattern must occur
+    exactly total / n_patterns times, and no input may be truncated.
+    ``names`` are the map's and its input and output alphabets'."""
+    n_patterns = len(counts)
+    divisible = total % n_patterns == 0
+    expected = total // n_patterns
+    max_dev = float(np.abs(counts - (expected if divisible else total / n_patterns)).max())
+    return PushforwardReport(
+        map_name=names[0],
+        mode="exact",
+        input_alphabet=names[1],
+        output_alphabet=names[2],
+        input_sites=tuple(input_sites),
+        output_sites=tuple(output_sites),
+        total=total,
+        n_patterns=n_patterns,
+        counts=tuple(int(c) for c in counts) if n_patterns <= 4096 else None,
+        max_deviation=max_dev,
+        truncation_count=truncated,
+        verdict="pass" if (divisible and max_dev == 0.0 and not truncated) else "fail",
+        expected_count=expected if divisible else None,
+    )
 
 
 def exact_pushforward(
@@ -177,46 +215,17 @@ def exact_pushforward(
         )
     sites_in = ball(r_in)
     sites_out = ball(r_out)
-    size_in = fmap.input_alphabet.size
-    size_out = fmap.output_alphabet.size
-    total = size_in ** len(sites_in)
-    n_patterns = size_out ** len(sites_out)
+    total = fmap.input_alphabet.size ** len(sites_in)
+    n_patterns = fmap.output_alphabet.size ** len(sites_out)
     if total > cap or n_patterns > cap:
         raise EnumerationTooLarge(f"{total} inputs / {n_patterns} patterns exceed cap {cap}")
 
-    def worker(rng: tuple[int, int]) -> tuple[np.ndarray, int]:
-        lo, hi = rng
-        values = index_matrix(size_in, len(sites_in), lo, hi)
-        out = fmap.apply_batch(values, sites_in, sites_out)
-        return _pattern_counts(out, size_out, n_patterns)
-
-    chunks = [(lo, min(lo + CHUNK_SIZE, total)) for lo in range(0, total, CHUNK_SIZE)]
-    results = _run_chunks(worker, chunks, threads)
-    counts = np.asarray(sum(r[0] for r in results), dtype=np.int64)
+    rows = functools.partial(index_matrix, fmap.input_alphabet.size, len(sites_in))
+    counts, truncated = _tally(fmap, rows, sites_in, sites_out, _chunks(total), threads)
     # a bounded map defines every output inside its window; any truncated
     # input is a fault of the map, and fails the check
-    truncated = sum(r[1] for r in results)
-    divisible = total % n_patterns == 0
-    expected = total // n_patterns
-    if divisible:
-        max_dev = float(np.abs(counts - expected).max())
-    else:
-        max_dev = float(np.abs(counts - total / n_patterns).max())
-    return PushforwardReport(
-        map_name=fmap.name,
-        mode="exact",
-        input_alphabet=fmap.input_alphabet.name,
-        output_alphabet=fmap.output_alphabet.name,
-        input_sites=tuple(str(w) for w in sites_in),
-        output_sites=tuple(str(w) for w in sites_out),
-        total=total,
-        n_patterns=n_patterns,
-        counts=tuple(int(c) for c in counts) if n_patterns <= 4096 else None,
-        max_deviation=max_dev,
-        truncation_count=truncated,
-        verdict="pass" if (divisible and max_dev == 0.0 and not truncated) else "fail",
-        expected_count=expected if divisible else None,
-    )
+    names = (fmap.name, fmap.input_alphabet.name, fmap.output_alphabet.name)
+    return _exact_report(names, map(str, sites_in), map(str, sites_out), total, counts, truncated)
 
 
 def _target_pattern_probs(target: Distribution, n_out: int) -> np.ndarray:
@@ -251,17 +260,19 @@ def mc_pushforward(
     threshold is the 4 * sqrt(n_patterns / N) rule; it is echoed in the
     report either way.  Verdicts are withheld below ``min_samples`` valid
     samples, and when the threshold is 1 or more: total variation never
-    exceeds 1, so such a test could not fail.
+    exceeds 1, so such a test could not fail.  A threshold that is not
+    positive and finite is refused.
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
+    if threshold is not None and not 0 < threshold < math.inf:
+        raise ValueError(f"threshold must be positive and finite, got {threshold}")
     if input_dist.alphabet != fmap.input_alphabet:
         raise ValueError(f"{fmap.name} expects {fmap.input_alphabet.name} inputs")
     _require_batch(fmap)
     out_sites = ball(r_out)
     dep_sites = fmap.dependency_sites(out_sites, r_in)
-    size_out = fmap.output_alphabet.size
-    n_patterns = size_out ** len(out_sites)
+    n_patterns = fmap.output_alphabet.size ** len(out_sites)
     if n_patterns > cap:
         raise EnumerationTooLarge(f"{n_patterns} output patterns exceed cap {cap}")
     target = fmap.pushforward(input_dist)
@@ -269,26 +280,17 @@ def mc_pushforward(
     if threshold is None:
         threshold = 4.0 * math.sqrt(n_patterns / n_samples)
 
-    bounds = [(lo, min(lo + CHUNK_SIZE, n_samples)) for lo in range(0, n_samples, CHUNK_SIZE)]
+    bounds = _chunks(n_samples)
     seeds = np.random.SeedSequence(seed).spawn(len(bounds))
 
-    def worker(item) -> tuple[np.ndarray, int]:
-        (lo, hi), chunk_seed = item
-        rng = np.random.default_rng(chunk_seed)
-        values = sample_matrix(input_dist, len(dep_sites), hi - lo, rng)
-        out = fmap.apply_batch(values, dep_sites, out_sites)
-        return _pattern_counts(out, size_out, n_patterns)
+    def rows(lo: int, hi: int, chunk_seed) -> np.ndarray:
+        return sample_matrix(input_dist, len(dep_sites), hi - lo, np.random.default_rng(chunk_seed))
 
-    results = _run_chunks(worker, list(zip(bounds, seeds)), threads)
-    counts = sum(r[0] for r in results)
-    truncated = sum(r[1] for r in results)
-    counts = np.asarray(counts, dtype=np.int64)
+    chunks = [(lo, hi, chunk_seed) for (lo, hi), chunk_seed in zip(bounds, seeds)]
+    counts, truncated = _tally(fmap, rows, dep_sites, out_sites, chunks, threads)
     n_valid = int(counts.sum())
-    if n_valid > 0:
-        emp = counts / n_valid
-        tv = 0.5 * float(np.abs(emp - target_probs).sum())
-    else:
-        tv = 1.0
+    deviation = np.abs(counts / max(n_valid, 1) - target_probs)
+    tv = 0.5 * float(deviation.sum()) if n_valid else 1.0
     if n_valid < min_samples or threshold >= 1:
         verdict = "withheld"
     else:
@@ -303,7 +305,7 @@ def mc_pushforward(
         total=n_samples,
         n_patterns=n_patterns,
         counts=tuple(int(c) for c in counts) if n_patterns <= 4096 else None,
-        max_deviation=float(np.abs(counts / max(n_valid, 1) - target_probs).max()),
+        max_deviation=float(deviation.max()),
         truncation_count=int(truncated),
         verdict=verdict,
         valid_samples=n_valid,
@@ -331,7 +333,7 @@ def check_equivariance(fmap, r: int, trials: int, seed: int, *, g_radius: int = 
     alpha = fmap.input_alphabet
     failures = compared = 0
     first = None
-    for lo, hi in _trial_blocks(trials, 8 * len(sites)):
+    for lo, hi in _chunks(trials, block_rows(8 * len(sites))):
         draws = [(rng.integers(len(g_pool)), rng.integers(0, alpha.size, len(sites))) for _ in range(lo, hi)]
         picks, xs = np.array([pick for pick, _ in draws]), np.stack([x for _, x in draws])
         images = fmap.apply_batch(xs, sites, sites)
@@ -359,20 +361,6 @@ def check_equivariance(fmap, r: int, trials: int, seed: int, *, g_radius: int = 
     return PropertyReport(f"equivariance[{fmap.name}]", trials, failures, first, seed)
 
 
-def _cocycles(g: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """The cocycle a-exponents e for codes g and canonical representatives c:
-    g * rep(g^-1 c) must strip to exactly c * a**e, or the coset arithmetic
-    is broken and we refuse to continue."""
-    moved = mul_codes(g, strip_a_codes(mul_codes(inv_codes(g), c))[0])
-    rep, e = strip_a_codes(moved)
-    bad = np.flatnonzero(rep != c)[:1]
-    if len(bad):
-        gw, cw = decode(np.concatenate([g[bad], c[bad]]))
-        prod = decode(mul_codes(inv_codes(c[bad]), moved[bad]))[0]
-        raise NotInSubgroup(f"cocycle({gw}, {cw}) reduced to {prod}, not an a-power")
-    return e
-
-
 def check_cocycle(trials: int, seed: int, max_len: int = 6) -> PropertyReport:
     """The cocycle identity c(g1 g2, c) = c(g1, c) + c(g2, g1^-1 c) over
     random pairs and cosets, as exact integer equality of a-exponents.
@@ -381,7 +369,7 @@ def check_cocycle(trials: int, seed: int, max_len: int = 6) -> PropertyReport:
     rng = np.random.default_rng(seed)
     failures = 0
     first = None
-    for lo, hi in _trial_blocks(trials, 3 * 8):
+    for lo, hi in _chunks(trials, block_rows(3 * 8)):
         drawn = [random_reduced(rng, max_len)[1] for _ in range(3 * (hi - lo))]
         g1, g2, word = codes_array(drawn).reshape(-1, 3).T
         c = strip_a_codes(word)[0]
@@ -389,7 +377,7 @@ def check_cocycle(trials: int, seed: int, max_len: int = 6) -> PropertyReport:
         # a trial's three cocycles side by side, so the first to fail is the first checked
         pairs = zip((mul_codes(g1, g2), c), (g1, c), (g2, c2))
         g, cosets = (np.stack(side, axis=1).ravel() for side in pairs)
-        e = _cocycles(g, cosets).reshape(-1, 3)
+        e = cocycles(g, cosets)[1].reshape(-1, 3)
         lhs, rhs = e[:, 0], e[:, 1] + e[:, 2]
         bad = np.flatnonzero(lhs != rhs)
         failures += len(bad)
@@ -445,42 +433,20 @@ def exact_coset_pushforward(r: int = 2, *, threads: int = 1) -> PushforwardRepor
     marker = plain_alphabet(f"site_index_{n}", tuple(str(i) for i in range(n)))
     indexed = Configuration(marker, sites, np.arange(n))
     split = to_coset_config(indexed)
-    slots: list[tuple[str, int, int]] = []  # (coset, position, site index)
-    for c in split.cosets:
-        if len(c) > 1:
-            continue
-        for j in (-1, 0, 1):
-            v = split.value_at(c, j)
-            if v is not None:
-                slots.append((str(c), j, v))
-    site_idx = np.array([s[2] for s in slots], dtype=np.int64)
+    # (coset, position, site index) of the window's slots that hold a site
+    slots = [(c, j, split.value_at(c, j)) for c in split.cosets if len(c) <= 1 for j in (-1, 0, 1)]
+    slots = [slot for slot in slots if slot[2] is not None]
+    site_idx = np.array([v for _, _, v in slots], dtype=np.int64)
     n_patterns = 1 << len(slots)
     total = 1 << n
 
-    def worker(rng_pair: tuple[int, int]) -> np.ndarray:
-        lo, hi = rng_pair
-        idx = np.arange(lo, hi, dtype=np.int64)
-        pattern = np.zeros(hi - lo, dtype=np.int64)
+    def worker(chunk: tuple[int, int]) -> np.ndarray:
+        idx = np.arange(*chunk, dtype=np.int64)
+        pattern = np.zeros(len(idx), dtype=np.int64)
         for pos, si in enumerate(site_idx):
             pattern |= ((idx >> int(si)) & 1) << pos
         return np.bincount(pattern, minlength=n_patterns)
 
-    chunks = [(lo, min(lo + CHUNK_SIZE, total)) for lo in range(0, total, CHUNK_SIZE)]
-    counts = np.asarray(sum(_run_chunks(worker, chunks, threads)), dtype=np.int64)
-    expected = total // n_patterns
-    max_dev = float(np.abs(counts - expected).max())
-    return PushforwardReport(
-        map_name="coset_split",
-        mode="exact",
-        input_alphabet="U2",
-        output_alphabet="U2",
-        input_sites=tuple(str(w) for w in sites),
-        output_sites=tuple(f"{c}.a^{j}" for c, j, _ in slots),
-        total=total,
-        n_patterns=n_patterns,
-        counts=tuple(int(c) for c in counts) if n_patterns <= 4096 else None,
-        max_deviation=max_dev,
-        truncation_count=0,
-        verdict="pass" if max_dev == 0.0 else "fail",
-        expected_count=expected,
-    )
+    counts = np.asarray(sum(_run_chunks(worker, _chunks(total), threads)), dtype=np.int64)
+    output_sites = (f"{c}.a^{j}" for c, j, _ in slots)
+    return _exact_report(("coset_split", "U2", "U2"), map(str, sites), output_sites, total, counts, 0)

@@ -13,6 +13,16 @@ def run_cli(capsys, *argv):
     return code, json.loads(out)
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def run_cli_strict(capsys, *argv):
+    """Like run_cli, but stdout must be strict JSON: no NaN or Infinity."""
+    code = dispatch(list(argv))
+    return code, json.loads(capsys.readouterr().out, parse_constant=_refuse_constant)
+
+
 def test_verify_exact_passes(capsys):
     code, data = run_cli(capsys, "verify", "exact", "--map", "ow", "--rin", "1", "--rout", "0")
     assert code == 0
@@ -266,3 +276,39 @@ def test_byte_identical_reports_for_same_seed(capsys):
     dispatch(argv)
     second = capsys.readouterr().out
     assert first == second
+
+
+@pytest.mark.parametrize("threshold", ["nan", "inf", "-inf", "0", "-0.5"])
+def test_verify_mc_threshold_that_is_not_positive_and_finite_is_usage_error(capsys, threshold):
+    argv = ("verify", "mc", "--map", "ow", "--rin", "2", "--rout", "0", "-N", "5000", f"--threshold={threshold}")
+    code, data = run_cli_strict(capsys, *argv)
+    assert code == 2 and data["error"]["code"] == "ValueError" and "threshold" in data["error"]["message"]
+
+
+def test_verify_mc_threshold_of_one_or_more_withholds(capsys):
+    argv = ("verify", "mc", "--map", "ow", "--rin", "2", "--rout", "0", "-N", "5000", "--threshold", "1.5")
+    code, data = run_cli_strict(capsys, *argv)
+    assert code == 1 and data["verdict"] == "withheld" and data["threshold"] == 1.5
+
+
+_SITES_E_A = {"alphabet": "U2", "sites": ["e", "a"]}
+
+
+@pytest.mark.parametrize(
+    "argv, data",
+    [
+        (("map", "swap", "--input"), {**_SITES_E_A, "values": [0, 1, 1]}),
+        (("map", "swap", "--input"), {**_SITES_E_A, "values": [0]}),
+        (("map", "swap", "--input"), {**_SITES_E_A, "values": [1.5, 0]}),
+        (("map", "swap", "--input"), {**_SITES_E_A, "values": [True, 0]}),
+        (("coinduce", "J", "--input"), {**_SITES_E_A, "values": 5}),
+        (("coinduce", "act", "a", "--input"), {"alphabet": "U2", "cosets": ["e"], "window": "x", "values": [[0]]}),
+        (("pipeline", "run", "--radius", "2", "--plan"), {"H0": 0.5, "stages": 5, "entropy_ledger": [],
+                                                          "terminated": False}),
+    ],
+)
+def test_malformed_json_input_is_usage_error(capsys, tmp_path, argv, data):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    code, out = run_cli_strict(capsys, *argv, str(path))
+    assert code == 2 and out["error"]["code"] == "ValueError"

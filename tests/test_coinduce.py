@@ -23,11 +23,12 @@ from bernshift import (
     uniform,
     z_relabel,
 )
-from bernshift import ZBlockMap, coinduced_map, freegroup, verify
-from bernshift.coinduce import coset_configs_agree
-from bernshift.freegroup import random_word, translated_sites
+from bernshift import ZBlockMap, coinduce, coinduced_map, freegroup, verify
+from bernshift.coinduce import NotInSubgroup, cocycles, coset_configs_agree
+from bernshift.freegroup import encode, random_word, translated_sites
 
 from oracles import (
+    cocycle_direct,
     coinduce_factor_direct,
     coinduced_act_direct,
     coinduced_lift_direct,
@@ -86,6 +87,49 @@ def test_cocycle_identity_random():
         lhs = cocycle(mul(g1, g2), c)
         rhs = cocycle(g1, c) + cocycle(g2, coset_of(mul(inv(g1), c)))
         assert lhs == rhs
+
+
+def _check_cocycles(gs, cs):
+    src, e = cocycles(encode(gs), encode(cs))
+    assert e.tolist() == [cocycle_direct(g, c) for g, c in zip(gs, cs)]
+    assert src.tolist() == [coset_of(mul(inv(g), c)).code for g, c in zip(gs, cs)]
+    return src
+
+
+def test_cocycles_match_the_word_oracle_on_ball_3():
+    # every g in ball(3) against every canonical representative in ball(3)
+    reps = ball(3).coset_table().reps.words
+    gs = [g for g in ball(3) for _ in reps]
+    cs = list(reps) * len(ball(3))
+    _check_cocycles(gs, cs)
+    assert [cocycle(g, c) for g, c in zip(gs, cs)] == [cocycle_direct(g, c) for g, c in zip(gs, cs)]
+
+
+def test_cocycles_of_long_words_run_on_object_arrays():
+    # g^-1 c for 20-letter g and c passes the 31 letters an int64 code holds
+    rng = np.random.default_rng(23)
+    gs = [random_word(rng, 20) for _ in range(300)]
+    cs = [coset_of(random_word(rng, 20)) for _ in range(300)]
+    assert _check_cocycles(gs, cs).dtype == object
+
+
+def test_cocycles_broadcast_one_g_against_many_cosets():
+    g, reps = Word.parse("bAb"), ball(2).coset_table().reps
+    src, e = cocycles(encode([g]), reps.codes)
+    assert e.tolist() == [cocycle_direct(g, c) for c in reps]
+    assert src.tolist() == [coset_of(mul(inv(g), c)).code for c in reps]
+
+
+def test_the_coinduced_act_refuses_a_cocycle_outside_the_subgroup(monkeypatch):
+    # every inverse comes out as the word itself: b * rep(b * e) = bb is not e * a**n
+    y = to_coset_config(sample(uniform(U2), ball(2), 1))
+    coinduce._act_gather.cache_clear()
+    monkeypatch.setattr(coinduce, "inv_codes", lambda codes: codes)
+    try:
+        with pytest.raises(NotInSubgroup, match=r"cocycle\(b, e\) reduced to bb, not an a-power"):
+            coinduced_act(Word.parse("b"), y)
+    finally:
+        coinduce._act_gather.cache_clear()
 
 
 # --------------------------------------------------------- coinduced action
@@ -423,6 +467,17 @@ def test_coset_config_json_roundtrip():
     data = y.to_json()
     assert set(data) == {"alphabet", "cosets", "window", "values"}
     assert CosetConfiguration.from_json(data) == y
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("window", "x"), ("window", 1.5), ("values", 5), ("values", [5]), ("values", [[0, 1.0, 0]]),
+     ("values", [[0, True, 0]]), ("values", [[0, 1]]), ("cosets", [3]), ("alphabet", None)],
+)
+def test_coset_config_json_of_the_wrong_type_is_a_value_error(field, value):
+    data = {"alphabet": "U2", "cosets": ["e"], "window": 1, "values": [[0, 1, 0]], field: value}
+    with pytest.raises(ValueError):
+        CosetConfiguration.from_json(data)
 
 
 def test_coset_config_validation():

@@ -300,6 +300,28 @@ def test_config_json_roundtrip_and_packing():
     assert Configuration.from_json(data) == y
 
 
+def test_config_json_reads_sites_in_any_order():
+    x = Configuration.from_json({"alphabet": "U2", "sites": ["b", "e", "aa", "A"], "values": [1, 0, None, 1]})
+    assert [str(w) for w in x.sites] == ["e", "A", "b", "aa"] and x.values == (0, 1, 1, None)
+
+
+@pytest.mark.parametrize("values", [[0, 1, 1], [0], [], 5, None, [1.5, 0], [True, 0], [0, "1"], [10**30, 0]])
+def test_config_json_needs_one_int_or_null_per_site(values):
+    # too many or too few values used to be cut off or padded with null,
+    # 1.5 or true read as 1, and an index past int64 overflowed
+    with pytest.raises(ValueError):
+        Configuration.from_json({"alphabet": "U2", "sites": ["e", "a"], "values": values})
+
+
+@pytest.mark.parametrize("field, value", [("alphabet", 5), ("sites", 5), ("sites", [5]), ("values", {"e": 1})])
+def test_config_json_of_the_wrong_type_is_a_value_error(field, value):
+    data = {"alphabet": "U2", "sites": ["e", "a"], "values": [0, 1], field: value}
+    with pytest.raises(ValueError):
+        Configuration.from_json(data)
+    with pytest.raises(ValueError):
+        Configuration.from_json([data])
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         Configuration(U2, ball(1), [0, 1])

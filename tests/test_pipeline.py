@@ -94,6 +94,16 @@ def test_plan_json_roundtrip():
     assert plan.total_window_cost is None  # star stages are unbounded
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("stages", 5), ("stages", [5]), ("stages", [{"map": "star", "input_weights": 3}]), ("entropy_ledger", 2)],
+)
+def test_plan_json_of_the_wrong_type_is_a_value_error(field, value):
+    data = {**plan_boost_chain(star_base(0.25), max_steps=3).to_json(), field: value}
+    with pytest.raises(ValueError, match="malformed JSON"):
+        ChainPlan.from_json(data)
+
+
 # ---------------------------------------------------------------- execution
 
 

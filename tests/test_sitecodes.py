@@ -251,8 +251,8 @@ def test_code_products_of_empty_arrays_are_empty():
 
 @pytest.mark.parametrize("max_len", [0, 1, 2, 6, 40])
 def test_random_words_match_the_per_letter_draws(max_len):
-    # one draw for all letters leaves the generator where one draw per
-    # letter does: the next uniform after the words agrees too
+    # the words and the state they leave the generator in agree: the next
+    # uniform after the words agrees too
     for seed in range(40):
         fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
         assert [random_word(fast, max_len) for _ in range(50)] == [random_word_direct(slow, max_len) for _ in range(50)]

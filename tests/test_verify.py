@@ -1,4 +1,5 @@
 import json
+import math
 import re
 
 import numpy as np
@@ -391,8 +392,8 @@ def test_long_cocycle_words_run_on_object_arrays(monkeypatch):
 
 
 def test_a_cocycle_off_by_one_fails_every_trial(monkeypatch):
-    real = verify.strip_a_codes
-    monkeypatch.setattr(verify, "strip_a_codes", lambda codes: (real(codes)[0], real(codes)[1] + 1))
+    real = coinduce.strip_a_codes
+    monkeypatch.setattr(coinduce, "strip_a_codes", lambda codes: (real(codes)[0], real(codes)[1] + 1))
     rep = check_cocycle(50, 12)
     assert rep.failures == 50
     rng = np.random.default_rng(12)
@@ -407,7 +408,8 @@ def test_a_cocycle_outside_the_subgroup_is_refused_at_the_first_bad_pair(monkeyp
     # the fault: every inverse comes out as the word itself, so g *
     # rep(g c) is not of the form c * a**e; the first pair, in trial order
     # and then lhs, rhs terms, is found with Words and the same fault
-    monkeypatch.setattr(verify, "inv_codes", lambda codes: codes)
+    monkeypatch.setattr(coinduce, "inv_codes", lambda codes: codes)
+    monkeypatch.setattr(verify, "inv_codes", lambda codes: codes)  # check_cocycle strips c2 itself
     rng = np.random.default_rng(21)
     expected = None
     for _ in range(100):
@@ -423,6 +425,13 @@ def test_a_cocycle_outside_the_subgroup_is_refused_at_the_first_bad_pair(monkeyp
 
 
 # ---------------------------------------------- runs that could not fail
+
+
+@pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf, 0.0, -0.1])
+def test_mc_refuses_a_threshold_that_is_not_positive_and_finite(threshold):
+    # such a run reported "threshold": NaN or Infinity, which is no JSON
+    with pytest.raises(ValueError, match="positive and finite"):
+        mc_pushforward(ow(), uniform(U2), 2, 0, 5000, 1, threshold=threshold)
 
 
 @pytest.mark.parametrize("trials", [0, -3])
