@@ -3,16 +3,17 @@ tools, coinduction tools, chain planning and execution, and the full
 acceptance selftest.
 
 Reports go to standard output as JSON; diagnostics to standard error.
-Exit codes: 0 on success or a passing verdict, 1 on a failing verdict,
-2 on usage errors (which print a machine-readable error object).  All
-randomness derives from --seed, and output for a fixed (command, seed)
-pair is byte-identical across runs and thread counts.
+Exit codes: 0 on success or a passing verdict, 1 on a failing verdict or a
+closed standard output, 2 on usage errors (which print a machine-readable
+error object).  All randomness derives from --seed, and output for a fixed
+(command, seed) pair is byte-identical across runs and thread counts.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -46,7 +47,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _emit(obj: dict) -> None:
-    print(json.dumps(obj, indent=2))
+    try:
+        print(json.dumps(obj, indent=2), flush=True)
+    except BrokenPipeError:
+        # the reader has gone: devnull takes the rest, so the final flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
 
 
 def _read_json(path: str) -> dict:

@@ -19,7 +19,7 @@ import numpy as np
 from .config import Alphabet, Configuration, alphabet_by_name, json_boundary, json_indices
 from .factormaps import BlockMap
 from .freegroup import GEN_A, GEN_A_INV, IDENTITY, SiteSet, Word, a_power_decomposition, decode, encode
-from .freegroup import gen_power, inv_codes, mul_codes, right_mul_codes, strip_a_codes
+from .freegroup import _longest, gen_power, inv_codes, mul_codes, right_mul_codes, strip_a_codes
 
 
 class NotInSubgroup(ValueError):
@@ -228,8 +228,7 @@ def to_coset_config(x: Configuration, window: int | None = None) -> CosetConfigu
     sites farther than it along their coset are dropped.
     """
     table = x.sites.coset_table()
-    # shortlex order: the last site is a longest one
-    w = window if window is not None else (len(x.sites[-1]) if len(x.sites) else 0)
+    w = window if window is not None else _longest(x.sites.codes)
     if w < 0:
         raise ValueError(f"window must be nonnegative, got {w}")
     keep = np.abs(table.power) <= w

@@ -268,43 +268,34 @@ class StarMap(FactorMap):
         self.output_alphabet = star_alphabet(2)
         self.window_cost = None
 
-    def _scan(self, values: np.ndarray, ray_idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """First non-star bit along padded rays.
+    def _first_bits(self, values: np.ndarray, rays: np.ndarray) -> np.ndarray:
+        """The first non-star value along each ray, one ray step at a time.
 
-        values: (n, s) matrix; ray_idx: (m, L) site indices (-1 padding).
-        Returns (found (n, m) bool, bit (n, m)).
+        values: (n, s) matrix; rays: (m, L) site indices (-1 padding).
+        Returns an (n, m) int64 array, -1 where the ray leaves the site set,
+        meets an undefined site, or runs out while still seeing stars.
         """
-        if ray_idx.size == 0:
-            n, m = values.shape[0], ray_idx.shape[0]
-            return np.zeros((n, m), dtype=bool), np.zeros((n, m), dtype=np.int64)
         star = self.input_alphabet.star_index
-        # (n, m, L) ray values; -1 where the ray has left the site set or
-        # the configuration is undefined there.
-        ray_vals = values[:, np.clip(ray_idx, 0, None)]
-        ray_vals = np.where(ray_idx[None, :, :] >= 0, ray_vals, -1)
-        is_bit = (ray_vals == 0) | (ray_vals == 1)
-        is_stop = ray_vals < 0
-        event = is_bit | is_stop
-        # First event along each ray; rays that run out of entries while
-        # still seeing stars count as stopped (the next power is absent).
-        pos = np.argmax(event, axis=2)
-        any_event = event.any(axis=2)
-        take = np.take_along_axis(ray_vals, pos[:, :, None], axis=2)[:, :, 0]
-        hit = np.take_along_axis(is_bit, pos[:, :, None], axis=2)[:, :, 0]
-        found = any_event & hit
-        return found, np.clip(take, 0, None)
+        first = np.full((values.shape[0], rays.shape[0]), -1, dtype=np.int64)
+        open_rays = np.ones(first.shape, dtype=bool)
+        for col in rays.T:
+            step = _safe_gather(values, col)
+            np.copyto(first, step, where=open_rays & (step != star))
+            open_rays &= step == star
+            if not open_rays.any():
+                break
+        return first
 
     apply = FactorMap.apply
 
     def apply_batch(self, values, sites, out_sites):
         centers = _safe_gather(values, sites.indices_of(out_sites)).astype(np.int64)
-        found_a, bit_a = self._scan(values, sites.ray_indices(GEN_A, out_sites)[0])
-        found_b, bit_b = self._scan(values, sites.ray_indices(GEN_B, out_sites)[0])
-        center_star = centers == self.input_alphabet.star_index
+        a = self._first_bits(values, sites.ray_indices(GEN_A, out_sites)[0])
+        b = self._first_bits(values, sites.ray_indices(GEN_B, out_sites)[0])
         center_bit = (centers == 0) | (centers == 1)
-        pair = ((centers + bit_a) % 2) + 2 * ((centers + bit_b) % 2)
-        defined = np.where(center_bit & found_a & found_b, pair, -1)
-        return np.where(center_star, self.output_alphabet.star_index, defined)
+        out = np.where(center_bit & (a >= 0) & (b >= 0), (centers ^ a) + 2 * (centers ^ b), -1)
+        out[centers == self.input_alphabet.star_index] = self.output_alphabet.star_index
+        return out
 
     def dependency_sites(self, out_sites, budget_radius):
         # each ray up to its first power longer than the budget

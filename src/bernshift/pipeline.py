@@ -62,6 +62,8 @@ class PlanStage:
     @classmethod
     @json_boundary
     def from_json(cls, data: dict) -> "PlanStage":
+        if not isinstance(data["map"], str):
+            raise ValueError(f"stage map must be a map name, got {data['map']!r}")
         params = {
             k: v
             for k, v in data.items()
@@ -178,7 +180,10 @@ def plan_boost_chain(lambda0: Distribution, max_steps: int = 10000) -> ChainPlan
     return ChainPlan(H0, tuple(stages), tuple(ledger), terminated=rec.terminated)
 
 
-def validate_plan(plan: ChainPlan, tolerance: float = 1e-12) -> list[str]:
+LEDGER_TOLERANCE = 1e-12
+
+
+def validate_plan(plan: ChainPlan) -> list[str]:
     """Ledger consistency: the declared output law of every stage must
     carry exactly the ledgered entropy."""
     issues = []
@@ -186,7 +191,7 @@ def validate_plan(plan: ChainPlan, tolerance: float = 1e-12) -> list[str]:
         if stage.output_weights is None:
             continue
         h = shannon(stage.output_weights)
-        if abs(h - plan.entropy_ledger[i]) > tolerance:
+        if abs(h - plan.entropy_ledger[i]) > LEDGER_TOLERANCE:
             issues.append(
                 f"stage {i} ({stage.map}): declared output entropy {h!r} "
                 f"!= ledger {plan.entropy_ledger[i]!r}"

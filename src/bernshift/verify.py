@@ -39,6 +39,7 @@ from .freegroup import translated_sites
 
 CHUNK_SIZE = 1 << 16
 MC_MIN_SAMPLES = 1000
+G_RADIUS = 2  # property checks translate by the words of ball(G_RADIUS)
 
 
 class WindowTooSmall(ValueError):
@@ -201,7 +202,6 @@ def exact_pushforward(
     r_out: int,
     *,
     threads: int = 1,
-    cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> PushforwardReport:
     """Enumerate every input on ball(r_in) under the uniform product law
     and check the output pattern counts on ball(r_out) are exactly equal.
@@ -217,8 +217,8 @@ def exact_pushforward(
     sites_out = ball(r_out)
     total = fmap.input_alphabet.size ** len(sites_in)
     n_patterns = fmap.output_alphabet.size ** len(sites_out)
-    if total > cap or n_patterns > cap:
-        raise EnumerationTooLarge(f"{total} inputs / {n_patterns} patterns exceed cap {cap}")
+    if total > DEFAULT_ENUMERATION_CAP or n_patterns > DEFAULT_ENUMERATION_CAP:
+        raise EnumerationTooLarge(f"{total} inputs / {n_patterns} patterns exceed cap {DEFAULT_ENUMERATION_CAP}")
 
     rows = functools.partial(index_matrix, fmap.input_alphabet.size, len(sites_in))
     counts, truncated = _tally(fmap, rows, sites_in, sites_out, _chunks(total), threads)
@@ -248,8 +248,6 @@ def mc_pushforward(
     *,
     threshold: float | None = None,
     threads: int = 1,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-    min_samples: int = MC_MIN_SAMPLES,
 ) -> PushforwardReport:
     """Seeded i.i.d. sampling of the map's input dependency sites, with
     the empirical output-window law compared to the declared product
@@ -258,7 +256,7 @@ def mc_pushforward(
     Samples whose output window contains an undefined entry (star-map ray
     truncation at the window edge) are excluded and counted.  The default
     threshold is the 4 * sqrt(n_patterns / N) rule; it is echoed in the
-    report either way.  Verdicts are withheld below ``min_samples`` valid
+    report either way.  Verdicts are withheld below ``MC_MIN_SAMPLES`` valid
     samples, and when the threshold is 1 or more: total variation never
     exceeds 1, so such a test could not fail.  A threshold that is not
     positive and finite is refused.
@@ -273,8 +271,8 @@ def mc_pushforward(
     out_sites = ball(r_out)
     dep_sites = fmap.dependency_sites(out_sites, r_in)
     n_patterns = fmap.output_alphabet.size ** len(out_sites)
-    if n_patterns > cap:
-        raise EnumerationTooLarge(f"{n_patterns} output patterns exceed cap {cap}")
+    if n_patterns > DEFAULT_ENUMERATION_CAP:
+        raise EnumerationTooLarge(f"{n_patterns} output patterns exceed cap {DEFAULT_ENUMERATION_CAP}")
     target = fmap.pushforward(input_dist)
     target_probs = _target_pattern_probs(target, len(out_sites))
     if threshold is None:
@@ -291,7 +289,7 @@ def mc_pushforward(
     n_valid = int(counts.sum())
     deviation = np.abs(counts / max(n_valid, 1) - target_probs)
     tv = 0.5 * float(deviation.sum()) if n_valid else 1.0
-    if n_valid < min_samples or threshold >= 1:
+    if n_valid < MC_MIN_SAMPLES or threshold >= 1:
         verdict = "withheld"
     else:
         verdict = "pass" if tv <= threshold else "fail"
@@ -316,11 +314,11 @@ def mc_pushforward(
     )
 
 
-def check_equivariance(fmap, r: int, trials: int, seed: int, *, g_radius: int = 2) -> PropertyReport:
+def check_equivariance(fmap, r: int, trials: int, seed: int) -> PropertyReport:
     """Translation equivariance: applying the map commutes with the shift
     at every site where both sides are defined (exact symbol equality).
 
-    Each trial draws g from ball(g_radius), then x on ball(r).  A block of
+    Each trial draws g from ball(G_RADIUS), then x on ball(r).  A block of
     trials maps its x at once on ball(r); the trials sharing a g are moved
     by one scatter and mapped at once on g * ball(r), beside their moved
     images.  A run that compares no site could not fail, and is refused.
@@ -329,7 +327,7 @@ def check_equivariance(fmap, r: int, trials: int, seed: int, *, g_radius: int = 
     _require_batch(fmap)
     rng = np.random.default_rng(seed)
     sites = ball(r)
-    g_pool = ball(g_radius).words
+    g_pool = ball(G_RADIUS).words
     alpha = fmap.input_alphabet
     failures = compared = 0
     first = None
@@ -389,13 +387,13 @@ def check_cocycle(trials: int, seed: int, max_len: int = 6) -> PropertyReport:
     return PropertyReport("cocycle_identity", trials, failures, first, seed)
 
 
-def check_coset_roundtrip(r: int, trials: int, seed: int, *, g_radius: int = 2) -> PropertyReport:
+def check_coset_roundtrip(r: int, trials: int, seed: int) -> PropertyReport:
     """Round trip and equivariance of the coset-splitting conjugacy on
     random binary configurations."""
     _require_trials(trials)
     rng = np.random.default_rng(seed)
     sites = ball(r)
-    g_pool = ball(g_radius).words
+    g_pool = ball(G_RADIUS).words
     alpha = bit_alphabet(1)
     failures = 0
     first = None
@@ -432,12 +430,12 @@ def exact_coset_pushforward(r: int = 2, *, threads: int = 1) -> PushforwardRepor
         raise EnumerationTooLarge(f"2^{n} inputs exceed cap")
     marker = plain_alphabet(f"site_index_{n}", tuple(str(i) for i in range(n)))
     indexed = Configuration(marker, sites, np.arange(n))
-    split = to_coset_config(indexed)
-    # (coset, position, site index) of the window's slots that hold a site
-    slots = [(c, j, split.value_at(c, j)) for c in split.cosets if len(c) <= 1 for j in (-1, 0, 1)]
-    slots = [slot for slot in slots if slot[2] is not None]
-    site_idx = np.array([v for _, _, v in slots], dtype=np.int64)
-    n_patterns = 1 << len(slots)
+    split = to_coset_config(indexed, window=1)
+    # the window's rows: representatives of length <= 1, i.e. codes <= 4
+    rows = np.flatnonzero(split.coset_sites.codes <= 4)
+    held = split.grid[rows] >= 0
+    site_idx = split.grid[rows][held]
+    n_patterns = 1 << len(site_idx)
     total = 1 << n
 
     def worker(chunk: tuple[int, int]) -> np.ndarray:
@@ -448,5 +446,5 @@ def exact_coset_pushforward(r: int = 2, *, threads: int = 1) -> PushforwardRepor
         return np.bincount(pattern, minlength=n_patterns)
 
     counts = np.asarray(sum(_run_chunks(worker, _chunks(total), threads)), dtype=np.int64)
-    output_sites = (f"{c}.a^{j}" for c, j, _ in slots)
+    output_sites = (f"{split.coset_sites[int(rows[i])]}.a^{j - 1}" for i, j in zip(*np.nonzero(held)))
     return _exact_report(("coset_split", "U2", "U2"), map(str, sites), output_sites, total, counts, 0)

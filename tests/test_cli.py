@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -305,6 +309,8 @@ _SITES_E_A = {"alphabet": "U2", "sites": ["e", "a"]}
         (("coinduce", "act", "a", "--input"), {"alphabet": "U2", "cosets": ["e"], "window": "x", "values": [[0]]}),
         (("pipeline", "run", "--radius", "2", "--plan"), {"H0": 0.5, "stages": 5, "entropy_ledger": [],
                                                           "terminated": False}),
+        (("pipeline", "run", "--radius", "2", "--plan"), {"H0": 0.5, "entropy_ledger": [0.6], "terminated": True,
+                                                          "stages": [{"map": 5, "input_weights": [0.25, 0.25, 0.5]}]}),
     ],
 )
 def test_malformed_json_input_is_usage_error(capsys, tmp_path, argv, data):
@@ -312,3 +318,15 @@ def test_malformed_json_input_is_usage_error(capsys, tmp_path, argv, data):
     path.write_text(json.dumps(data))
     code, out = run_cli_strict(capsys, *argv, str(path))
     assert code == 2 and out["error"]["code"] == "ValueError"
+
+
+def test_stdout_closed_before_the_report_is_written_exits_1_without_traceback():
+    # ball(8) has 13121 sites: the emitted configuration outgrows a 64 KiB pipe buffer
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    argv = [sys.executable, "-m", "bernshift", "map", "ow", "--sample-radius", "8", "--emit-output"]
+    with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+    assert b"Traceback" not in stderr, stderr.decode()

@@ -30,6 +30,7 @@ from bernshift import (
     uniform,
 )
 from bernshift.factormaps import _stage_windows
+from bernshift.freegroup import translated_sites
 
 from oracles import compose, compose_stagewise, enumerate_configurations, ow_direct, star_direct, timar_bits
 
@@ -242,6 +243,69 @@ def test_star_matches_direct_scan():
         y = m.apply(x)
         for w in sites:
             assert y.value_at(w) == star_direct(x, w)
+
+
+def _star_rows(rng, n_rows, n_sites, hole_rate):
+    """Star-heavy rows (half the sites `*`, so rays run long), with holes."""
+    rows = rng.choice(3, size=(n_rows, n_sites), p=[0.25, 0.25, 0.5])
+    rows[rng.random(rows.shape) < hole_rate] = -1
+    return rows
+
+
+@pytest.mark.parametrize("g", ["e", "bA"])
+@pytest.mark.parametrize("dtype", [np.int8, np.int64])
+@pytest.mark.parametrize("r_out", [0, 1])
+@pytest.mark.parametrize("budget", [3, 4, 5, 6])
+def test_star_batch_on_dependency_windows_matches_direct_scan(g, dtype, r_out, budget):
+    # the Monte Carlo layout, moved by g: outputs on g*ball(r_out), inputs on
+    # the rays clipped at the budget, so many rays leave the window on stars
+    m = star(0.25)
+    rng = np.random.default_rng(100 * budget + r_out)
+    out_sites = translated_sites(ball(r_out), Word.parse(g))[0]
+    dep = translated_sites(m.dependency_sites(ball(r_out), budget), Word.parse(g))[0]
+    for hole_rate in (0.0, 0.15):
+        values = _star_rows(rng, 40, len(dep), hole_rate).astype(dtype)
+        got = m.apply_batch(values, dep, out_sites)
+        assert got.dtype == np.int64 and got.shape == (40, len(out_sites))
+        assert ((got >= -1) & (got <= 4)).all()  # -1 marks every undefined output
+        for row, out in zip(values, got):
+            x = Configuration(STAR1, dep, row.astype(np.int64))
+            want = [star_direct(x, w) for w in out_sites]
+            assert [None if v < 0 else int(v) for v in out] == want
+
+
+def test_star_batch_undefined_site_mid_ray_stops_the_scan():
+    # e and b hold bits, the a-ray reads *, *, undefined, 0: the scan must
+    # stop at the hole, not skip it to the 0 beyond
+    sites = SiteSet(Word.parse(s) for s in ("e", "a", "aa", "aaa", "aaaa", "b"))
+    row = {"e": 0, "a": 2, "aa": 2, "aaa": -1, "aaaa": 0, "b": 1}
+    values = np.array([[row[str(w)] for w in sites]], dtype=np.int8)
+    e = SiteSet([IDENTITY])
+    assert star(0.25).apply_batch(values, sites, e)[0, 0] == -1
+    values[0, [str(w) for w in sites].index("aaa")] = 1
+    assert star(0.25).apply_batch(values, sites, e)[0, 0] == (0 ^ 1) + 2 * (0 ^ 1)
+
+
+def test_star_monte_carlo_chunk_memory_is_bounded_by_its_output():
+    # the scan walks the rays one step at a time: no (rows, sites, ray
+    # length) temporary, so a chunk's peak is a few (rows, sites) arrays
+    import tracemalloc
+
+    from bernshift.config import sample_matrix
+
+    m = star(0.25)
+    out_sites = ball(1)
+    dep = m.dependency_sites(out_sites, 30)
+    values = sample_matrix(star_base(0.25), len(dep), 1 << 16, np.random.default_rng(0))
+    m.apply_batch(values[:1], dep, out_sites)  # the site tables are built outside the trace
+    tracemalloc.start()
+    try:
+        out = m.apply_batch(values, dep, out_sites)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert values.dtype == np.int8 and len(dep) == 179
+    assert peak <= 8 * out.nbytes
 
 
 @pytest.mark.parametrize("spec", ["star:0.6", "star:0", "star:-0.1", "star:nan"])
