@@ -21,6 +21,9 @@ from .freegroup import SiteSet, Word, encode, translated_sites
 DEFAULT_ENUMERATION_CAP = 2**24
 # Bytes of float64 uniforms ``sample_matrix`` draws at a time.
 SAMPLE_BLOCK_BYTES = 2**22
+# Draws per transposed copy in ``sample_matrix``, so a tile's reads and
+# writes both stay in cache.
+TRANSPOSE_TILE_ROWS = 2048
 
 
 class EnumerationTooLarge(ValueError):
@@ -337,7 +340,7 @@ def sample(
 ) -> Configuration:
     """One i.i.d. draw of a total configuration; deterministic given seed."""
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    return Configuration(dist.alphabet, sites, sample_matrix(dist, len(sites), 1, rng)[0])
+    return Configuration(dist.alphabet, sites, sample_matrix(dist, len(sites), 1, rng)[:, 0])
 
 
 def block_rows(row_bytes: int) -> int:
@@ -348,25 +351,34 @@ def block_rows(row_bytes: int) -> int:
 def sample_matrix(
     dist: Distribution, n_sites: int, n_draws: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """(n_draws, n_sites) i.i.d. symbol indices with law ``dist``.
+    """(n_sites, n_draws) i.i.d. symbol indices with law ``dist``.
 
+    Site-major: column k is draw k, and row j holds every draw's value at
+    site j contiguously, which is what the batch kernels gather.
     Inversion sampling against the cumulative weights, so one uniform
     stream drives every alphabet identically: the index of a draw u is
     the number of cumulative weights (all but the last) that u reaches,
     which is ``searchsorted(cdf, u, side="right")``.  The matrix is int8
     for alphabets of at most 128 symbols and int64 otherwise.  The
-    uniforms are drawn in row blocks of at most ``SAMPLE_BLOCK_BYTES``;
-    consecutive ``rng.random`` blocks continue one stream, so the result
-    equals a single (n_draws, n_sites) draw.
+    uniforms are drawn as row-major (draws, sites) blocks of at most
+    ``SAMPLE_BLOCK_BYTES``; consecutive ``rng.random`` blocks continue one
+    stream, so the result is the transpose of a single (n_draws, n_sites)
+    draw.  Each thresholded block is copied into place in tiles of
+    ``TRANSPOSE_TILE_ROWS`` draws.
     """
     cdf = np.cumsum(np.asarray(dist.float_weights(), dtype=np.float64))
-    out = np.zeros((n_draws, n_sites), dtype=np.int8 if len(cdf) <= 128 else np.int64)
-    rows = block_rows(8 * n_sites)
-    for lo in range(0, n_draws, rows):
-        block = out[lo : lo + rows]
-        u = rng.random(block.shape)
+    dtype = np.int8 if len(cdf) <= 128 else np.int64
+    out = np.empty((n_sites, n_draws), dtype=dtype)
+    # one uniform buffer for every block: a fresh one would fault in new pages each time
+    u = np.empty((min(block_rows(8 * n_sites), max(n_draws, 1)), n_sites))
+    for lo in range(0, n_draws, len(u)):
+        draws = rng.random(out=u[: n_draws - lo])
+        block = np.zeros(draws.shape, dtype=dtype)
         for c in cdf[:-1]:
-            block += u >= c
+            block += draws >= c
+        for t in range(0, len(block), TRANSPOSE_TILE_ROWS):
+            tile = block[t : t + TRANSPOSE_TILE_ROWS]
+            out[:, lo + t : lo + t + len(tile)] = tile.T
     return out
 
 
@@ -375,15 +387,17 @@ def enumeration_size(alphabet: Alphabet, sites: SiteSet) -> int:
 
 
 def index_matrix(size: int, n_sites: int, lo: int, hi: int) -> np.ndarray:
-    """Rows lo..hi-1 of the enumeration as a (hi-lo, n_sites) index matrix."""
+    """Inputs lo..hi-1 of the enumeration as an (n_sites, hi-lo) index
+    matrix: site-major like ``sample_matrix``, with column k the input
+    lo + k and site j its j-th base-``size`` digit."""
     idx = np.arange(lo, hi, dtype=np.int64)
-    out = np.empty((hi - lo, n_sites), dtype=np.int64)
+    out = np.empty((n_sites, hi - lo), dtype=np.int64)
     if size == 2:
         for j in range(n_sites):
-            out[:, j] = (idx >> j) & 1
+            out[j] = (idx >> j) & 1
     else:
         q = idx.copy()
         for j in range(n_sites):
-            out[:, j] = q % size
+            out[j] = q % size
             q //= size
     return out

@@ -5,7 +5,9 @@ Every map is a descriptor object: it knows its alphabets, its window cost
 (the radius a single application shaves off the defined region, or None
 for unbounded ray lookahead), how to apply itself to one configuration,
 and how to evaluate itself on a whole batch of value matrices at once.
-Descriptors are immutable and shareable across threads.
+Batch matrices are site-major, (sites, rows): each site's values across
+the batch are one contiguous row, so a kernel's per-site gather copies
+whole rows.  Descriptors are immutable and shareable across threads.
 """
 
 from __future__ import annotations
@@ -43,17 +45,18 @@ class FactorMap:
     def apply(self, x: Configuration) -> Configuration:
         """The batch kernel on the one row of x, over x's own sites."""
         self.check_alphabet(x)
-        out = self.apply_batch(x.indices[None, :], x.sites, x.sites)[0]
+        out = self.apply_batch(x.indices[:, None], x.sites, x.sites)[:, 0]
         # only the empty composition has no output alphabet: it is the identity
         return Configuration(self.output_alphabet or x.alphabet, x.sites, out)
 
     def apply_batch(
         self, values: np.ndarray, sites: SiteSet, out_sites: SiteSet
     ) -> np.ndarray:
-        """Evaluate on a (n, |sites|) index matrix (-1 = undefined).
+        """Evaluate on a site-major (|sites|, n) index matrix (-1 =
+        undefined): row j holds the n inputs' values at ``sites[j]``.
 
-        Returns a (n, |out_sites|) matrix with -1 where the output is
-        undefined.  Must be overridden.
+        Returns an (|out_sites|, n) matrix, laid out the same way, with -1
+        where the output is undefined.  Must be overridden.
         """
         raise NotImplementedError
 
@@ -90,10 +93,11 @@ class FactorMap:
 
 
 def _safe_gather(values: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """values[:, idx] treating idx == -1 as undefined (-1)."""
-    if values.shape[1] == 0:
-        return np.full((values.shape[0], *idx.shape), -1, dtype=values.dtype)
-    return np.where(idx >= 0, values[:, np.maximum(idx, 0)], -1)
+    """The rows values[idx] of a site-major matrix, treating idx == -1 as
+    undefined (a row of -1)."""
+    if values.shape[0] == 0:
+        return np.full((*idx.shape, values.shape[1]), -1, dtype=values.dtype)
+    return np.where((idx >= 0)[..., None], values.take(np.maximum(idx, 0), axis=0), -1)
 
 
 class BlockMap(FactorMap):
@@ -127,7 +131,7 @@ class BlockMap(FactorMap):
     def apply_batch(self, values, sites, out_sites):
         # one flat table index per output cell, by Horner's rule over the offsets
         size = self.input_alphabet.size
-        flat = np.zeros((values.shape[0], len(out_sites)), dtype=np.int64)
+        flat = np.zeros((len(out_sites), values.shape[1]), dtype=np.int64)
         valid = np.ones(flat.shape, dtype=bool)
         for off in self.offsets:
             col = _safe_gather(values, sites.neighbor_indices(off, out_sites))
@@ -271,12 +275,13 @@ class StarMap(FactorMap):
     def _first_bits(self, values: np.ndarray, rays: np.ndarray) -> np.ndarray:
         """The first non-star value along each ray, one ray step at a time.
 
-        values: (n, s) matrix; rays: (m, L) site indices (-1 padding).
-        Returns an (n, m) int64 array, -1 where the ray leaves the site set,
-        meets an undefined site, or runs out while still seeing stars.
+        values: site-major (s, n) matrix; rays: (m, L) site indices (-1
+        padding).  Returns an (m, n) int64 array, -1 where the ray leaves
+        the site set, meets an undefined site, or runs out while still
+        seeing stars.
         """
         star = self.input_alphabet.star_index
-        first = np.full((values.shape[0], rays.shape[0]), -1, dtype=np.int64)
+        first = np.full((rays.shape[0], values.shape[1]), -1, dtype=np.int64)
         open_rays = np.ones(first.shape, dtype=bool)
         for col in rays.T:
             step = _safe_gather(values, col)

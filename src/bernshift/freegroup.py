@@ -452,7 +452,8 @@ class SiteSet:
 
     def ray_indices(self, letter: int, of: "SiteSet | None" = None) -> tuple[np.ndarray, np.ndarray]:
         """Generator-ray lookup: indices of g*s^k for k = 1, 2, ... for
-        each site g of ``of`` (default: this set; cached).
+        each site g of ``of`` (default: this set).  Cached per (letter,
+        ``of``): a run reads rays from only a few output windows.
 
         Each ray stops at the first power that is not a site (membership,
         not word length: lengths are not monotone near cancellations).
@@ -460,8 +461,9 @@ class SiteSet:
         single-letter neighbour table.  Returns a padded (n_sites,
         max_len) index array (-1 past the end) and the ray lengths.
         """
-        own = of is None or of is self or of == self
-        cached = self._rays.get(letter) if own else None
+        # the set's own rays are keyed by the letter alone, so the cache holds no cycle
+        key = letter if of is None or of is self or of == self else (letter, of)
+        cached = self._rays.get(key)
         if cached is None:
             step = self.neighbor_indices(_SINGLE[letter])
             cur = self.neighbor_indices(_SINGLE[letter], of)
@@ -474,8 +476,7 @@ class SiteSet:
             padded.setflags(write=False)
             lengths.setflags(write=False)
             cached = (padded, lengths)
-            if own:
-                self._rays[letter] = cached
+            self._rays[key] = cached
         return cached
 
     def coset_table(self) -> CosetTable:

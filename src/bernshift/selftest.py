@@ -20,6 +20,7 @@ from .factormaps import ow, plane_projection, star, swap_bits, timar
 from .freegroup import ball
 from .pipeline import coinduced_map
 from .verify import (
+    _require_threads,
     check_cocycle,
     check_coset_roundtrip,
     check_equivariance,
@@ -74,9 +75,9 @@ def _ow_output_patterns(threads: int) -> np.ndarray:
     b2, b1 = ball(2), ball(1)
     values = index_matrix(2, len(b2), 0, 1 << len(b2))
     out = ow().apply_batch(values, b2, b1)
-    packed = np.zeros(out.shape[0], dtype=np.int64)
-    for j in range(out.shape[1]):
-        packed |= out[:, j] << (2 * j)
+    packed = np.zeros(out.shape[1], dtype=np.int64)
+    for j, site in enumerate(out):
+        packed |= site << (2 * j)
     return packed
 
 
@@ -312,6 +313,7 @@ CRITERIA = (
 
 def run_selftest(seed: int = 0, threads: int = 1) -> list[CriterionResult]:
     """Run every acceptance criterion with per-criterion derived seeds."""
+    _require_threads(threads)
     results = []
     for k, criterion in enumerate(CRITERIA, start=1):
         results.append(criterion(seed * 100 + k, threads))

@@ -137,6 +137,12 @@ def _require_batch(fmap: FactorMap) -> None:
         raise NotImplementedError(f"{fmap.name} has no batch evaluation")
 
 
+def _require_threads(threads: int) -> None:
+    """Refuse a thread count below one, before any work starts."""
+    if threads < 1:
+        raise ValueError(f"need at least one thread, got {threads}")
+
+
 def _require_trials(trials: int) -> None:
     """A run of no trials could not fail; refuse it."""
     if trials < 1:
@@ -144,17 +150,17 @@ def _require_trials(trials: int) -> None:
 
 
 def _pattern_counts(out: np.ndarray, out_size: int) -> tuple[np.ndarray, int]:
-    """Tally output-window patterns; rows containing undefined entries are
-    excluded and counted as truncated."""
-    valid = (out >= 0).all(axis=1)
-    truncated = int(out.shape[0] - valid.sum())
-    rows = out[valid]
-    pattern = np.zeros(rows.shape[0], dtype=np.int64)
+    """Tally the output-window patterns of a site-major (sites, rows)
+    matrix; columns containing undefined entries are excluded and counted
+    as truncated."""
+    valid = (out >= 0).all(axis=0)
+    truncated = int(out.shape[1] - valid.sum())
+    pattern = np.zeros(out.shape[1], dtype=np.int64)
     base = 1
-    for j in range(rows.shape[1]):
-        pattern += rows[:, j] * base
+    for site in out:
+        pattern += site * base
         base *= out_size
-    return np.bincount(pattern, minlength=out_size ** out.shape[1]), truncated
+    return np.bincount(pattern[valid], minlength=out_size ** out.shape[0]), truncated
 
 
 def _tally(fmap: FactorMap, rows: Callable, sites_in, sites_out, chunks: Sequence, threads: int):
@@ -206,6 +212,7 @@ def exact_pushforward(
     """Enumerate every input on ball(r_in) under the uniform product law
     and check the output pattern counts on ball(r_out) are exactly equal.
     """
+    _require_threads(threads)
     if fmap.window_cost is None:
         raise ValueError(f"{fmap.name} has unbounded lookahead; use mc_pushforward")
     _require_batch(fmap)
@@ -258,9 +265,13 @@ def mc_pushforward(
     threshold is the 4 * sqrt(n_patterns / N) rule; it is echoed in the
     report either way.  Verdicts are withheld below ``MC_MIN_SAMPLES`` valid
     samples, and when the threshold is 1 or more: total variation never
-    exceeds 1, so such a test could not fail.  A threshold that is not
-    positive and finite is refused.
+    exceeds 1, so such a test could not fail.  They are also withheld when
+    the truncation rate reaches the threshold: the valid samples follow
+    the law conditioned on no truncation, and conditioning on an event E
+    moves a law by up to P(not E) in total variation, so a correct map
+    could fail.  A threshold that is not positive and finite is refused.
     """
+    _require_threads(threads)
     if n_samples < 1:
         raise ValueError("need at least one sample")
     if threshold is not None and not 0 < threshold < math.inf:
@@ -289,7 +300,8 @@ def mc_pushforward(
     n_valid = int(counts.sum())
     deviation = np.abs(counts / max(n_valid, 1) - target_probs)
     tv = 0.5 * float(deviation.sum()) if n_valid else 1.0
-    if n_valid < MC_MIN_SAMPLES or threshold >= 1:
+    truncation_rate = truncated / n_samples
+    if n_valid < MC_MIN_SAMPLES or threshold >= 1 or truncation_rate >= threshold:
         verdict = "withheld"
     else:
         verdict = "pass" if tv <= threshold else "fail"
@@ -309,7 +321,7 @@ def mc_pushforward(
         valid_samples=n_valid,
         tv_distance=tv,
         threshold=threshold,
-        truncation_rate=truncated / n_samples,
+        truncation_rate=truncation_rate,
         seed=seed,
     )
 
@@ -333,27 +345,27 @@ def check_equivariance(fmap, r: int, trials: int, seed: int) -> PropertyReport:
     first = None
     for lo, hi in _chunks(trials, block_rows(8 * len(sites))):
         draws = [(rng.integers(len(g_pool)), rng.integers(0, alpha.size, len(sites))) for _ in range(lo, hi)]
-        picks, xs = np.array([pick for pick, _ in draws]), np.stack([x for _, x in draws])
+        picks, xs = np.array([pick for pick, _ in draws]), np.stack([x for _, x in draws], axis=1)
         images = fmap.apply_batch(xs, sites, sites)
         for pick in np.unique(picks):
             g = g_pool[pick]
-            rows = np.flatnonzero(picks == pick)
+            cols = np.flatnonzero(picks == pick)
             moved_sites, perm = translated_sites(sites, g)
-            moved = np.empty((len(rows), len(sites)), dtype=np.int64)
-            moved[:, perm] = xs[rows]
+            moved = np.empty((len(sites), len(cols)), dtype=np.int64)
+            moved[perm] = xs[:, cols]
             lhs = fmap.apply_batch(moved, moved_sites, moved_sites)
             rhs = np.empty_like(lhs)
-            rhs[:, perm] = images[rows]
+            rhs[perm] = images[:, cols]
             both = (lhs >= 0) & (rhs >= 0)
             compared += int(both.sum())
             bad = both & (lhs != rhs)
-            failed = np.flatnonzero(bad.any(axis=1))
+            failed = np.flatnonzero(bad.any(axis=0))
             failures += len(failed)
-            if len(failed) and (first is None or lo + rows[failed[0]] < first["trial"]):
-                row, i = failed[0], int(np.argmax(bad[failed[0]]))
-                x = Configuration(alpha, sites, xs[rows[row]]).to_json()
-                first = {"trial": lo + int(rows[row]), "g": str(g), "site": str(moved_sites[i]),
-                         "lhs": int(lhs[row, i]), "rhs": int(rhs[row, i]), "x": x}
+            if len(failed) and (first is None or lo + cols[failed[0]] < first["trial"]):
+                col, i = failed[0], int(np.argmax(bad[:, failed[0]]))
+                x = Configuration(alpha, sites, xs[:, cols[col]]).to_json()
+                first = {"trial": lo + int(cols[col]), "g": str(g), "site": str(moved_sites[i]),
+                         "lhs": int(lhs[i, col]), "rhs": int(rhs[i, col]), "x": x}
     if not compared:
         raise InsufficientRadius(f"{fmap.name} defines no site on both sides at radius {r}")
     return PropertyReport(f"equivariance[{fmap.name}]", trials, failures, first, seed)
@@ -424,6 +436,7 @@ def exact_coset_pushforward(r: int = 2, *, threads: int = 1) -> PushforwardRepor
     window (representatives of length <= 1, positions |j| <= 1) is
     tallied; the split is measure-preserving iff all counts are equal.
     """
+    _require_threads(threads)
     sites = ball(r)
     n = len(sites)
     if 2**n > DEFAULT_ENUMERATION_CAP:

@@ -295,6 +295,28 @@ def test_verify_mc_threshold_of_one_or_more_withholds(capsys):
     assert code == 1 and data["verdict"] == "withheld" and data["threshold"] == 1.5
 
 
+def test_verify_mc_withholds_when_truncation_reaches_the_threshold(capsys):
+    argv = ("verify", "mc", "--map", "star:0.25", "--rin", "1", "--rout", "0", "-N", "20000", "--seed", "3")
+    code, data = run_cli_strict(capsys, *argv)
+    assert code == 1 and data["verdict"] == "withheld"
+    assert data["truncation_rate"] >= data["threshold"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "exact", "--map", "ow", "--rin", "2", "--rout", "1"),
+        ("verify", "mc", "--map", "ow", "--rin", "2", "--rout", "0", "-N", "2000"),
+        ("verify", "jroundtrip", "-r", "2", "--trials", "2"),
+        ("selftest", "--seed", "1"),
+    ],
+)
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_fewer_than_one_thread_is_usage_error(capsys, argv, threads):
+    code, data = run_cli_strict(capsys, *argv, "--threads", threads)
+    assert code == 2 and data["error"]["code"] == "ValueError" and "thread" in data["error"]["message"]
+
+
 _SITES_E_A = {"alphabet": "U2", "sites": ["e", "a"]}
 
 

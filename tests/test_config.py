@@ -188,7 +188,7 @@ _LAWS = {
 @pytest.mark.parametrize("law", list(_LAWS))
 def test_sample_matrix_matches_searchsorted(law):
     dist = _LAWS[law]
-    got = sample_matrix(dist, 37, 2000, np.random.default_rng(21))
+    got = sample_matrix(dist, 37, 2000, np.random.default_rng(21)).T  # (draws, sites)
     want = _searchsorted_reference(dist, 37, 2000, np.random.default_rng(21))
     assert got.dtype == (np.int8 if dist.alphabet.size <= 128 else np.int64)
     np.testing.assert_array_equal(got, want)
@@ -200,7 +200,7 @@ def test_sample_matrix_row_blocks_continue_one_stream():
     rows = SAMPLE_BLOCK_BYTES // (8 * n_sites)
     n_draws = 2 * rows + rows // 3
     dist = _LAWS["star3"]
-    got = sample_matrix(dist, n_sites, n_draws, np.random.default_rng(22))
+    got = sample_matrix(dist, n_sites, n_draws, np.random.default_rng(22)).T  # (draws, sites)
     want = _searchsorted_reference(dist, n_sites, n_draws, np.random.default_rng(22))
     assert n_draws % rows != 0
     np.testing.assert_array_equal(got, want)
@@ -212,15 +212,18 @@ class _FixedUniforms:
     def __init__(self, u):
         self.u = np.asarray(u, dtype=np.float64)
 
-    def random(self, shape):
-        return self.u.reshape(shape)
+    def random(self, shape=None, out=None):
+        if out is None:
+            return self.u.reshape(shape)
+        out[...] = self.u.reshape(out.shape)
+        return out
 
 
 def test_sample_matrix_draws_on_a_cdf_step_take_the_upper_symbol():
     dist = _LAWS["skew5"]
     cdf = np.cumsum(dist.float_weights())
     u = [0.0, cdf[0], np.nextafter(cdf[0], 0), cdf[2], np.nextafter(cdf[2], 0), np.nextafter(1.0, 0)]
-    got = sample_matrix(dist, len(u), 1, _FixedUniforms(u))
+    got = sample_matrix(dist, len(u), 1, _FixedUniforms(u)).T  # (draws, sites)
     want = _searchsorted_reference(dist, len(u), 1, _FixedUniforms(u))
     np.testing.assert_array_equal(got, want)
     assert got.tolist() == [[0, 2, 0, 4, 2, 4]]
@@ -250,7 +253,7 @@ def test_enumeration_order_convention():
 
 def test_enumeration_matches_index_matrix():
     sites = ball(1)
-    mat = index_matrix(2, len(sites), 0, 32)
+    mat = index_matrix(2, len(sites), 0, 32).T  # (inputs, sites)
     for i, cfg in enumerate(enumerate_configurations(U2, sites)):
         assert tuple(mat[i]) == cfg.values
 

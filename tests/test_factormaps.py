@@ -245,6 +245,13 @@ def test_star_matches_direct_scan():
             assert y.value_at(w) == star_direct(x, w)
 
 
+def _rows_batch(fmap, values, sites, out_sites):
+    """``apply_batch`` on a (rows, sites) matrix, returned as (rows, out
+    sites): the kernels take and give site-major (sites, rows) matrices,
+    and these tests transpose at that boundary."""
+    return fmap.apply_batch(np.ascontiguousarray(values.T), sites, out_sites).T
+
+
 def _star_rows(rng, n_rows, n_sites, hole_rate):
     """Star-heavy rows (half the sites `*`, so rays run long), with holes."""
     rows = rng.choice(3, size=(n_rows, n_sites), p=[0.25, 0.25, 0.5])
@@ -265,7 +272,7 @@ def test_star_batch_on_dependency_windows_matches_direct_scan(g, dtype, r_out, b
     dep = translated_sites(m.dependency_sites(ball(r_out), budget), Word.parse(g))[0]
     for hole_rate in (0.0, 0.15):
         values = _star_rows(rng, 40, len(dep), hole_rate).astype(dtype)
-        got = m.apply_batch(values, dep, out_sites)
+        got = _rows_batch(m, values, dep, out_sites)
         assert got.dtype == np.int64 and got.shape == (40, len(out_sites))
         assert ((got >= -1) & (got <= 4)).all()  # -1 marks every undefined output
         for row, out in zip(values, got):
@@ -281,14 +288,14 @@ def test_star_batch_undefined_site_mid_ray_stops_the_scan():
     row = {"e": 0, "a": 2, "aa": 2, "aaa": -1, "aaaa": 0, "b": 1}
     values = np.array([[row[str(w)] for w in sites]], dtype=np.int8)
     e = SiteSet([IDENTITY])
-    assert star(0.25).apply_batch(values, sites, e)[0, 0] == -1
+    assert _rows_batch(star(0.25), values, sites, e)[0, 0] == -1
     values[0, [str(w) for w in sites].index("aaa")] = 1
-    assert star(0.25).apply_batch(values, sites, e)[0, 0] == (0 ^ 1) + 2 * (0 ^ 1)
+    assert _rows_batch(star(0.25), values, sites, e)[0, 0] == (0 ^ 1) + 2 * (0 ^ 1)
 
 
 def test_star_monte_carlo_chunk_memory_is_bounded_by_its_output():
     # the scan walks the rays one step at a time: no (rows, sites, ray
-    # length) temporary, so a chunk's peak is a few (rows, sites) arrays
+    # length) temporary, so a chunk's peak is a few (sites, rows) arrays
     import tracemalloc
 
     from bernshift.config import sample_matrix
@@ -297,7 +304,7 @@ def test_star_monte_carlo_chunk_memory_is_bounded_by_its_output():
     out_sites = ball(1)
     dep = m.dependency_sites(out_sites, 30)
     values = sample_matrix(star_base(0.25), len(dep), 1 << 16, np.random.default_rng(0))
-    m.apply_batch(values[:1], dep, out_sites)  # the site tables are built outside the trace
+    m.apply_batch(values[:, :1], dep, out_sites)  # the site tables are built outside the trace
     tracemalloc.start()
     try:
         out = m.apply_batch(values, dep, out_sites)
@@ -398,7 +405,7 @@ def _full_window_reference(fmap, values, sites, out_sites):
     """Every stage on the whole window, then the out_sites columns."""
     cur = values
     for stage in fmap.stages:
-        cur = stage.apply_batch(cur, sites, sites)
+        cur = _rows_batch(stage, cur, sites, sites)
     out = np.full((values.shape[0], len(out_sites)), -1, dtype=np.int64)
     for j, g in enumerate(out_sites):
         i = sites.position(g)
@@ -435,7 +442,7 @@ def test_composed_cone_matches_full_window_evaluation(m, window):
     sites = ball(r_in(m))
     for dtype in (np.int8, np.int64):
         values = _holey_matrix(rng, 2, 200, len(sites), dtype)
-        got = fmap.apply_batch(values, sites, out_sites)
+        got = _rows_batch(fmap, values, sites, out_sites)
         want = _full_window_reference(fmap, values, sites, out_sites)
         assert got.dtype == np.int64
         assert (want >= 0).any() == some_defined(m)
@@ -468,7 +475,7 @@ def test_composed_cone_with_a_star_stage():
     sites = ball(3)
     for out_sites in (ball(1), ball(4), _B1_SHIFTED):
         values = _holey_matrix(rng, 3, 400, len(sites), np.int8)
-        got = fmap.apply_batch(values, sites, out_sites)
+        got = _rows_batch(fmap, values, sites, out_sites)
         want = _full_window_reference(fmap, values, sites, out_sites)
         assert (want >= 0).any()
         np.testing.assert_array_equal(got, want)
@@ -476,7 +483,7 @@ def test_composed_cone_with_a_star_stage():
 
 def test_empty_composition_batch_is_the_identity_on_the_window():
     values = np.arange(15, dtype=np.int8).reshape(3, 5) % 2
-    out = ComposedMap([]).apply_batch(values, ball(1), ball(2))
+    out = _rows_batch(ComposedMap([]), values, ball(1), ball(2))
     assert out.dtype == np.int64
     b2 = ball(2)
     for j, g in enumerate(b2):

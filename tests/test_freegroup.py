@@ -184,6 +184,18 @@ def test_cached_site_tables_are_read_only():
     assert sites.neighbor_indices(Word.parse("ab")) is sites.neighbor_indices(Word.parse("ab"))
 
 
+def test_ray_tables_are_cached_per_letter_and_window():
+    # a Monte Carlo run reads the rays of one output window in every chunk
+    sites, out = ball(4), ball(1)
+    first = sites.ray_indices(GEN_A, out)
+    assert sites.ray_indices(GEN_A, SiteSet(out.words)) is first  # an equal window hits
+    assert sites.ray_indices(GEN_B, out) is not first
+    with pytest.raises(ValueError):
+        first[0][0, 0] = 7
+    own = sites.ray_indices(GEN_A)
+    assert sites.ray_indices(GEN_A, sites) is own and sites.ray_indices(GEN_A, SiteSet(sites.words)) is own
+
+
 @pytest.mark.parametrize(
     "sites",
     [

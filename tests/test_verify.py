@@ -127,9 +127,10 @@ class _LeakyDoubling(type(ow())):
     whenever the centre holds a 1, although every input it reads is there."""
 
     def apply_batch(self, values, sites, out_sites):
-        out = super().apply_batch(values, sites, out_sites)
+        # batches are site-major; the fault is written on (rows, sites) views
+        values, out = values.T, super().apply_batch(values, sites, out_sites).T
         out[values[:, sites.position(IDENTITY)] == 1, out_sites.position(IDENTITY)] = -1
-        return out
+        return out.T
 
 
 def test_exact_fails_a_bounded_map_that_leaves_outputs_undefined():
@@ -191,6 +192,37 @@ def test_mc_withholds_when_the_threshold_cannot_be_exceeded():
     assert mc_pushforward(timar(3), uniform(U2), 3, 1, 20_000, 11, threshold=0.99).verdict == "pass"
 
 
+@pytest.mark.parametrize("r_in", [0, 1, 2, 3])
+def test_mc_withholds_when_truncation_reaches_the_threshold(r_in):
+    # the valid samples follow the law given that both rays reach a bit; for
+    # any event E, TV(P(.|E), P) <= P(not E), so this much truncation moves a
+    # correct map's law past the threshold
+    rep = mc_pushforward(star(0.25), star_base(0.25), r_in, 0, 20_000, 3)
+    assert rep.truncation_rate >= rep.threshold
+    assert rep.tv_distance > rep.threshold
+    assert rep.verdict == "withheld"
+
+
+def test_mc_gives_a_verdict_once_truncation_is_below_the_threshold():
+    rep = mc_pushforward(star(0.25), star_base(0.25), 4, 0, 20_000, 3)
+    assert 0 < rep.truncation_rate < rep.threshold
+    assert rep.verdict == "pass"
+
+
+@pytest.mark.parametrize("threads", [0, -1])
+def test_engines_refuse_fewer_than_one_thread(threads):
+    from bernshift.selftest import run_selftest
+
+    with pytest.raises(ValueError, match="at least one thread"):
+        exact_pushforward(ow(), 2, 1, threads=threads)
+    with pytest.raises(ValueError, match="at least one thread"):
+        mc_pushforward(ow(), uniform(U2), 2, 0, 1000, 0, threads=threads)
+    with pytest.raises(ValueError, match="at least one thread"):
+        exact_coset_pushforward(2, threads=threads)
+    with pytest.raises(ValueError, match="at least one thread"):
+        run_selftest(0, threads)
+
+
 def test_mc_fails_when_the_declared_target_is_wrong():
     # harness self-test: a map that lies about its output law must be
     # caught by the total-variation comparison
@@ -232,10 +264,12 @@ class _BrokenMap:
         return Configuration(U2, x.sites, values)
 
     def apply_batch(self, values, sites, out_sites):
+        # batches are site-major; the rule is written on (rows, sites) views
+        values = values.T
         odd = np.array([len(w) % 2 == 1 for w in out_sites], dtype=bool)
         src = sites.indices_of(out_sites)
         v = np.where(src >= 0, values[:, np.maximum(src, 0)], -1)
-        return np.where(odd & (v >= 0), 1 - v, v)
+        return np.where(odd & (v >= 0), 1 - v, v).T
 
 
 def test_equivariance_catches_corrupted_rule():
