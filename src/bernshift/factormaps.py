@@ -120,11 +120,14 @@ class BlockMap(FactorMap):
         self.output_alphabet = output_alphabet
         self.offsets = tuple(offsets)
         table = np.asarray(table)
+        if table.dtype.kind not in "iu":
+            raise ValueError("table entries must be integers")
         if table.shape != (input_alphabet.size,) * len(self.offsets):
             raise ValueError("table shape must be (size,) * len(offsets)")
         if table.min() < 0 or table.max() >= output_alphabet.size:
             raise ValueError("table entries out of output range")
-        self.table = table
+        # int64 like the kernel's flat indices, so it can look outputs up in place
+        self.table = table.astype(np.int64, copy=False)
         self.table.setflags(write=False)
         self.window_cost = max((len(w) for w in self.offsets), default=0)
 
@@ -138,7 +141,8 @@ class BlockMap(FactorMap):
             valid &= col >= 0
             flat *= size
             flat += np.maximum(col, 0, out=col)
-        out = self.table.ravel()[flat].astype(np.int64, copy=False)
+        # take reads each cell's index before it writes that cell
+        out = self.table.ravel().take(flat, mode="clip", out=flat)
         out[~valid] = -1
         return out
 

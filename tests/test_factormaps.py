@@ -504,6 +504,15 @@ def test_relabel_inverse_roundtrip():
         ow().inverse()
 
 
+def test_block_tables_are_int64_and_must_be_integers():
+    # the kernel looks its outputs up in place in an int64 index array
+    narrow = relabel("swap8", U2, U2, np.array([1, 0], dtype=np.int8))
+    assert narrow.table.dtype == np.int64
+    assert narrow.apply(sample(uniform(U2), ball(2), 19)) == swap_bits().apply(sample(uniform(U2), ball(2), 19))
+    with pytest.raises(ValueError, match="integers"):
+        relabel("half", U2, U2, [0.5, 1.0])
+
+
 def test_identity_map():
     x = sample(uniform(U2), ball(2), 16)
     assert identity_map(U2).apply(x) == x
