@@ -141,7 +141,8 @@ class BlockMap(FactorMap):
             valid &= col >= 0
             flat *= size
             flat += np.maximum(col, 0, out=col)
-        # take reads each cell's index before it writes that cell
+        # in place: take reads each cell's index before it writes that cell; every
+        # index is in range, and "clip" skips the copy of out that "raise" makes
         out = self.table.ravel().take(flat, mode="clip", out=flat)
         out[~valid] = -1
         return out
