@@ -19,8 +19,9 @@ import numpy as np
 from .freegroup import SiteSet, Word, encode, translated_sites
 
 DEFAULT_ENUMERATION_CAP = 2**24
-# Bytes of float64 uniforms ``sample_matrix`` draws at a time.
-SAMPLE_BLOCK_BYTES = 2**22
+# Bytes of float64 uniforms ``sample_matrix`` draws at a time: 1 MiB keeps
+# a block and its companions in L2 cache (see ``sample_matrix``).
+SAMPLE_BLOCK_BYTES = 2**20
 # Draws per transposed copy in ``sample_matrix``, so a tile's reads and
 # writes both stay in cache.
 TRANSPOSE_TILE_ROWS = 2048
@@ -343,6 +344,12 @@ def sample(
     return Configuration(dist.alphabet, sites, sample_matrix(dist, len(sites), 1, rng)[:, 0])
 
 
+def symbol_dtype(size: int) -> type:
+    """The dtype of a batch of symbol indices over an alphabet of ``size``
+    symbols: int8 up to 128 symbols (-1 stays representable), else int64."""
+    return np.int8 if size <= 128 else np.int64
+
+
 def block_rows(row_bytes: int) -> int:
     """Rows of ``row_bytes`` bytes each that fit ``SAMPLE_BLOCK_BYTES``; at least one."""
     return max(1, SAMPLE_BLOCK_BYTES // max(1, row_bytes))
@@ -359,23 +366,27 @@ def sample_matrix(
     stream drives every alphabet identically: the index of a draw u is
     the number of cumulative weights (all but the last) that u reaches,
     which is ``searchsorted(cdf, u, side="right")``.  The matrix is int8
-    for alphabets of at most 128 symbols and int64 otherwise.  The
-    uniforms are drawn as row-major (draws, sites) blocks of at most
-    ``SAMPLE_BLOCK_BYTES``; consecutive ``rng.random`` blocks continue one
-    stream, so the result is the transpose of a single (n_draws, n_sites)
-    draw.  Each thresholded block is copied into place in tiles of
-    ``TRANSPOSE_TILE_ROWS`` draws.
+    for alphabets of at most 128 symbols and int64 otherwise
+    (``symbol_dtype``).  The uniforms are drawn as row-major (draws, sites)
+    blocks of at most ``SAMPLE_BLOCK_BYTES``; consecutive ``rng.random``
+    blocks continue one stream, so the result is the transpose of a single
+    (n_draws, n_sites) draw.  Every block reuses one uniform, one symbol
+    and one bool buffer; at 1 MiB of uniforms the three (1.25 MiB) stay in
+    a 2 MiB per-core L2 cache while the block is thresholded.  Each block
+    is copied into place in tiles of ``TRANSPOSE_TILE_ROWS`` draws.
     """
     cdf = np.cumsum(np.asarray(dist.float_weights(), dtype=np.float64))
-    dtype = np.int8 if len(cdf) <= 128 else np.int64
-    out = np.empty((n_sites, n_draws), dtype=dtype)
-    # one uniform buffer for every block: a fresh one would fault in new pages each time
+    out = np.empty((n_sites, n_draws), dtype=symbol_dtype(len(cdf)))
+    # buffers reused by every block: fresh ones would fault in new pages each time
     u = np.empty((min(block_rows(8 * n_sites), max(n_draws, 1)), n_sites))
+    symbols = np.empty(u.shape, dtype=out.dtype)
+    hit = np.empty(u.shape, dtype=bool)
     for lo in range(0, n_draws, len(u)):
         draws = rng.random(out=u[: n_draws - lo])
-        block = np.zeros(draws.shape, dtype=dtype)
+        block, reached = symbols[: len(draws)], hit[: len(draws)]
+        block.fill(0)
         for c in cdf[:-1]:
-            block += draws >= c
+            block += np.greater_equal(draws, c, out=reached)
         for t in range(0, len(block), TRANSPOSE_TILE_ROWS):
             tile = block[t : t + TRANSPOSE_TILE_ROWS]
             out[:, lo + t : lo + t + len(tile)] = tile.T
@@ -389,9 +400,10 @@ def enumeration_size(alphabet: Alphabet, sites: SiteSet) -> int:
 def index_matrix(size: int, n_sites: int, lo: int, hi: int) -> np.ndarray:
     """Inputs lo..hi-1 of the enumeration as an (n_sites, hi-lo) index
     matrix: site-major like ``sample_matrix``, with column k the input
-    lo + k and site j its j-th base-``size`` digit."""
+    lo + k and site j its j-th base-``size`` digit.  Int8 for alphabets
+    of at most 128 symbols and int64 otherwise, as ``sample_matrix``."""
     idx = np.arange(lo, hi, dtype=np.int64)
-    out = np.empty((n_sites, hi - lo), dtype=np.int64)
+    out = np.empty((n_sites, hi - lo), dtype=symbol_dtype(size))
     if size == 2:
         for j in range(n_sites):
             out[j] = (idx >> j) & 1

@@ -7,7 +7,9 @@ for unbounded ray lookahead), how to apply itself to one configuration,
 and how to evaluate itself on a whole batch of value matrices at once.
 Batch matrices are site-major, (sites, rows): each site's values across
 the batch are one contiguous row, so a kernel's per-site gather copies
-whole rows.  Descriptors are immutable and shareable across threads.
+whole rows.  A kernel builds its undefined-cell masks only where a -1
+can occur: a total input read through complete index tables needs none.
+Descriptors are immutable and shareable across threads.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .config import (
     Distribution,
     bit_alphabet,
     star_alphabet,
+    symbol_dtype,
 )
 from .freegroup import GEN_A, GEN_B, IDENTITY, SiteSet, Word, ball, code_lengths, right_mul_codes
 
@@ -53,10 +56,14 @@ class FactorMap:
         self, values: np.ndarray, sites: SiteSet, out_sites: SiteSet
     ) -> np.ndarray:
         """Evaluate on a site-major (|sites|, n) index matrix (-1 =
-        undefined): row j holds the n inputs' values at ``sites[j]``.
+        undefined) of any integer dtype: row j holds the n inputs' values
+        at ``sites[j]``.
 
         Returns an (|out_sites|, n) matrix, laid out the same way, with -1
-        where the output is undefined.  Must be overridden.
+        where the output is undefined.  ``BlockMap`` returns the dtype of
+        ``symbol_dtype`` (int8 up to 128 output symbols), so a caller that
+        does arithmetic on the result widens it first; ``StarMap`` and
+        ``ComposedMap`` return int64.  Must be overridden.
         """
         raise NotImplementedError
 
@@ -92,9 +99,12 @@ class FactorMap:
         return f"<{type(self).__name__} {self.name}>"
 
 
-def _safe_gather(values: np.ndarray, idx: np.ndarray) -> np.ndarray:
+def _safe_gather(values: np.ndarray, idx: np.ndarray, complete: bool = False) -> np.ndarray:
     """The rows values[idx] of a site-major matrix, treating idx == -1 as
-    undefined (a row of -1)."""
+    undefined (a row of -1).  A caller that knows idx holds no -1 passes
+    ``complete`` and gets the plain gather, with no mask."""
+    if complete:
+        return values.take(idx, axis=0)
     if values.shape[0] == 0:
         return np.full((*idx.shape, values.shape[1]), -1, dtype=values.dtype)
     return np.where((idx >= 0)[..., None], values.take(np.maximum(idx, 0), axis=0), -1)
@@ -126,25 +136,35 @@ class BlockMap(FactorMap):
             raise ValueError("table shape must be (size,) * len(offsets)")
         if table.min() < 0 or table.max() >= output_alphabet.size:
             raise ValueError("table entries out of output range")
-        # int64 like the kernel's flat indices, so it can look outputs up in place
         self.table = table.astype(np.int64, copy=False)
         self.table.setflags(write=False)
+        # the flat table in the output dtype; an int64 one looks outputs up in
+        # place in the kernel's int64 flat indices
+        self._lookup = self.table.ravel().astype(symbol_dtype(output_alphabet.size))
         self.window_cost = max((len(w) for w in self.offsets), default=0)
 
     def apply_batch(self, values, sites, out_sites):
+        tables = [sites.neighbor_indices(off, out_sites) for off in self.offsets]
+        # a total input read through complete tables has no undefined cell to mask
+        total = all(sites.covers(off, out_sites) for off in self.offsets) and (
+            values.size == 0 or values.min() >= 0)
         # one flat table index per output cell, by Horner's rule over the offsets
         size = self.input_alphabet.size
         flat = np.zeros((len(out_sites), values.shape[1]), dtype=np.int64)
-        valid = np.ones(flat.shape, dtype=bool)
-        for off in self.offsets:
-            col = _safe_gather(values, sites.neighbor_indices(off, out_sites))
-            valid &= col >= 0
+        valid = None if total else np.ones(flat.shape, dtype=bool)
+        for idx in tables:
+            col = _safe_gather(values, idx, total)
+            if valid is not None:
+                valid &= col >= 0
+                np.maximum(col, 0, out=col)
             flat *= size
-            flat += np.maximum(col, 0, out=col)
-        # in place: take reads each cell's index before it writes that cell; every
-        # index is in range, and "clip" skips the copy of out that "raise" makes
-        out = self.table.ravel().take(flat, mode="clip", out=flat)
-        out[~valid] = -1
+            flat += col
+        # every index is in range, and "clip" skips the copy of out that "raise"
+        # makes; in place, take reads each cell's index before it writes that cell
+        out = flat if self._lookup.dtype == np.int64 else np.empty(flat.shape, self._lookup.dtype)
+        self._lookup.take(flat, mode="clip", out=out)
+        if valid is not None:
+            out[~valid] = -1
         return out
 
     apply = FactorMap.apply  # the batch kernel, bound here so a tracer can wrap it per class
@@ -277,35 +297,42 @@ class StarMap(FactorMap):
         self.output_alphabet = star_alphabet(2)
         self.window_cost = None
 
-    def _first_bits(self, values: np.ndarray, rays: np.ndarray) -> np.ndarray:
+    def _first_bits(self, values: np.ndarray, rays: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
         """The first non-star value along each ray, one ray step at a time.
 
-        values: site-major (s, n) matrix; rays: (m, L) site indices (-1
-        padding).  Returns an (m, n) int64 array, -1 where the ray leaves
-        the site set, meets an undefined site, or runs out while still
-        seeing stars.
+        values: site-major (s, n) matrix; rays: the (m, L) site indices (-1
+        padding) and the m ray lengths of ``SiteSet.ray_indices``.  Returns
+        an (m, n) array in the dtype of values, -1 where the ray leaves the
+        site set, meets an undefined site, or runs out while still seeing
+        stars.
         """
         star = self.input_alphabet.star_index
-        first = np.full((rays.shape[0], values.shape[1]), -1, dtype=np.int64)
+        rays, lengths = rays
+        # step k of every ray is a site while k < the shortest ray's length
+        shortest = lengths.min(initial=rays.shape[1])
+        first = np.full((rays.shape[0], values.shape[1]), -1, dtype=values.dtype)
         open_rays = np.ones(first.shape, dtype=bool)
-        for col in rays.T:
-            step = _safe_gather(values, col)
-            np.copyto(first, step, where=open_rays & (step != star))
+        for k, col in enumerate(rays.T):
+            step = _safe_gather(values, col, k < shortest)
+            # an open ray takes every step; it stays open only on a star
+            np.copyto(first, step, where=open_rays)
             open_rays &= step == star
             if not open_rays.any():
-                break
+                return first
+        first[open_rays] = -1  # ran out while still seeing stars
         return first
 
     apply = FactorMap.apply
 
     def apply_batch(self, values, sites, out_sites):
-        centers = _safe_gather(values, sites.indices_of(out_sites)).astype(np.int64)
-        a = self._first_bits(values, sites.ray_indices(GEN_A, out_sites)[0])
-        b = self._first_bits(values, sites.ray_indices(GEN_B, out_sites)[0])
+        # in the input's dtype until the end: every value here is -1, a bit or *
+        centers = _safe_gather(values, sites.indices_of(out_sites))
+        a = self._first_bits(values, sites.ray_indices(GEN_A, out_sites))
+        b = self._first_bits(values, sites.ray_indices(GEN_B, out_sites))
         center_bit = (centers == 0) | (centers == 1)
         out = np.where(center_bit & (a >= 0) & (b >= 0), (centers ^ a) + 2 * (centers ^ b), -1)
         out[centers == self.input_alphabet.star_index] = self.output_alphabet.star_index
-        return out
+        return out.astype(np.int64, copy=False)
 
     def dependency_sites(self, out_sites, budget_radius):
         # each ray up to its first power longer than the budget

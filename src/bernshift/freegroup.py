@@ -439,15 +439,26 @@ class SiteSet:
 
     def neighbor_indices(self, offset: Word, of: "SiteSet | None" = None) -> np.ndarray:
         """For each site g of ``of`` (default: this set), the index of
-        g*offset in this set, or -1 if absent.  Tables of this set's own
-        sites are cached."""
-        if of is not None and of is not self and of != self:
-            return self._find(right_mul_codes(of.codes, offset))
-        cached = self._neighbors.get(offset)
+        g*offset in this set, or -1 if absent.  Cached per (offset,
+        ``of``), with whether the table is complete (``covers``)."""
+        return self._neighbor_table(offset, of)[0]
+
+    def covers(self, offset: Word, of: "SiteSet | None" = None) -> bool:
+        """Whether g*offset is a site of this set for every site g of
+        ``of`` (default: this set): the neighbour table holds no -1.
+        Compiled with the cached table, so asking costs no scan."""
+        return self._neighbor_table(offset, of)[1]
+
+    def _neighbor_table(self, offset: Word, of: "SiteSet | None") -> tuple[np.ndarray, bool]:
+        # the set's own tables are keyed by the offset alone, so the cache holds no cycle
+        own = of is None or of is self or of == self
+        key = offset if own else (offset, of)
+        cached = self._neighbors.get(key)
         if cached is None:
-            cached = self._find(right_mul_codes(self.codes, offset))
-            cached.setflags(write=False)
-            self._neighbors[offset] = cached
+            table = self._find(right_mul_codes(self.codes if own else of.codes, offset))
+            table.setflags(write=False)
+            cached = (table, bool(table.min(initial=0) >= 0))
+            self._neighbors[key] = cached
         return cached
 
     def ray_indices(self, letter: int, of: "SiteSet | None" = None) -> tuple[np.ndarray, np.ndarray]:
@@ -459,7 +470,8 @@ class SiteSet:
         not word length: lengths are not monotone near cancellations).
         Step 1 looks up g*s, and every further step follows this set's
         single-letter neighbour table.  Returns a padded (n_sites,
-        max_len) index array (-1 past the end) and the ray lengths.
+        max_len) index array (-1 past the end), stored column-major, and
+        the ray lengths.
         """
         # the set's own rays are keyed by the letter alone, so the cache holds no cycle
         key = letter if of is None or of is self or of == self else (letter, of)
@@ -471,7 +483,8 @@ class SiteSet:
             while (cur >= 0).any():
                 cols.append(cur)
                 cur = np.where(cur >= 0, step[np.maximum(cur, 0)], -1)
-            padded = np.stack(cols, axis=1) if cols else np.full((len(cur), 0), -1, dtype=np.int64)
+            # column-major, so the kernels' walk along ray step k reads one contiguous column
+            padded = np.stack(cols).T if cols else np.full((len(cur), 0), -1, dtype=np.int64)
             lengths = (padded >= 0).sum(axis=1)
             padded.setflags(write=False)
             lengths.setflags(write=False)

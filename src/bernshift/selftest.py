@@ -77,7 +77,8 @@ def _ow_output_patterns(threads: int) -> np.ndarray:
     out = ow().apply_batch(values, b2, b1)
     packed = np.zeros(out.shape[1], dtype=np.int64)
     for j, site in enumerate(out):
-        packed |= site << (2 * j)
+        # widen first: the int8 output shifted in place would lose its high bits
+        packed |= site.astype(np.int64) << (2 * j)
     return packed
 
 

@@ -155,11 +155,12 @@ def _pattern_counts(out: np.ndarray, out_size: int) -> tuple[np.ndarray, int]:
     as truncated."""
     valid = (out >= 0).all(axis=0)
     truncated = int(out.shape[1] - valid.sum())
+    # site 0 least significant, by Horner's rule from the last site: each
+    # narrow (int8) row is widened into the int64 pattern before any product
     pattern = np.zeros(out.shape[1], dtype=np.int64)
-    base = 1
-    for site in out:
-        pattern += site * base
-        base *= out_size
+    for site in out[::-1]:
+        pattern *= out_size
+        pattern += site
     return np.bincount(pattern[valid], minlength=out_size ** out.shape[0]), truncated
 
 

@@ -1,0 +1,189 @@
+"""The batch kernels' fast path for total inputs and their narrow outputs:
+a total input read through complete index tables skips the undefined-cell
+masks, block codes emit int8 up to 128 output symbols, and every consumer
+that does arithmetic on a kernel output widens it first."""
+
+import numpy as np
+import pytest
+
+from bernshift import (
+    BlockMap,
+    Configuration,
+    IDENTITY,
+    ball,
+    bit_alphabet,
+    ow,
+    parse_map_spec,
+    plain_alphabet,
+    relabel,
+    restrict,
+    star_base,
+    swap_bits,
+    timar,
+    uniform,
+)
+from bernshift import factormaps
+from bernshift.config import index_matrix, sample_matrix
+from bernshift.freegroup import GEN_A, GEN_B
+from bernshift.selftest import _ow_output_patterns
+from bernshift.verify import _pattern_counts
+
+from oracles import coinduced_lift_direct, compose_stagewise, ow_direct, star_direct
+
+U2 = bit_alphabet(1)
+
+
+def test_ow_output_patterns_keep_every_bit_of_the_packed_image():
+    f = _ow_output_patterns(1)
+    # 5 output sites of 4 symbols: the packed image of ow on ball(2) is onto
+    assert f.dtype == np.int64 and len(np.unique(f)) == 4**5
+    b2, b1 = ball(2), ball(1)
+    for i in (0, 1, 5, 1 << 16, (1 << 17) - 1, 98765):
+        x = Configuration(U2, b2, [(i >> j) & 1 for j in range(len(b2))])
+        y = restrict(ow().apply(x), b1).indices
+        assert int(f[i]) == sum(int(v) << (2 * j) for j, v in enumerate(y))
+
+
+def test_pattern_counts_of_a_narrow_output_equal_the_int64_tally():
+    rng = np.random.default_rng(5)
+    out = rng.integers(0, 4, (5, 3000)).astype(np.int8)
+    out[rng.integers(0, 5, 40), rng.integers(0, 3000, 40)] = -1
+    counts, truncated = _pattern_counts(out, 4)
+    wide = out.astype(np.int64)
+    valid = (wide >= 0).all(axis=0)
+    pattern = sum(wide[j] * 4**j for j in range(5))
+    np.testing.assert_array_equal(counts, np.bincount(pattern[valid], minlength=4**5))
+    assert truncated == int((~valid).sum())
+    assert counts.dtype == np.int64 and counts.sum() + truncated == 3000
+
+
+def _swap_direct(x: Configuration, g):
+    v = x.value_at(g)
+    return None if v is None else 1 - v
+
+
+def _reference(spec: str, x: Configuration, out_sites) -> np.ndarray:
+    """The per-row oracle for ``spec`` on x, read on ``out_sites``."""
+    fmap = parse_map_spec(spec)
+    if spec.startswith("timar:"):
+        y = compose_stagewise(fmap.stages, x)
+    elif spec == "coinduced:swap":
+        y = coinduced_lift_direct(swap_bits(), x)
+    else:
+        site_rule = {"ow": ow_direct, "swap": _swap_direct, "star:0.25": star_direct}[spec]
+        y = Configuration(fmap.output_alphabet, x.sites, [site_rule(x, g) for g in x.sites])
+    return restrict(y, out_sites).indices
+
+
+# (map, input radius, output radius): every table of the output window is complete
+_WINDOWS = (
+    ("ow", 3, 2),
+    ("timar:1", 3, 2),
+    ("timar:2", 3, 1),
+    ("timar:3", 4, 1),
+    ("timar:4", 5, 1),
+    ("swap", 2, 2),
+    ("coinduced:swap", 2, 2),
+    ("star:0.25", 6, 1),
+)
+
+
+def _window(spec: str, r_in: int, r_out: int):
+    fmap = parse_map_spec(spec)
+    out_sites = ball(r_out)
+    sites = fmap.dependency_sites(out_sites, r_in) if fmap.window_cost is None else ball(r_in)
+    law = star_base(0.25) if spec.startswith("star") else uniform(fmap.input_alphabet)
+    return fmap, sites, out_sites, law
+
+
+def _gathers(monkeypatch) -> list:
+    """Record the ``complete`` flag of every kernel gather."""
+    flags = []
+    real = factormaps._safe_gather
+
+    def spy(values, idx, complete=False):
+        flags.append(complete)
+        return real(values, idx, complete)
+
+    monkeypatch.setattr(factormaps, "_safe_gather", spy)
+    return flags
+
+
+def _check_rows(spec, fmap, values, sites, out_sites):
+    got = fmap.apply_batch(values, sites, out_sites)
+    assert got.shape == (len(out_sites), values.shape[1])
+    for k in range(values.shape[1]):
+        x = Configuration(fmap.input_alphabet, sites, values[:, k].astype(np.int64))
+        np.testing.assert_array_equal(got[:, k], _reference(spec, x, out_sites), err_msg=f"row {k}")
+
+
+@pytest.mark.parametrize("spec,r_in,r_out", _WINDOWS)
+@pytest.mark.parametrize("dtype", [np.int8, np.int64])
+def test_fast_path_and_masked_paths_agree_with_the_per_row_oracles(spec, r_in, r_out, dtype, monkeypatch):
+    fmap, sites, out_sites, law = _window(spec, r_in, r_out)
+    total = sample_matrix(law, len(sites), 6, np.random.default_rng(len(sites))).astype(dtype)
+    flags = _gathers(monkeypatch)
+
+    # a total input on a window whose tables are all complete
+    _check_rows(spec, fmap, total, sites, out_sites)
+    assert any(flags), "the fast path was not taken"
+    if isinstance(fmap, BlockMap):
+        assert all(flags)
+
+    # the same input with one undefined cell: a block code masks every gather
+    # (a star ray's complete steps still skip the mask: a hole there is data)
+    holey = total.copy()
+    holey[0, 2] = -1
+    flags.clear()
+    _check_rows(spec, fmap, holey, sites, out_sites)
+    if not spec.startswith("star"):
+        assert not any(flags)
+
+    # the total input on a window past the input: its tables are incomplete
+    flags.clear()
+    _check_rows(spec, fmap, total, sites, ball(r_in + 1))
+    assert not any(flags)
+
+
+@pytest.mark.parametrize("size,dtype", [(2, np.int8), (3, np.int8), (128, np.int8), (129, np.int64)])
+def test_index_matrix_is_int8_up_to_128_symbols(size, dtype):
+    got = index_matrix(size, 3, 1000, 1100)
+    assert got.dtype == dtype and got.shape == (3, 100)
+    idx = np.arange(1000, 1100)
+    want = np.stack([(idx // size**j) % size for j in range(3)])
+    np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("size,dtype", [(2, np.int8), (128, np.int8), (129, np.int64)])
+def test_block_outputs_are_int8_up_to_128_output_symbols(size, dtype):
+    a_in = plain_alphabet(f"in{size}", (str(i) for i in range(size)))
+    a_out = plain_alphabet(f"out{size}", (str(i) for i in range(size)))
+    mapping = np.arange(size)[::-1]
+    fmap = relabel("reverse", a_in, a_out, mapping)
+    sites = ball(1)
+    values = np.random.default_rng(size).integers(0, size, (len(sites), 50))
+    got = fmap.apply_batch(values, sites, sites)
+    assert got.dtype == dtype
+    np.testing.assert_array_equal(got, mapping[values])
+    want = mapping[values]
+    values[1, 3] = want[1, 3] = -1
+    got = fmap.apply_batch(values, sites, sites)
+    assert got.dtype == dtype
+    np.testing.assert_array_equal(got, want)
+
+
+def test_only_block_codes_emit_narrow_outputs():
+    sites = ball(3)
+    values = sample_matrix(uniform(U2), len(sites), 10, np.random.default_rng(1))
+    assert ow().apply_batch(values, sites, ball(2)).dtype == np.int8
+    assert BlockMap("id", U2, U2, (IDENTITY,), np.arange(2)).apply_batch(values, sites, sites).dtype == np.int8
+    assert timar(2).apply_batch(values, sites, ball(1)).dtype == np.int64
+    stars = sample_matrix(star_base(0.25), len(sites), 10, np.random.default_rng(1))
+    assert parse_map_spec("star:0.25").apply_batch(stars, sites, ball(1)).dtype == np.int64
+
+
+def test_ray_tables_store_each_step_as_one_contiguous_column():
+    sites = ball(4)
+    for rays, _ in (sites.ray_indices(GEN_A), sites.ray_indices(GEN_B, ball(2))):
+        # the star kernel walks rays.T one step at a time
+        assert rays.T.flags.c_contiguous and not rays.flags.writeable
