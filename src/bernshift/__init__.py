@@ -5,14 +5,11 @@ rank-2 free group, with exact and statistical verification at desk scale.
 from .coinduce import (
     CosetConfiguration,
     NotInSubgroup,
-    ZBlockMap,
     cocycle,
-    coinduce_factor,
     coinduced_act,
     coset_of,
     from_coset_config,
     to_coset_config,
-    z_relabel,
 )
 from .config import (
     Alphabet,
@@ -22,9 +19,6 @@ from .config import (
     alphabet_by_name,
     bit_alphabet,
     plain_alphabet,
-    point_mass,
-    product_alphabet,
-    product_distribution,
     restrict,
     sample,
     star_alphabet,
@@ -50,7 +44,6 @@ from .factormaps import (
     FactorMap,
     InsufficientRadius,
     StarMap,
-    first_factor_projection,
     identity_map,
     ow,
     parse_map_spec,
@@ -71,7 +64,6 @@ from .freegroup import (
     gen_power,
     inv,
     mul,
-    random_word,
     reduce_word,
 )
 from .pipeline import (

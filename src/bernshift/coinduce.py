@@ -18,8 +18,8 @@ import numpy as np
 
 from .config import Alphabet, Configuration, alphabet_by_name, json_boundary, json_indices
 from .factormaps import BlockMap
-from .freegroup import GEN_A, GEN_A_INV, IDENTITY, SiteSet, Word, a_power_decomposition, decode, encode
-from .freegroup import _longest, gen_power, inv_codes, mul_codes, right_mul_codes, strip_a_codes
+from .freegroup import GEN_A, GEN_A_INV, SiteSet, Word, a_power_decomposition, decode, encode
+from .freegroup import _longest, inv_codes, mul_codes, right_mul_codes, strip_a_codes
 
 
 class NotInSubgroup(ValueError):
@@ -178,41 +178,12 @@ def coinduced_act(g: Word, y: CosetConfiguration) -> CosetConfiguration:
     return CosetConfiguration(y.alphabet, y.coset_sites, y.window, moved)
 
 
-class ZBlockMap(BlockMap):
-    """A sliding block code over H = <a>: output at position j is
-    table[v(j + o1), ..., v(j + ok)] for integer offsets o.
-
-    It is stored as the block code with offsets a^o, which on group-indexed
-    configurations acts along every <a>-coset at once.
-    """
-
-    def __init__(self, name: str, a_in: Alphabet, a_out: Alphabet, offsets: Sequence[int], table):
-        super().__init__(name, a_in, a_out, [gen_power(IDENTITY, GEN_A, o) for o in offsets], table)
-
-
-def z_relabel(name: str, a_in: Alphabet, a_out: Alphabet, mapping: Sequence[int]) -> ZBlockMap:
-    return ZBlockMap(name, a_in, a_out, (0,), np.asarray(mapping))
-
-
 def a_exponents(phi: BlockMap) -> list[int]:
     """The o of the offsets a^o of a block code along <a>."""
     parts = [a_power_decomposition(w) for w in phi.offsets]
     if any(len(rep) for rep, _ in parts):
         raise ValueError(f"{phi.name} is not a block code along <a>")
     return [o for _, o in parts]
-
-
-def coinduce_factor(phi: BlockMap, y: CosetConfiguration) -> CosetConfiguration:
-    """Coset-wise application of a block code along <a> (a ZBlockMap or a
-    relabeling): row c of the result is phi applied to row c of the input,
-    undefined where some j + o is off the window or undefined.
-
-    The block code itself runs on the merged slots, where the site c * a^j
-    reads c * a^(j + o), and the result is split back on the same window."""
-    if y.alphabet != phi.input_alphabet:
-        raise ValueError(f"{phi.name} expects {phi.input_alphabet.name}, got {y.alphabet.name}")
-    a_exponents(phi)  # a rule that reads outside its own coset is refused
-    return to_coset_config(phi.apply(from_coset_config(y)), y.window)
 
 
 def to_coset_config(x: Configuration, window: int | None = None) -> CosetConfiguration:

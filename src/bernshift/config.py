@@ -68,24 +68,6 @@ class Alphabet:
             raise ValueError(f"{self.name} has no star symbol")
         return len(self.symbols) - 1
 
-    def index_to_bits(self, index: int) -> tuple[int, ...]:
-        """Symbol index -> bit vector (i1, ..., im); plane 1 is the LSB."""
-        m = self._require_planes()
-        if not 0 <= index < 2**m:
-            raise ValueError(f"index {index} out of bit range for {self.name}")
-        return tuple((index >> (j - 1)) & 1 for j in range(1, m + 1))
-
-    def bits_to_index(self, bits: Sequence[int]) -> int:
-        m = self._require_planes()
-        if len(bits) != m:
-            raise ValueError(f"expected {m} bits")
-        return sum((b & 1) << j for j, b in enumerate(bits))
-
-    def _require_planes(self) -> int:
-        if self.planes is None:
-            raise ValueError(f"{self.name} has no bit-plane structure")
-        return self.planes
-
 
 def _bit_labels(m: int) -> tuple[str, ...]:
     return tuple("".join(str((i >> (j - 1)) & 1) for j in range(1, m + 1)) for i in range(2**m))
@@ -107,12 +89,6 @@ def star_alphabet(m: int = 1) -> Alphabet:
 
 def plain_alphabet(name: str, symbols: Iterable[str]) -> Alphabet:
     return Alphabet(name, tuple(symbols), tag="plain")
-
-
-def product_alphabet(a1: Alphabet, a2: Alphabet) -> Alphabet:
-    """Pair alphabet for independent splittings; index = i1 + |a1| * i2."""
-    symbols = tuple(f"({s1},{s2})" for s2 in a2.symbols for s1 in a1.symbols)
-    return Alphabet(f"{a1.name}x{a2.name}", symbols, tag="plain")
 
 
 _ALPHABET_NAME_RE = re.compile(r"^U(\d+)(\*?)$")
@@ -157,10 +133,6 @@ class Distribution:
     def is_exact(self) -> bool:
         return all(isinstance(w, (Fraction, int)) for w in self.weights)
 
-    @property
-    def is_trivial(self) -> bool:
-        return any(w == 1 for w in self.weights)
-
     def float_weights(self) -> tuple[float, ...]:
         return tuple(float(w) for w in self.weights)
 
@@ -168,12 +140,6 @@ class Distribution:
 def uniform(alphabet: Alphabet) -> Distribution:
     n = alphabet.size
     return Distribution(alphabet, tuple(Fraction(1, n) for _ in range(n)))
-
-
-def point_mass(alphabet: Alphabet, symbol_index: int) -> Distribution:
-    w = [Fraction(0)] * alphabet.size
-    w[symbol_index] = Fraction(1)
-    return Distribution(alphabet, tuple(w))
 
 
 def star_base(p) -> Distribution:
@@ -189,12 +155,6 @@ def star_image(p) -> Distribution:
         raise ValueError("p must lie in (0, 1/2]")
     half = p / 2
     return Distribution(star_alphabet(2), (half, half, half, half, 1 - 2 * p))
-
-
-def product_distribution(d1: Distribution, d2: Distribution) -> Distribution:
-    alpha = product_alphabet(d1.alphabet, d2.alphabet)
-    weights = tuple(w2 * w1 for w2 in d2.weights for w1 in d1.weights)
-    return Distribution(alpha, weights)
 
 
 def json_boundary(parse):
@@ -391,10 +351,6 @@ def sample_matrix(
             tile = block[t : t + TRANSPOSE_TILE_ROWS]
             out[:, lo + t : lo + t + len(tile)] = tile.T
     return out
-
-
-def enumeration_size(alphabet: Alphabet, sites: SiteSet) -> int:
-    return alphabet.size ** len(sites)
 
 
 def index_matrix(size: int, n_sites: int, lo: int, hi: int) -> np.ndarray:

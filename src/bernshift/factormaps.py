@@ -182,23 +182,6 @@ class BlockMap(FactorMap):
         out = np.bincount(flat, weights=probs, minlength=self.output_alphabet.size)
         return Distribution(self.output_alphabet, tuple(float(w) for w in out))
 
-    def is_bijective_relabel(self) -> bool:
-        return (
-            len(self.offsets) == 1
-            and self.offsets[0].is_identity
-            and self.input_alphabet.size == self.output_alphabet.size
-            and len(set(self.table.tolist())) == self.input_alphabet.size
-        )
-
-    def inverse(self) -> "BlockMap":
-        if not self.is_bijective_relabel():
-            raise ValueError(f"{self.name} is not an invertible relabeling")
-        inv_table = np.empty_like(self.table)
-        inv_table[self.table] = np.arange(self.table.size)
-        return BlockMap(
-            f"{self.name}^-1", self.output_alphabet, self.input_alphabet, (IDENTITY,), inv_table
-        )
-
 
 _A_WORD = Word((GEN_A,))
 _B_WORD = Word((GEN_B,))
@@ -268,16 +251,6 @@ def identity_map(alphabet: Alphabet) -> BlockMap:
     return relabel(f"identity_{alphabet.name}", alphabet, alphabet, np.arange(alphabet.size))
 
 
-def first_factor_projection(a1: Alphabet, a2: Alphabet) -> BlockMap:
-    """Projection of the pair alphabet a1 x a2 onto a1 (drop the second
-    independent coordinate)."""
-    from .config import product_alphabet
-
-    prod = product_alphabet(a1, a2)
-    table = np.arange(prod.size) % a1.size
-    return BlockMap(f"project_{prod.name}_to_{a1.name}", prod, a1, (IDENTITY,), table)
-
-
 class StarMap(FactorMap):
     """The star-extended doubling rule with generator-ray lookahead.
 
@@ -325,8 +298,11 @@ class StarMap(FactorMap):
     apply = FactorMap.apply
 
     def apply_batch(self, values, sites, out_sites):
-        # in the input's dtype until the end: every value here is -1, a bit or *
-        centers = _safe_gather(values, sites.indices_of(out_sites))
+        # in the input's dtype until the end: every value here is -1, a bit or *;
+        # the centres gather through the cached neighbour table of the identity offset
+        centers = _safe_gather(
+            values, sites.neighbor_indices(IDENTITY, out_sites), sites.covers(IDENTITY, out_sites)
+        )
         a = self._first_bits(values, sites.ray_indices(GEN_A, out_sites))
         b = self._first_bits(values, sites.ray_indices(GEN_B, out_sites))
         center_bit = (centers == 0) | (centers == 1)

@@ -555,8 +555,3 @@ def random_reduced(rng: np.random.Generator, max_len: int) -> tuple[tuple[int, .
         letters.append(i + (i >= banned))
         code, banned = 4 * code + letters[-1] + 1, letters[-1] ^ 1
     return tuple(letters), code
-
-
-def random_word(rng: np.random.Generator, max_len: int) -> Word:
-    """A random reduced word of length uniform in [0, max_len]."""
-    return Word._from_reduced(*random_reduced(rng, max_len))

@@ -270,8 +270,8 @@ class CoinducedCellMap(BlockMap):
 
 
 def coinduced_map(fmap: BlockMap) -> CoinducedCellMap:
-    """Lift a per-coset cell rule, a block code along <a> (a ZBlockMap or
-    a single-site BlockMap), to the group."""
+    """Lift a per-coset cell rule, a block code along <a> (a BlockMap
+    whose offsets are a-powers), to the group."""
     if not isinstance(fmap, BlockMap):
         raise ValueError("coinduced lifts need a per-coset cell rule, a block code along <a>")
     return CoinducedCellMap(fmap)

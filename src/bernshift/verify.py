@@ -31,6 +31,7 @@ from .config import (
     plain_alphabet,
     restrict,
     sample_matrix,
+    symbol_dtype,
     translate,
 )
 from .factormaps import FactorMap, InsufficientRadius
@@ -346,13 +347,14 @@ def check_equivariance(fmap, r: int, trials: int, seed: int) -> PropertyReport:
     first = None
     for lo, hi in _chunks(trials, block_rows(8 * len(sites))):
         draws = [(rng.integers(len(g_pool)), rng.integers(0, alpha.size, len(sites))) for _ in range(lo, hi)]
-        picks, xs = np.array([pick for pick, _ in draws]), np.stack([x for _, x in draws], axis=1)
+        picks = np.array([pick for pick, _ in draws])
+        xs = np.stack([x for _, x in draws], axis=1).astype(symbol_dtype(alpha.size))
         images = fmap.apply_batch(xs, sites, sites)
         for pick in np.unique(picks):
             g = g_pool[pick]
             cols = np.flatnonzero(picks == pick)
             moved_sites, perm = translated_sites(sites, g)
-            moved = np.empty((len(sites), len(cols)), dtype=np.int64)
+            moved = np.empty((len(sites), len(cols)), dtype=xs.dtype)
             moved[perm] = xs[:, cols]
             lhs = fmap.apply_batch(moved, moved_sites, moved_sites)
             rhs = np.empty_like(lhs)

@@ -5,18 +5,27 @@ rescans from scratch, the map oracles read values straight off the
 defining formulas, and the solver oracle is scipy's brentq.  They exist
 so the fast paths are checked against something that cannot share their
 bugs.
+
+The first few helpers are building blocks that only tests use: block
+codes given by integer a-offsets, the inverse of a relabeling, the
+split-apply-merge lift that ``CoinducedCellMap`` replaced, a point mass
+and a random reduced word.
 """
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy.optimize import brentq
 
 from bernshift import (
+    IDENTITY,
+    BlockMap,
     ComposedMap,
     Configuration,
     CosetConfiguration,
+    Distribution,
     EnumerationTooLarge,
     InsufficientRadius,
     PropertyReport,
@@ -25,15 +34,65 @@ from bernshift import (
     a_power_decomposition,
     ball,
     coset_of,
+    from_coset_config,
     gen_power,
     inv,
     mul,
     timar,
+    to_coset_config,
     translate,
 )
-from bernshift.coinduce import NotInSubgroup
+from bernshift.coinduce import NotInSubgroup, a_exponents
 from bernshift.config import DEFAULT_ENUMERATION_CAP
-from bernshift.freegroup import GEN_A, GEN_A_INV, GEN_B, GEN_B_INV
+from bernshift.freegroup import GEN_A, GEN_A_INV, GEN_B, GEN_B_INV, random_reduced
+
+
+class ZBlockMap(BlockMap):
+    """A sliding block code over H = <a>: output at position j is
+    table[v(j + o1), ..., v(j + ok)] for integer offsets o.
+
+    It is stored as the block code with offsets a^o, which on group-indexed
+    configurations acts along every <a>-coset at once.
+    """
+
+    def __init__(self, name, a_in, a_out, offsets, table):
+        super().__init__(name, a_in, a_out, [gen_power(IDENTITY, GEN_A, o) for o in offsets], table)
+
+
+def z_relabel(name, a_in, a_out, mapping) -> ZBlockMap:
+    return ZBlockMap(name, a_in, a_out, (0,), np.asarray(mapping))
+
+
+def relabel_inverse(phi: BlockMap) -> BlockMap:
+    """The inverse of a single-site bijective relabeling."""
+    inv_table = np.empty_like(phi.table)
+    inv_table[phi.table] = np.arange(phi.table.size)
+    return BlockMap(f"{phi.name}^-1", phi.output_alphabet, phi.input_alphabet, (IDENTITY,), inv_table)
+
+
+def coinduce_factor(phi: BlockMap, y: CosetConfiguration) -> CosetConfiguration:
+    """Coset-wise application of a block code along <a> (a ZBlockMap or a
+    relabeling): row c of the result is phi applied to row c of the input,
+    undefined where some j + o is off the window or undefined.
+
+    The block code itself runs on the merged slots, where the site c * a^j
+    reads c * a^(j + o), and the result is split back on the same window.
+    This is the split-apply-merge path that ``CoinducedCellMap`` replaced."""
+    if y.alphabet != phi.input_alphabet:
+        raise ValueError(f"{phi.name} expects {phi.input_alphabet.name}, got {y.alphabet.name}")
+    a_exponents(phi)  # a rule that reads outside its own coset is refused
+    return to_coset_config(phi.apply(from_coset_config(y)), y.window)
+
+
+def point_mass(alphabet, symbol_index) -> Distribution:
+    w = [Fraction(0)] * alphabet.size
+    w[symbol_index] = Fraction(1)
+    return Distribution(alphabet, tuple(w))
+
+
+def random_word(rng, max_len) -> Word:
+    """A random reduced word of length uniform in [0, max_len]."""
+    return Word._from_reduced(*random_reduced(rng, max_len))
 
 
 def naive_reduce(letters):

@@ -21,7 +21,8 @@ def test_every_demo_has_a_golden_output():
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
 def test_demo_output_is_unchanged(demo):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    # pytest's -W error does not reach a subprocess, so the demo gets its own
     done = subprocess.run(
-        [sys.executable, str(demo)], cwd=ROOT, env=env, capture_output=True, timeout=120, check=True
+        [sys.executable, "-W", "error", str(demo)], cwd=ROOT, env=env, capture_output=True, timeout=120, check=True
     )
     assert done.stdout == (ROOT / "tests" / "data" / "demos" / f"{demo.stem}.txt").read_bytes()

@@ -9,7 +9,6 @@ from bernshift import (
     bit_alphabet,
     boost_step,
     plain_alphabet,
-    point_mass,
     run_recursion,
     shannon,
     solve_p,
@@ -19,7 +18,7 @@ from bernshift import (
     uniform,
 )
 
-from oracles import solve_p_oracle, three_symbol_entropy
+from oracles import point_mass, solve_p_oracle, three_symbol_entropy
 
 
 def test_shannon_point_mass_is_zero():

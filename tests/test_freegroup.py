@@ -12,12 +12,11 @@ from bernshift import (
     gen_power,
     inv,
     mul,
-    random_word,
     reduce_word,
 )
 from bernshift.freegroup import GEN_A, GEN_A_INV, GEN_B, GEN_B_INV, inverse_letter
 
-from oracles import naive_reduce
+from oracles import naive_reduce, random_word
 
 letter_lists = st.lists(st.integers(min_value=0, max_value=3), max_size=14)
 words = letter_lists.map(Word)

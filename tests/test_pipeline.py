@@ -28,10 +28,9 @@ from bernshift import (
     timar_stage,
     uniform,
     validate_plan,
-    z_relabel,
 )
 
-from oracles import enumerate_configurations
+from oracles import ZBlockMap, enumerate_configurations, z_relabel
 
 U2 = bit_alphabet(1)
 
@@ -203,7 +202,7 @@ def test_coinduced_lift_accepts_single_site_blockmaps():
 
 def test_coinduced_sliding_block_cell_map():
     # a genuine 2-site rule along the a-direction: v(j) + v(j+1)
-    from bernshift import ZBlockMap, gen_power
+    from bernshift import gen_power
     from bernshift.freegroup import GEN_A
 
     cell = ZBlockMap("asum", U2, U2, (0, 1), np.array([[0, 1], [1, 0]]))

@@ -6,7 +6,7 @@ int codes)."""
 import numpy as np
 import pytest
 
-from bernshift import CosetConfiguration, SiteSet, Word, ball, from_coset_config, gen_power, inv, mul, ow, random_word
+from bernshift import CosetConfiguration, SiteSet, Word, ball, from_coset_config, gen_power, inv, mul, ow
 from bernshift import star, timar
 from bernshift.freegroup import (
     GEN_A,
@@ -26,6 +26,7 @@ from oracles import (
     coset_table_direct,
     dependency_direct,
     neighbor_indices_direct,
+    random_word,
     random_word_direct,
     ray_indices_direct,
     shortlex_sorted,

@@ -15,7 +15,6 @@ from bernshift import (
     InsufficientRadius,
     NotInSubgroup,
     WindowTooSmall,
-    ZBlockMap,
     ball,
     bit_alphabet,
     check_cocycle,
@@ -40,14 +39,16 @@ from bernshift import (
     uniform,
     verify,
 )
-from bernshift.freegroup import GEN_A, random_word
+from bernshift.freegroup import GEN_A
 
 from oracles import (
+    ZBlockMap,
     check_cocycle_direct,
     check_equivariance_direct,
     config_mismatch,
     enumerate_configurations,
     ow_direct,
+    random_word,
     random_word_direct,
 )
 
