@@ -19,8 +19,9 @@ import numpy as np
 from .freegroup import SiteSet, Word, encode, translated_sites
 
 DEFAULT_ENUMERATION_CAP = 2**24
-# Bytes of float64 uniforms ``sample_matrix`` draws at a time: 1 MiB keeps
-# a block and its companions in L2 cache (see ``sample_matrix``).
+# Bytes of buffer ``sample_matrix`` fills per block: 1 MiB of float64
+# uniforms on the float path, 1 MiB of intp byte indices on the byte path,
+# either way small enough to stay in L2 cache with its companions.
 SAMPLE_BLOCK_BYTES = 2**20
 # Draws per transposed copy in ``sample_matrix``, so a tile's reads and
 # writes both stay in cache.
@@ -120,7 +121,7 @@ class Distribution:
     def __post_init__(self):
         if len(self.weights) != self.alphabet.size:
             raise ValueError("one weight per symbol required")
-        if any(w < 0 for w in self.weights):
+        if not all(w >= 0 for w in self.weights):  # a nan weight fails too
             raise ValueError("weights must be nonnegative")
         total = sum(self.weights)
         if self.is_exact:
@@ -315,26 +316,72 @@ def block_rows(row_bytes: int) -> int:
     return max(1, SAMPLE_BLOCK_BYTES // max(1, row_bytes))
 
 
+@functools.lru_cache(maxsize=32)
+def dyadic_table(weights: tuple) -> np.ndarray | None:
+    """The byte table of a dyadic law, or None for any other law.
+
+    A law is dyadic when every weight, read exactly as a ``Fraction`` (so
+    the float 0.25 qualifies), is k_i / 2^d with d <= 8, and the weights
+    sum to exactly 1.  Row b of the (256, c) table holds the c symbols
+    that the random byte b gives: c is the largest power of two with
+    c * d <= 8 and c * itemsize <= 8, and lane l reads bits
+    [l * 8/c, (l + 1) * 8/c) of b, of which symbol i owns k_i * 2^(8/c - d)
+    values.  So in every lane symbol i owns exactly k_i * 2^(8 - d) of the
+    256 bytes, and the sampled law is exactly the declared one.
+    """
+    exact = [Fraction(w) for w in weights]
+    dens = [f.denominator for f in exact]
+    if sum(exact) != 1 or any(den & (den - 1) for den in dens) or max(dens) > 256:
+        return None
+    d = max(dens).bit_length() - 1
+    dtype = np.dtype(symbol_dtype(len(weights)))
+    c = 8 // dtype.itemsize
+    while c * d > 8:
+        c //= 2
+    bits = 8 // c
+    cum = np.cumsum([int(f * 2**d) << (bits - d) for f in exact])
+    lanes = (np.arange(256)[:, None] >> (bits * np.arange(c))) & ((1 << bits) - 1)
+    table = np.searchsorted(cum, lanes, side="right").astype(dtype)
+    table.setflags(write=False)
+    return table
+
+
 def sample_matrix(
     dist: Distribution, n_sites: int, n_draws: int, rng: np.random.Generator
 ) -> np.ndarray:
     """(n_sites, n_draws) i.i.d. symbol indices with law ``dist``.
 
     Site-major: column k is draw k, and row j holds every draw's value at
-    site j contiguously, which is what the batch kernels gather.
-    Inversion sampling against the cumulative weights, so one uniform
-    stream drives every alphabet identically: the index of a draw u is
-    the number of cumulative weights (all but the last) that u reaches,
-    which is ``searchsorted(cdf, u, side="right")``.  The matrix is int8
-    for alphabets of at most 128 symbols and int64 otherwise
-    (``symbol_dtype``).  The uniforms are drawn as row-major (draws, sites)
-    blocks of at most ``SAMPLE_BLOCK_BYTES``; consecutive ``rng.random``
-    blocks continue one stream, so the result is the transpose of a single
-    (n_draws, n_sites) draw.  Every block reuses one uniform, one symbol
-    and one bool buffer; at 1 MiB of uniforms the three (1.25 MiB) stay in
-    a 2 MiB per-core L2 cache while the block is thresholded.  Each block
-    is copied into place in tiles of ``TRANSPOSE_TILE_ROWS`` draws.
+    site j contiguously, which is what the batch kernels gather.  The
+    matrix is int8 for alphabets of at most 128 symbols and int64
+    otherwise (``symbol_dtype``).
+
+    A dyadic law (``dyadic_table``) is sampled exactly from random bytes:
+    byte t of one ``rng.bytes`` stream gives the c cells t*c .. t*c + c - 1
+    of the matrix in its flat (site-major) order, looked up as one
+    c-cell word per byte and written straight into place.  The stream is
+    drawn in blocks whose byte count is a multiple of 4, so consecutive
+    ``rng.bytes`` calls continue one call, and each block's bytes are
+    widened into one reused intp buffer of ``SAMPLE_BLOCK_BYTES``
+    (``np.take`` would widen a fresh copy).
+
+    Any other law takes inversion sampling against the cumulative
+    weights: the index of a uniform u is the number of cumulative weights
+    (all but the last) that u reaches, which is
+    ``searchsorted(cdf, u, side="right")``.  The uniforms are drawn as
+    row-major (draws, sites) blocks of at most ``SAMPLE_BLOCK_BYTES``;
+    consecutive ``rng.random`` blocks continue one stream, so the result
+    is the transpose of a single (n_draws, n_sites) draw.  Every block
+    reuses one uniform, one symbol and one bool buffer; at 1 MiB of
+    uniforms the three (1.25 MiB) stay in a 2 MiB per-core L2 cache while
+    the block is thresholded.  Each block is copied into place in tiles
+    of ``TRANSPOSE_TILE_ROWS`` draws.
     """
+    table = dyadic_table(dist.weights)
+    if table is not None:
+        out = np.empty((n_sites, n_draws), dtype=table.dtype)
+        _sample_bytes(table, out.reshape(-1), rng)
+        return out
     cdf = np.cumsum(np.asarray(dist.float_weights(), dtype=np.float64))
     out = np.empty((n_sites, n_draws), dtype=symbol_dtype(len(cdf)))
     # buffers reused by every block: fresh ones would fault in new pages each time
@@ -351,6 +398,26 @@ def sample_matrix(
             tile = block[t : t + TRANSPOSE_TILE_ROWS]
             out[:, lo + t : lo + t + len(tile)] = tile.T
     return out
+
+
+def _sample_bytes(table: np.ndarray, flat: np.ndarray, rng: np.random.Generator) -> None:
+    """Fill ``flat`` from one random byte per row of ``table``; the last
+    byte fills a partial row when c does not divide ``flat``'s size."""
+    c = table.shape[1]
+    n_full, rest = divmod(len(flat), c)
+    words = table.view(f"u{table.itemsize * c}").ravel()
+    full = flat[: n_full * c].view(words.dtype)
+    block = max(4, SAMPLE_BLOCK_BYTES // np.dtype(np.intp).itemsize // 4 * 4)
+    idx = np.empty(min(block, n_full), dtype=np.intp)
+    n_bytes = n_full + (rest > 0)
+    for lo in range(0, n_bytes, block):
+        raw = np.frombuffer(rng.bytes(min(block, n_bytes - lo)), dtype=np.uint8)
+        ix = idx[: min(len(raw), n_full - lo)]
+        ix[...] = raw[: len(ix)]
+        # every byte indexes the table; "clip" skips the copy "raise" buffers out through
+        np.take(words, ix, out=full[lo : lo + len(ix)], mode="clip")
+        if len(ix) < len(raw):
+            flat[n_full * c :] = table[raw[-1], :rest]
 
 
 def index_matrix(size: int, n_sites: int, lo: int, hi: int) -> np.ndarray:

@@ -31,7 +31,9 @@ _MC = (
     ("timar:3", "uniform", 5, 1, 200_000, None),
 )
 _LAWS = {"star": star_base(0.25), "uniform": uniform(bit_alphabet(1))}
-# Recorded with the (rows, sites) layout, where threads 1 and 2 gave the same reports.
+# Written by tests/data/regenerate.py.  The exact entries are those recorded
+# with the (rows, sites) layout; the MC entries were redrawn when dyadic laws
+# moved to byte sampling.  Threads 1 and 2 give the same reports.
 _PINNED = Path(__file__).parent / "data" / "pushforward_reports.json"
 
 

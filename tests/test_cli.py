@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -333,6 +334,9 @@ _SITES_E_A = {"alphabet": "U2", "sites": ["e", "a"]}
                                                           "terminated": False}),
         (("pipeline", "run", "--radius", "2", "--plan"), {"H0": 0.5, "entropy_ledger": [0.6], "terminated": True,
                                                           "stages": [{"map": 5, "input_weights": [0.25, 0.25, 0.5]}]}),
+        (("pipeline", "run", "--radius", "2", "--plan"), {"H0": 0.5, "entropy_ledger": [0.6], "terminated": True,
+                                                          "stages": [{"map": "star:0.25",
+                                                                      "input_weights": [math.nan, 0.5, 0.5]}]}),
     ],
 )
 def test_malformed_json_input_is_usage_error(capsys, tmp_path, argv, data):

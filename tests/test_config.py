@@ -24,7 +24,9 @@ from bernshift import (
     translate,
     uniform,
 )
-from bernshift.config import SAMPLE_BLOCK_BYTES, index_matrix, sample_matrix
+from bernshift import config
+from bernshift.config import SAMPLE_BLOCK_BYTES, dyadic_table, index_matrix, sample_matrix
+from bernshift.entropy import solve_p
 
 from oracles import config_from_index, enumerate_configurations, point_mass, random_word, translate_direct
 
@@ -66,6 +68,9 @@ def test_distribution_validation():
         Distribution(U2, (0.7, 0.7))
     with pytest.raises(ValueError):
         Distribution(U2, (Fraction(1, 3), Fraction(1, 3)))
+    # nan passes both w < 0 and |sum - 1| > 1e-12 as False
+    with pytest.raises(ValueError, match="nonnegative"):
+        Distribution(star_alphabet(1), (float("nan"), 0.5, 0.5))
     d = uniform(bit_alphabet(2))
     assert d.is_exact
 
@@ -159,28 +164,98 @@ _LAWS = {
     "skew5": _plain_law([0.2, 0.0, 0.3, 0.0, 0.5]),
     "p128": _plain_law(np.arange(1, 129)),
     "p129": _plain_law(np.arange(1, 130)),
+    "star_third": star_base(1 / 3),
+    "star_solved": star_base(solve_p(0.6)),
+    "star_512": star_base(Fraction(1, 512)),
+    # dyadic weights that sum to 1 only within the float tolerance
+    "near_dyadic": Distribution(plain_alphabet("P2", "01"), (0.5, 0.5 + 2.0**-44)),
 }
+# the dyadic laws' (d, c): weights k_i / 2^d, and c cells per random byte;
+# star3's weights are the floats 0.25, 0.25 and 0.5
+_BYTE_LAWS = {"U2": (1, 8), "star3": (2, 4)}
 
 
-@pytest.mark.parametrize("law", list(_LAWS))
+def _byte_reference(dist, d, c, n_sites, n_draws, rng):
+    """Cell t*c + l of the flat site-major matrix from lane l (bits
+    [l*8/c, (l+1)*8/c)) of byte t of one ``rng.bytes`` call, whose top d
+    bits are inverted against the integer cumulative weights."""
+    n_cells = n_sites * n_draws
+    raw = np.frombuffer(rng.bytes(-(-n_cells // c)), dtype=np.uint8).astype(np.int64)
+    bits = 8 // c
+    lanes = (raw[:, None] >> (bits * np.arange(c))) & ((1 << bits) - 1)
+    cum = np.cumsum([int(Fraction(w) * 2**d) for w in dist.weights])
+    return np.searchsorted(cum, lanes >> (bits - d), side="right").ravel()[:n_cells].reshape(n_sites, n_draws)
+
+
+@pytest.mark.parametrize("law", ["skew5", "p128", "p129", "star_third", "star_solved", "star_512", "near_dyadic"])
 def test_sample_matrix_matches_searchsorted(law):
     dist = _LAWS[law]
+    assert dyadic_table(dist.weights) is None
     got = sample_matrix(dist, 37, 2000, np.random.default_rng(21)).T  # (draws, sites)
     want = _searchsorted_reference(dist, 37, 2000, np.random.default_rng(21))
     assert got.dtype == (np.int8 if dist.alphabet.size <= 128 else np.int64)
     np.testing.assert_array_equal(got, want)
 
 
+@pytest.mark.parametrize("law", list(_BYTE_LAWS))
+def test_sample_matrix_matches_one_byte_stream(law):
+    dist, (d, c) = _LAWS[law], _BYTE_LAWS[law]
+    got = sample_matrix(dist, 37, 2001, np.random.default_rng(21))
+    want = _byte_reference(dist, d, c, 37, 2001, np.random.default_rng(21))
+    assert got.dtype == np.int8 and (37 * 2001) % c != 0
+    np.testing.assert_array_equal(got, want)
+
+
 def test_sample_matrix_row_blocks_continue_one_stream():
-    # two full row blocks and a partial third one
+    # two full row blocks and a partial third one, on the float path
     n_sites = 37
     rows = SAMPLE_BLOCK_BYTES // (8 * n_sites)
     n_draws = 2 * rows + rows // 3
-    dist = _LAWS["star3"]
+    dist = _LAWS["star_third"]
     got = sample_matrix(dist, n_sites, n_draws, np.random.default_rng(22)).T  # (draws, sites)
     want = _searchsorted_reference(dist, n_sites, n_draws, np.random.default_rng(22))
     assert n_draws % rows != 0
     np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("block_bytes", [SAMPLE_BLOCK_BYTES, 1, 100])
+def test_sample_matrix_byte_blocks_continue_one_stream(monkeypatch, block_bytes):
+    # two full lookup blocks, a partial third one and a partial last byte;
+    # a block holds SAMPLE_BLOCK_BYTES of intp indices, rounded down to a
+    # multiple of 4 bytes and at least 4
+    monkeypatch.setattr(config, "SAMPLE_BLOCK_BYTES", block_bytes)
+    block = max(4, block_bytes // 8 // 4 * 4)
+    (d, c), n_sites = _BYTE_LAWS["star3"], 37
+    n_draws = (2 * block + block // 2) * c // n_sites | 1  # odd, so c does not divide the cell count
+    dist = _LAWS["star3"]
+    got = sample_matrix(dist, n_sites, n_draws, np.random.default_rng(23))
+    want = _byte_reference(dist, d, c, n_sites, n_draws, np.random.default_rng(23))
+    n_bytes = -(-n_sites * n_draws // c)
+    assert n_bytes > 2 * block and n_bytes % block and (n_sites * n_draws) % c
+    np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize(
+    "dist, d, c",
+    [
+        (point_mass(U2, 1), 0, 8),
+        (star_base(Fraction(1, 2)), 1, 8),
+        (uniform(U2), 1, 8),
+        (star_base(Fraction(1, 4)), 2, 4),
+        (uniform(bit_alphabet(3)), 3, 2),
+        (uniform(bit_alphabet(8)), 8, 1),
+    ],
+    ids=["point_mass", "star_half", "U2", "star_quarter", "U8", "U256"],
+)
+def test_dyadic_byte_table_gives_every_symbol_its_exact_share(dist, d, c):
+    table = dyadic_table(dist.weights)
+    assert table.shape == (256, c)
+    assert table.dtype == (np.int8 if dist.alphabet.size <= 128 else np.int64)
+    owned = [int(Fraction(w) * 2**d) * 2 ** (8 - d) for w in dist.weights]
+    for lane in table.T:
+        assert np.bincount(lane, minlength=dist.alphabet.size).tolist() == owned
+    draws = sample_matrix(dist, 3, 5, np.random.default_rng(0))
+    assert draws.dtype == table.dtype and set(draws.ravel().tolist()) <= set(np.flatnonzero(owned).tolist())
 
 
 class _FixedUniforms:

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -200,8 +201,14 @@ def test_mc_withholds_when_truncation_reaches_the_threshold(r_in):
     # correct map's law past the threshold
     rep = mc_pushforward(star(0.25), star_base(0.25), r_in, 0, 20_000, 3)
     assert rep.truncation_rate >= rep.threshold
-    assert rep.tv_distance > rep.threshold
     assert rep.verdict == "withheld"
+    # exactly: an input * always gives *, and an input bit is kept when both
+    # rays of r_in sites meet a bit, so * is overweighted by 1/2 / P(kept) - 1/2
+    half = Fraction(1, 2)
+    kept = half + half * (1 - half**r_in) ** 2
+    assert half / kept - half > rep.threshold
+    if r_in <= 2:  # at r_in 3 the exact TV (0.066) is within 2 sd of the threshold (0.063)
+        assert rep.tv_distance > rep.threshold
 
 
 def test_mc_gives_a_verdict_once_truncation_is_below_the_threshold():
