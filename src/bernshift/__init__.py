@@ -18,7 +18,6 @@ from .config import (
     EnumerationTooLarge,
     alphabet_by_name,
     bit_alphabet,
-    plain_alphabet,
     restrict,
     sample,
     star_alphabet,

@@ -166,15 +166,21 @@ def _act_gather(coset_sites: SiteSet, window: int, g: Word) -> tuple[np.ndarray,
     return gather
 
 
-def coinduced_act(g: Word, y: CosetConfiguration) -> CosetConfiguration:
-    """The coinduced action: the entry at coset c is the a-shift, by the
+def act_grid(g: Word, reps: SiteSet, grid: np.ndarray) -> np.ndarray:
+    """The coinduced action on an (n_cosets, 2w + 1, rows) grid over the
+    representatives ``reps``: the entry at coset c is the a-shift, by the
     cocycle exponent, of the entry at coset g^-1 c.
 
-    One gather of the grid.  Cosets whose source falls outside the stored
-    list become undefined, as do window positions shifted off the edge.
+    One gather of the grid.  Cosets whose source falls outside ``reps``
+    become undefined, as do window positions shifted off the edge.
     """
-    rows, cols, inside = _act_gather(y.coset_sites, y.window, g)
-    moved = np.where(inside, y.grid[rows, cols], -1)
+    rows, cols, inside = _act_gather(reps, grid.shape[1] // 2, g)
+    return np.where(inside[..., None], grid[rows, cols], -1)
+
+
+def coinduced_act(g: Word, y: CosetConfiguration) -> CosetConfiguration:
+    """``act_grid`` on the one column of y."""
+    moved = act_grid(g, y.coset_sites, y.grid[..., None])[..., 0]
     return CosetConfiguration(y.alphabet, y.coset_sites, y.window, moved)
 
 
@@ -186,60 +192,80 @@ def a_exponents(phi: BlockMap) -> list[int]:
     return [o for _, o in parts]
 
 
-def to_coset_config(x: Configuration, window: int | None = None) -> CosetConfiguration:
-    """Split a group-indexed configuration along <a>-cosets: the entry at
-    (c, j) is the value of x at rep(c) * a^j.
+def split_grid(sites: SiteSet, values: np.ndarray, window: int | None = None) -> tuple[SiteSet, np.ndarray]:
+    """Split values on ``sites`` (one row per site, any trailing shape)
+    along <a>-cosets: the representatives, and the (n_cosets, 2w + 1, ...)
+    grid whose entry (c, j) is the value at rep(c) * a^j, -1 where no site.
 
     This is the conjugacy between the shift on group-indexed points and
     the coinduced action on coset-indexed ones; on finite windows it is a
-    pure re-indexing bijection of sites.  The re-indexing is compiled
-    once per site set (``SiteSet.coset_table``), so a split is one
-    scatter of the values into the (coset, position) grid.  The window
-    defaults to the longest site length; with a smaller explicit window,
-    sites farther than it along their coset are dropped.
+    pure re-indexing bijection of sites, compiled once per site set
+    (``SiteSet.coset_table``), so a split is one scatter into the grid.
+    The window defaults to the longest site length; with a smaller
+    explicit window, sites farther than it along their coset are dropped.
     """
-    table = x.sites.coset_table()
-    w = window if window is not None else _longest(x.sites.codes)
+    table = sites.coset_table()
+    w = window if window is not None else _longest(sites.codes)
     if w < 0:
         raise ValueError(f"window must be nonnegative, got {w}")
     keep = np.abs(table.power) <= w
-    grid = np.full((len(table.reps), 2 * w + 1), -1, dtype=np.int64)
-    grid[table.coset[keep], table.power[keep] + w] = x.indices[keep]
-    return CosetConfiguration(x.alphabet, table.reps, w, grid)
+    grid = np.full((len(table.reps), 2 * w + 1, *values.shape[1:]), -1, dtype=values.dtype)
+    grid[table.coset[keep], table.power[keep] + w] = values[keep]
+    return table.reps, grid
 
 
-def from_coset_config(y: CosetConfiguration) -> Configuration:
-    """Merge coset windows back to a group-indexed configuration: the
-    value at g is the entry at (gH, a-exponent of g).
+def to_coset_config(x: Configuration, window: int | None = None) -> CosetConfiguration:
+    """``split_grid`` on the one column of x."""
+    reps, grid = split_grid(x.sites, x.indices[:, None], window)
+    return CosetConfiguration(x.alphabet, reps, grid.shape[1] // 2, grid[..., 0])
 
-    The result's sites are every slot rep(c) * a^j with |j| <= window,
-    defined or not.  A canonical representative ends in no a-letter, so
-    each step along the a-run appends one digit to the slot's code; the
-    slots are put in shortlex order by one sort of their codes, and the
-    values are one permutation of the grid.
+
+def merge_grid(reps: SiteSet, grid: np.ndarray) -> tuple[SiteSet, np.ndarray]:
+    """Merge an (n_cosets, 2w + 1, ...) grid over the representatives
+    ``reps`` back to group-indexed values: the value at g is the entry at
+    (gH, a-exponent of g).
+
+    The result's sites are every slot rep(c) * a^j with |j| <= w, defined
+    or not.  A canonical representative ends in no a-letter, so each step
+    along the a-run appends one digit to the slot's code; the slots are
+    put in shortlex order by one sort of their codes, and the values are
+    one permutation of the grid.
     """
     a, a_inv = Word((GEN_A,)), Word((GEN_A_INV,))
-    up = down = y.coset_sites.codes
+    up = down = reps.codes
     columns = [up]
-    for _ in range(y.window):
+    for _ in range(grid.shape[1] // 2):
         up, down = right_mul_codes(up, a), right_mul_codes(down, a_inv)
         columns = [down, *columns, up]
     slots = np.stack(columns, axis=1).ravel()
     order = np.argsort(slots)
-    return Configuration(y.alphabet, SiteSet._from_sorted(slots[order]), y.grid.ravel()[order])
+    return SiteSet._from_sorted(slots[order]), grid.reshape(len(slots), *grid.shape[2:])[order]
+
+
+def from_coset_config(y: CosetConfiguration) -> Configuration:
+    """``merge_grid`` on the one column of y."""
+    sites, values = merge_grid(y.coset_sites, y.grid[..., None])
+    return Configuration(y.alphabet, sites, values[:, 0])
+
+
+def agree_grid(reps1: SiteSet, grid1: np.ndarray, reps2: SiteSet, grid2: np.ndarray) -> dict[int, dict]:
+    """Each column's first disagreement on the common defined slots of two (n_cosets, 2w + 1, rows)
+    grids, in (coset of grid1, position) order, keyed by column; columns that agree are absent."""
+    w1, w2 = grid1.shape[1] // 2, grid2.shape[1] // 2
+    w = min(w1, w2)
+    rows = reps2.indices_of(reps1)
+    common = np.flatnonzero(rows >= 0)
+    lhs = grid1[common, w1 - w : w1 + w + 1]
+    rhs = grid2[rows[common], w2 - w : w2 + w + 1]
+    bad = ((lhs >= 0) & (rhs >= 0) & (lhs != rhs)).reshape(-1, lhs.shape[2])
+    found = {}
+    for c in np.flatnonzero(bad.any(axis=0)).tolist():
+        i, k = divmod(int(np.argmax(bad[:, c])), 2 * w + 1)
+        found[c] = {"coset": str(reps1[int(common[i])]), "position": k - w,
+                    "lhs": int(lhs[i, k, c]), "rhs": int(rhs[i, k, c])}
+    return found
 
 
 def coset_configs_agree(y1: CosetConfiguration, y2: CosetConfiguration) -> dict | None:
-    """First disagreement on the common defined slots, in (coset of y1,
-    position) order, or None."""
-    w = min(y1.window, y2.window)
-    rows = y2.coset_sites.indices_of(y1.coset_sites)
-    common = np.flatnonzero(rows >= 0)
-    lhs = y1.grid[common, y1.window - w : y1.window + w + 1]
-    rhs = y2.grid[rows[common], y2.window - w : y2.window + w + 1]
-    bad = np.flatnonzero((lhs >= 0) & (rhs >= 0) & (lhs != rhs))
-    if not len(bad):
-        return None
-    i, k = divmod(int(bad[0]), 2 * w + 1)
-    c = y1.coset_sites[int(common[i])]
-    return {"coset": str(c), "position": k - w, "lhs": int(lhs[i, k]), "rhs": int(rhs[i, k])}
+    """``agree_grid`` on the one column of y1 and y2, or None."""
+    return agree_grid(y1.coset_sites, y1.grid[..., None], y2.coset_sites, y2.grid[..., None]).get(0)

@@ -12,7 +12,7 @@ import functools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -86,10 +86,6 @@ def star_alphabet(m: int = 1) -> Alphabet:
     if m < 1:
         raise ValueError("need at least one bit plane")
     return Alphabet(f"U{2**m}*", _bit_labels(m) + ("*",), tag="star_extended", planes=m)
-
-
-def plain_alphabet(name: str, symbols: Iterable[str]) -> Alphabet:
-    return Alphabet(name, tuple(symbols), tag="plain")
 
 
 _ALPHABET_NAME_RE = re.compile(r"^U(\d+)(\*?)$")

@@ -65,7 +65,7 @@ def c01_ow_exact_pushforward(seed: int, threads: int) -> CriterionResult:
     )
 
 
-def _ow_output_patterns(threads: int) -> np.ndarray:
+def _ow_output_patterns() -> np.ndarray:
     """Packed output pattern on ball(1) for every binary input on ball(2).
 
     Symbols of the four-letter output alphabet are bit pairs, so XOR of
@@ -83,7 +83,7 @@ def _ow_output_patterns(threads: int) -> np.ndarray:
 
 
 def c02_ow_additivity(seed: int, threads: int) -> CriterionResult:
-    f = _ow_output_patterns(threads)
+    f = _ow_output_patterns()
     n_bits = len(ball(2))
     # A GF(2)-linear check that covers all pairs: f(0) = 0 and f agrees
     # with the XOR of its basis images on every input.  Given those two

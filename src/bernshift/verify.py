@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .coinduce import cocycles, coinduced_act, coset_configs_agree, from_coset_config, to_coset_config
+from .coinduce import act_grid, agree_grid, cocycles, merge_grid, split_grid
 from .config import (
     DEFAULT_ENUMERATION_CAP,
     Configuration,
@@ -28,11 +28,8 @@ from .config import (
     bit_alphabet,
     block_rows,
     index_matrix,
-    plain_alphabet,
-    restrict,
     sample_matrix,
     symbol_dtype,
-    translate,
 )
 from .factormaps import FactorMap, InsufficientRadius
 from .freegroup import ball, codes_array, decode, inv_codes, mul_codes, random_reduced, strip_a_codes
@@ -165,14 +162,13 @@ def _pattern_counts(out: np.ndarray, out_size: int) -> tuple[np.ndarray, int]:
     return np.bincount(pattern[valid], minlength=out_size ** out.shape[0]), truncated
 
 
-def _tally(fmap: FactorMap, rows: Callable, sites_in, sites_out, chunks: Sequence, threads: int):
-    """Map the input rows ``rows(*chunk)`` of every chunk on ``sites_in`` and
-    tally the output patterns on ``sites_out``: the counts, and the number
-    of truncated rows."""
-    size_out = fmap.output_alphabet.size
+def _tally(apply: Callable, size_out: int, rows: Callable, chunks: Sequence, threads: int):
+    """Map the input rows ``rows(*chunk)`` of every chunk by ``apply`` and
+    tally the output patterns over ``size_out`` symbols: the counts, and
+    the number of truncated rows."""
 
     def worker(chunk: tuple) -> tuple[np.ndarray, int]:
-        return _pattern_counts(fmap.apply_batch(rows(*chunk), sites_in, sites_out), size_out)
+        return _pattern_counts(apply(rows(*chunk)), size_out)
 
     results = _run_chunks(worker, chunks, threads)
     return np.asarray(sum(r[0] for r in results), dtype=np.int64), sum(r[1] for r in results)
@@ -230,7 +226,8 @@ def exact_pushforward(
         raise EnumerationTooLarge(f"{total} inputs / {n_patterns} patterns exceed cap {DEFAULT_ENUMERATION_CAP}")
 
     rows = functools.partial(index_matrix, fmap.input_alphabet.size, len(sites_in))
-    counts, truncated = _tally(fmap, rows, sites_in, sites_out, _chunks(total), threads)
+    apply = functools.partial(fmap.apply_batch, sites=sites_in, out_sites=sites_out)
+    counts, truncated = _tally(apply, fmap.output_alphabet.size, rows, _chunks(total), threads)
     # a bounded map defines every output inside its window; any truncated
     # input is a fault of the map, and fails the check
     names = (fmap.name, fmap.input_alphabet.name, fmap.output_alphabet.name)
@@ -298,7 +295,8 @@ def mc_pushforward(
         return sample_matrix(input_dist, len(dep_sites), hi - lo, np.random.default_rng(chunk_seed))
 
     chunks = [(lo, hi, chunk_seed) for (lo, hi), chunk_seed in zip(bounds, seeds)]
-    counts, truncated = _tally(fmap, rows, dep_sites, out_sites, chunks, threads)
+    apply = functools.partial(fmap.apply_batch, sites=dep_sites, out_sites=out_sites)
+    counts, truncated = _tally(apply, fmap.output_alphabet.size, rows, chunks, threads)
     n_valid = int(counts.sum())
     deviation = np.abs(counts / max(n_valid, 1) - target_probs)
     tv = 0.5 * float(deviation.sum()) if n_valid else 1.0
@@ -328,6 +326,17 @@ def mc_pushforward(
     )
 
 
+def _translated_by_g(sites, g_pool, picks: np.ndarray, xs: np.ndarray):
+    """For each g that a block drew (``picks`` into ``g_pool``): g, its columns, g * sites
+    with the permutation onto it, and those columns of ``xs`` moved there by one scatter."""
+    for pick in np.unique(picks):
+        cols = np.flatnonzero(picks == pick)
+        moved_sites, perm = translated_sites(sites, g_pool[pick])
+        moved = np.empty((len(sites), len(cols)), dtype=xs.dtype)
+        moved[perm] = xs[:, cols]
+        yield g_pool[pick], cols, moved_sites, perm, moved
+
+
 def check_equivariance(fmap, r: int, trials: int, seed: int) -> PropertyReport:
     """Translation equivariance: applying the map commutes with the shift
     at every site where both sides are defined (exact symbol equality).
@@ -350,12 +359,7 @@ def check_equivariance(fmap, r: int, trials: int, seed: int) -> PropertyReport:
         picks = np.array([pick for pick, _ in draws])
         xs = np.stack([x for _, x in draws], axis=1).astype(symbol_dtype(alpha.size))
         images = fmap.apply_batch(xs, sites, sites)
-        for pick in np.unique(picks):
-            g = g_pool[pick]
-            cols = np.flatnonzero(picks == pick)
-            moved_sites, perm = translated_sites(sites, g)
-            moved = np.empty((len(sites), len(cols)), dtype=xs.dtype)
-            moved[perm] = xs[:, cols]
+        for g, cols, moved_sites, perm, moved in _translated_by_g(sites, g_pool, picks, xs):
             lhs = fmap.apply_batch(moved, moved_sites, moved_sites)
             rhs = np.empty_like(lhs)
             rhs[perm] = images[:, cols]
@@ -403,29 +407,34 @@ def check_cocycle(trials: int, seed: int, max_len: int = 6) -> PropertyReport:
 
 
 def check_coset_roundtrip(r: int, trials: int, seed: int) -> PropertyReport:
-    """Round trip and equivariance of the coset-splitting conjugacy on
-    random binary configurations."""
+    """Round trip and equivariance of the coset-splitting conjugacy on random binary
+    configurations, in blocks as in ``check_equivariance``: one split and merge per block,
+    and one scatter, split and coinduced action per drawn g.  A trial whose round trip
+    loses a site is reported as that loss."""
     _require_trials(trials)
     rng = np.random.default_rng(seed)
     sites = ball(r)
     g_pool = ball(G_RADIUS).words
-    alpha = bit_alphabet(1)
     failures = 0
     first = None
-    for t in range(trials):
-        x = Configuration(alpha, sites, rng.integers(0, 2, len(sites)))
-        g = g_pool[int(rng.integers(len(g_pool)))]
-        y = to_coset_config(x)
-        lost = np.flatnonzero(restrict(from_coset_config(y), x.sites).indices != x.indices)
-        if len(lost):
-            bad = {"kind": "roundtrip", "site": str(x.sites[int(lost[0])])}
-        else:
-            mismatch = coset_configs_agree(to_coset_config(translate(g, x)), coinduced_act(g, y))
-            bad = None if mismatch is None else {"kind": "equivariance", "g": str(g), **mismatch}
-        if bad is not None:
-            failures += 1
-            if first is None:
-                first = {"trial": t, **bad, "x": x.to_json()}
+    for lo, hi in _chunks(trials, block_rows(8 * len(sites))):
+        draws = [(rng.integers(0, 2, len(sites)), rng.integers(len(g_pool))) for _ in range(lo, hi)]
+        xs = np.stack([x for x, _ in draws], axis=1).astype(symbol_dtype(2))
+        picks = np.array([pick for _, pick in draws])
+        reps, grid = split_grid(sites, xs)
+        merged_sites, merged = merge_grid(reps, grid)
+        back = merged_sites.indices_of(sites)
+        lost = np.where(back[:, None] >= 0, merged[back], -1) != xs  # -1: a site the merge lost
+        bad = {int(col): {"kind": "roundtrip", "site": str(sites[int(np.argmax(lost[:, col]))])}
+               for col in np.flatnonzero(lost.any(axis=0))}
+        for g, cols, moved_sites, _, moved in _translated_by_g(sites, g_pool, picks, xs):
+            lhs_reps, lhs = split_grid(moved_sites, moved)
+            for col, mismatch in agree_grid(lhs_reps, lhs, reps, act_grid(g, reps, grid[:, :, cols])).items():
+                bad.setdefault(int(cols[col]), {"kind": "equivariance", "g": str(g), **mismatch})
+        failures += len(bad)
+        if bad and first is None:
+            t = min(bad)
+            first = {"trial": lo + t, **bad[t], "x": Configuration(bit_alphabet(1), sites, xs[:, t]).to_json()}
     return PropertyReport("coset_conjugacy", trials, failures, first, seed)
 
 
@@ -433,34 +442,24 @@ def exact_coset_pushforward(r: int = 2, *, threads: int = 1) -> PushforwardRepor
     """Exact-uniformity counting for the coset-splitting map on binary
     inputs over ball(r).
 
-    The slot-to-site table is extracted by splitting an index-valued
-    configuration through the real conjugacy (not assumed), then every
-    binary input is enumerated and the joint pattern over a fixed slot
-    window (representatives of length <= 1, positions |j| <= 1) is
-    tallied; the split is measure-preserving iff all counts are equal.
+    The slot-to-site table is extracted by splitting the site numbers
+    through the real conjugacy (not assumed), then every binary input is
+    enumerated and the joint pattern over a fixed slot window
+    (representatives of length <= 1, positions |j| <= 1) is tallied; the
+    split is measure-preserving iff all counts are equal.
     """
     _require_threads(threads)
     sites = ball(r)
     n = len(sites)
     if 2**n > DEFAULT_ENUMERATION_CAP:
         raise EnumerationTooLarge(f"2^{n} inputs exceed cap")
-    marker = plain_alphabet(f"site_index_{n}", tuple(str(i) for i in range(n)))
-    indexed = Configuration(marker, sites, np.arange(n))
-    split = to_coset_config(indexed, window=1)
+    reps, split = split_grid(sites, np.arange(n), 1)
     # the window's rows: representatives of length <= 1, i.e. codes <= 4
-    rows = np.flatnonzero(split.coset_sites.codes <= 4)
-    held = split.grid[rows] >= 0
-    site_idx = split.grid[rows][held]
-    n_patterns = 1 << len(site_idx)
+    rows = np.flatnonzero(reps.codes <= 4)
+    held = split[rows] >= 0
+    site_idx = split[rows][held]
     total = 1 << n
-
-    def worker(chunk: tuple[int, int]) -> np.ndarray:
-        idx = np.arange(*chunk, dtype=np.int64)
-        pattern = np.zeros(len(idx), dtype=np.int64)
-        for pos, si in enumerate(site_idx):
-            pattern |= ((idx >> int(si)) & 1) << pos
-        return np.bincount(pattern, minlength=n_patterns)
-
-    counts = np.asarray(sum(_run_chunks(worker, _chunks(total), threads)), dtype=np.int64)
-    output_sites = (f"{split.coset_sites[int(rows[i])]}.a^{j - 1}" for i, j in zip(*np.nonzero(held)))
-    return _exact_report(("coset_split", "U2", "U2"), map(str, sites), output_sites, total, counts, 0)
+    inputs = functools.partial(index_matrix, 2, n)
+    counts, truncated = _tally(lambda values: values[site_idx], 2, inputs, _chunks(total), threads)
+    output_sites = (f"{reps[int(rows[i])]}.a^{j - 1}" for i, j in zip(*np.nonzero(held)))
+    return _exact_report(("coset_split", "U2", "U2"), map(str, sites), output_sites, total, counts, truncated)

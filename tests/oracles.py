@@ -8,8 +8,8 @@ bugs.
 
 The first few helpers are building blocks that only tests use: block
 codes given by integer a-offsets, the inverse of a relabeling, the
-split-apply-merge lift that ``CoinducedCellMap`` replaced, a point mass
-and a random reduced word.
+split-apply-merge lift that ``CoinducedCellMap`` replaced, a point mass,
+a random reduced word and a plain alphabet.
 """
 
 import itertools
@@ -21,6 +21,7 @@ from scipy.optimize import brentq
 
 from bernshift import (
     IDENTITY,
+    Alphabet,
     BlockMap,
     ComposedMap,
     Configuration,
@@ -33,16 +34,19 @@ from bernshift import (
     Word,
     a_power_decomposition,
     ball,
+    bit_alphabet,
+    coinduced_act,
     coset_of,
     from_coset_config,
     gen_power,
     inv,
     mul,
+    restrict,
     timar,
     to_coset_config,
     translate,
 )
-from bernshift.coinduce import NotInSubgroup, a_exponents
+from bernshift.coinduce import NotInSubgroup, a_exponents, coset_configs_agree
 from bernshift.config import DEFAULT_ENUMERATION_CAP
 from bernshift.freegroup import GEN_A, GEN_A_INV, GEN_B, GEN_B_INV, random_reduced
 
@@ -93,6 +97,10 @@ def point_mass(alphabet, symbol_index) -> Distribution:
 def random_word(rng, max_len) -> Word:
     """A random reduced word of length uniform in [0, max_len]."""
     return Word._from_reduced(*random_reduced(rng, max_len))
+
+
+def plain_alphabet(name, symbols) -> Alphabet:
+    return Alphabet(name, tuple(symbols), tag="plain")
 
 
 def naive_reduce(letters):
@@ -443,6 +451,33 @@ def check_cocycle_direct(trials, seed, max_len=6):
             if first is None:
                 first = {"trial": t, "g1": str(g1), "g2": str(g2), "coset": str(c), "lhs": lhs, "rhs": rhs}
     return PropertyReport("cocycle_identity", trials, failures, first, seed)
+
+
+def check_coset_roundtrip_direct(r, trials, seed, *, g_radius=2):
+    """The coset round-trip check one trial at a time: split x, merge it
+    back onto its sites, then compare the split of g.x with the coinduced
+    action of g on the split of x."""
+    rng = np.random.default_rng(seed)
+    sites = ball(r)
+    g_pool = ball(g_radius).words
+    alpha = bit_alphabet(1)
+    failures = 0
+    first = None
+    for t in range(trials):
+        x = Configuration(alpha, sites, rng.integers(0, 2, len(sites)))
+        g = g_pool[int(rng.integers(len(g_pool)))]
+        y = to_coset_config(x)
+        lost = np.flatnonzero(restrict(from_coset_config(y), x.sites).indices != x.indices)
+        if len(lost):
+            bad = {"kind": "roundtrip", "site": str(x.sites[int(lost[0])])}
+        else:
+            mismatch = coset_configs_agree(to_coset_config(translate(g, x)), coinduced_act(g, y))
+            bad = None if mismatch is None else {"kind": "equivariance", "g": str(g), **mismatch}
+        if bad is not None:
+            failures += 1
+            if first is None:
+                first = {"trial": t, **bad, "x": x.to_json()}
+    return PropertyReport("coset_conjugacy", trials, failures, first, seed)
 
 
 def three_symbol_entropy(p):

@@ -35,6 +35,7 @@ from oracles import (
     coset_configs_agree_direct,
     full_group_act,
     merge_direct,
+    plain_alphabet,
     random_word,
     relabel_inverse,
     split_direct,
@@ -394,9 +395,18 @@ def test_coset_table_is_built_once_per_site_set(monkeypatch):
 
 def test_exact_coset_pushforward_matches_the_oracle_split(monkeypatch):
     got = verify.exact_coset_pushforward(2).to_json()
-    monkeypatch.setattr(verify, "to_coset_config", split_direct)
+    splits = []
+
+    def oracle_split(sites, values, window=None):
+        # the site numbers as symbols of a marker alphabet, split slot by slot
+        marker = plain_alphabet(f"site_index_{len(sites)}", map(str, range(len(sites))))
+        y = split_direct(Configuration(marker, sites, values), window)
+        splits.append(y)
+        return y.coset_sites, y.grid
+
+    monkeypatch.setattr(verify, "split_grid", oracle_split)
     assert got == verify.exact_coset_pushforward(2).to_json()
-    assert got["verdict"] == "pass"
+    assert len(splits) == 1 and got["verdict"] == "pass"
 
 
 # ------------------------------------------- grid kernels vs the oracles

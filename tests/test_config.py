@@ -15,7 +15,6 @@ from bernshift import (
     ball,
     bit_alphabet,
     mul,
-    plain_alphabet,
     restrict,
     sample,
     star_alphabet,
@@ -28,7 +27,14 @@ from bernshift import config
 from bernshift.config import SAMPLE_BLOCK_BYTES, dyadic_table, index_matrix, sample_matrix
 from bernshift.entropy import solve_p
 
-from oracles import config_from_index, enumerate_configurations, point_mass, random_word, translate_direct
+from oracles import (
+    config_from_index,
+    enumerate_configurations,
+    plain_alphabet,
+    point_mass,
+    random_word,
+    translate_direct,
+)
 
 U2 = bit_alphabet(1)
 

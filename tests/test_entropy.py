@@ -8,7 +8,6 @@ from bernshift import (
     OutOfRange,
     bit_alphabet,
     boost_step,
-    plain_alphabet,
     run_recursion,
     shannon,
     solve_p,
@@ -18,7 +17,7 @@ from bernshift import (
     uniform,
 )
 
-from oracles import point_mass, solve_p_oracle, three_symbol_entropy
+from oracles import plain_alphabet, point_mass, solve_p_oracle, three_symbol_entropy
 
 
 def test_shannon_point_mass_is_zero():

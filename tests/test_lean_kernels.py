@@ -14,7 +14,6 @@ from bernshift import (
     bit_alphabet,
     ow,
     parse_map_spec,
-    plain_alphabet,
     relabel,
     restrict,
     star_base,
@@ -28,13 +27,13 @@ from bernshift.freegroup import GEN_A, GEN_B
 from bernshift.selftest import _ow_output_patterns
 from bernshift.verify import _pattern_counts
 
-from oracles import coinduced_lift_direct, compose_stagewise, ow_direct, star_direct
+from oracles import coinduced_lift_direct, compose_stagewise, ow_direct, plain_alphabet, star_direct
 
 U2 = bit_alphabet(1)
 
 
 def test_ow_output_patterns_keep_every_bit_of_the_packed_image():
-    f = _ow_output_patterns(1)
+    f = _ow_output_patterns()
     # 5 output sites of 4 symbols: the packed image of ow on ball(2) is onto
     assert f.dtype == np.int64 and len(np.unique(f)) == 4**5
     b2, b1 = ball(2), ball(1)

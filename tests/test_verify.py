@@ -16,6 +16,7 @@ from bernshift import (
     InsufficientRadius,
     NotInSubgroup,
     WindowTooSmall,
+    Word,
     ball,
     bit_alphabet,
     check_cocycle,
@@ -45,6 +46,7 @@ from bernshift.freegroup import GEN_A
 from oracles import (
     ZBlockMap,
     check_cocycle_direct,
+    check_coset_roundtrip_direct,
     check_equivariance_direct,
     config_mismatch,
     enumerate_configurations,
@@ -212,7 +214,11 @@ def test_mc_withholds_when_truncation_reaches_the_threshold(r_in):
 
 
 def test_mc_gives_a_verdict_once_truncation_is_below_the_threshold():
-    rep = mc_pushforward(star(0.25), star_base(0.25), 4, 0, 20_000, 3)
+    rep = mc_pushforward(star(0.25), star_base(0.25), 5, 0, 20_000, 3)
+    # an input bit is truncated when its a-ray or its b-ray of 5 sites holds
+    # only stars: the population rate is 0.0308 against a threshold of 0.0632
+    half = Fraction(1, 2)
+    assert half * (1 - (1 - half**5) ** 2) < rep.threshold
     assert 0 < rep.truncation_rate < rep.threshold
     assert rep.verdict == "pass"
 
@@ -403,6 +409,7 @@ def test_one_trial_per_block_gives_the_same_reports(monkeypatch):
         "broken": check_equivariance(_BrokenMap(), 2, 40, 3).to_json(),
         "star": check_equivariance(star(0.25), 3, 30, 5).to_json(),
         "cocycle": check_cocycle(200, 6).to_json(),
+        "roundtrip": check_coset_roundtrip(3, 30, 7).to_json(),
     }
     # seed 3's first odd g is drawn by trial 3, so its counterexample is
     # found in a later block than the first
@@ -413,6 +420,7 @@ def test_one_trial_per_block_gives_the_same_reports(monkeypatch):
     assert counting.calls == 2 * 40  # each block maps its one x and its one g.x
     assert check_equivariance(star(0.25), 3, 30, 5).to_json() == whole["star"]
     assert check_cocycle(200, 6).to_json() == whole["cocycle"]
+    assert check_coset_roundtrip(3, 30, 7).to_json() == whole["roundtrip"]
 
 
 @pytest.mark.parametrize("seed", [0, 15, 19])
@@ -533,6 +541,42 @@ def test_a_corrupted_entry_of_the_lifted_swap_gather_fails_every_engine(monkeypa
     assert exact_pushforward(lifted, 2, 1).verdict == "fail"
     assert mc_pushforward(lifted, uniform(U2), 2, 1, 20_000, 3).verdict == "fail"
     assert check_equivariance(lifted, 3, 50, 4).failures > 0
+
+
+def _cocycle_off_by_one(monkeypatch):
+    real = coinduce.strip_a_codes
+    monkeypatch.setattr(coinduce, "strip_a_codes", lambda codes: (real(codes)[0], real(codes)[1] + 1))
+
+
+def _merge_with_a_doubled_step(monkeypatch):
+    real = coinduce.right_mul_codes
+    monkeypatch.setattr(coinduce, "right_mul_codes", lambda codes, offset: real(real(codes, offset), offset))
+
+
+def _act_reading_a_shifted_column_for_b(monkeypatch):
+    real = coinduce._act_gather
+
+    def shifted(coset_sites, window, g):
+        rows, cols, inside = real(coset_sites, window, g)
+        return rows, np.clip(cols + (g == Word.parse("b")), 0, 2 * window), inside
+
+    monkeypatch.setattr(coinduce, "_act_gather", shifted)
+
+
+@pytest.mark.parametrize("fault", [None, _cocycle_off_by_one, _merge_with_a_doubled_step,
+                                   _act_reading_a_shifted_column_for_b])
+@pytest.mark.parametrize("r, trials, seed", [(4, 500, 109), (3, 100, 17), (0, 5, 1), (5, 40, 3)])
+def test_blocked_coset_roundtrip_matches_the_trial_by_trial_oracle(monkeypatch, fault, r, trials, seed):
+    clear = coinduce._act_gather.cache_clear  # the gathers cached with and without the fault
+    clear()
+    if fault is not None:
+        fault(monkeypatch)
+    try:
+        rep = check_coset_roundtrip(r, trials, seed)
+        assert rep.to_json() == check_coset_roundtrip_direct(r, trials, seed).to_json()
+    finally:
+        clear()
+    assert (rep.failures > 0) == (fault is not None and r > 0)
 
 
 def test_an_act_shifted_by_one_fails_the_coset_roundtrip(monkeypatch):
