@@ -220,26 +220,34 @@ def to_coset_config(x: Configuration, window: int | None = None) -> CosetConfigu
     return CosetConfiguration(x.alphabet, reps, grid.shape[1] // 2, grid[..., 0])
 
 
+def _slot_codes(reps: SiteSet, w: int) -> np.ndarray:
+    """The codes of the slots rep(c) * a^j laid out column by column,
+    j = -w..w, each column sorted because the representatives are: a
+    canonical representative ends in no a-letter, so each step along the
+    a-run appends one digit to the slot's code."""
+    a, a_inv = Word((GEN_A,)), Word((GEN_A_INV,))
+    up = down = reps.codes
+    columns = [up]
+    for _ in range(w):
+        up, down = right_mul_codes(up, a), right_mul_codes(down, a_inv)
+        columns = [down, *columns, up]
+    return np.concatenate(columns)
+
+
 def merge_grid(reps: SiteSet, grid: np.ndarray) -> tuple[SiteSet, np.ndarray]:
     """Merge an (n_cosets, 2w + 1, ...) grid over the representatives
     ``reps`` back to group-indexed values: the value at g is the entry at
     (gH, a-exponent of g).
 
     The result's sites are every slot rep(c) * a^j with |j| <= w, defined
-    or not.  A canonical representative ends in no a-letter, so each step
-    along the a-run appends one digit to the slot's code; the slots are
-    put in shortlex order by one sort of their codes, and the values are
-    one permutation of the grid.
+    or not.  Their sorted runs (``_slot_codes``) are put in shortlex order
+    by one stable sort, which merges runs, and the values are one
+    permutation of the grid.
     """
-    a, a_inv = Word((GEN_A,)), Word((GEN_A_INV,))
-    up = down = reps.codes
-    columns = [up]
-    for _ in range(grid.shape[1] // 2):
-        up, down = right_mul_codes(up, a), right_mul_codes(down, a_inv)
-        columns = [down, *columns, up]
-    slots = np.stack(columns, axis=1).ravel()
-    order = np.argsort(slots)
-    return SiteSet._from_sorted(slots[order]), grid.reshape(len(slots), *grid.shape[2:])[order]
+    slots = _slot_codes(reps, grid.shape[1] // 2)
+    order = np.argsort(slots, kind="stable")
+    sites = SiteSet._from_sorted(slots.take(order, out=slots))  # sorted in place
+    return sites, grid.swapaxes(0, 1).reshape(len(slots), *grid.shape[2:])[order]
 
 
 def from_coset_config(y: CosetConfiguration) -> Configuration:

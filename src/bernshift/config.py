@@ -23,9 +23,6 @@ DEFAULT_ENUMERATION_CAP = 2**24
 # uniforms on the float path, 1 MiB of intp byte indices on the byte path,
 # either way small enough to stay in L2 cache with its companions.
 SAMPLE_BLOCK_BYTES = 2**20
-# Draws per transposed copy in ``sample_matrix``, so a tile's reads and
-# writes both stay in cache.
-TRANSPOSE_TILE_ROWS = 2048
 
 
 class EnumerationTooLarge(ValueError):
@@ -350,28 +347,23 @@ def sample_matrix(
     Site-major: column k is draw k, and row j holds every draw's value at
     site j contiguously, which is what the batch kernels gather.  The
     matrix is int8 for alphabets of at most 128 symbols and int64
-    otherwise (``symbol_dtype``).
+    otherwise (``symbol_dtype``).  Both samplers below fill the matrix in
+    its flat (site-major) order from one random stream.
 
     A dyadic law (``dyadic_table``) is sampled exactly from random bytes:
-    byte t of one ``rng.bytes`` stream gives the c cells t*c .. t*c + c - 1
-    of the matrix in its flat (site-major) order, looked up as one
-    c-cell word per byte and written straight into place.  The stream is
-    drawn in blocks whose byte count is a multiple of 4, so consecutive
-    ``rng.bytes`` calls continue one call, and each block's bytes are
-    widened into one reused intp buffer of ``SAMPLE_BLOCK_BYTES``
+    byte t of one ``rng.bytes`` stream gives the c cells t*c .. t*c + c - 1,
+    looked up as one c-cell word per byte and written straight into place.
+    The stream is drawn in blocks whose byte count is a multiple of 4, so
+    consecutive ``rng.bytes`` calls continue one call, and each block's
+    bytes are widened into one reused intp buffer of ``SAMPLE_BLOCK_BYTES``
     (``np.take`` would widen a fresh copy).
 
     Any other law takes inversion sampling against the cumulative
-    weights: the index of a uniform u is the number of cumulative weights
-    (all but the last) that u reaches, which is
-    ``searchsorted(cdf, u, side="right")``.  The uniforms are drawn as
-    row-major (draws, sites) blocks of at most ``SAMPLE_BLOCK_BYTES``;
-    consecutive ``rng.random`` blocks continue one stream, so the result
-    is the transpose of a single (n_draws, n_sites) draw.  Every block
-    reuses one uniform, one symbol and one bool buffer; at 1 MiB of
-    uniforms the three (1.25 MiB) stay in a 2 MiB per-core L2 cache while
-    the block is thresholded.  Each block is copied into place in tiles
-    of ``TRANSPOSE_TILE_ROWS`` draws.
+    weights: cell t is the number of cumulative weights (all but the
+    last) that uniform t of one ``rng.random`` stream reaches, which is
+    ``searchsorted(cdf, u, side="right")``.  The uniforms are drawn in
+    blocks of ``SAMPLE_BLOCK_BYTES`` into one reused buffer, beside one
+    reused bool buffer, and counted straight into place.
     """
     table = dyadic_table(dist.weights)
     if table is not None:
@@ -380,19 +372,16 @@ def sample_matrix(
         return out
     cdf = np.cumsum(np.asarray(dist.float_weights(), dtype=np.float64))
     out = np.empty((n_sites, n_draws), dtype=symbol_dtype(len(cdf)))
+    flat = out.reshape(-1)
     # buffers reused by every block: fresh ones would fault in new pages each time
-    u = np.empty((min(block_rows(8 * n_sites), max(n_draws, 1)), n_sites))
-    symbols = np.empty(u.shape, dtype=out.dtype)
+    u = np.empty(min(block_rows(8), max(len(flat), 1)))
     hit = np.empty(u.shape, dtype=bool)
-    for lo in range(0, n_draws, len(u)):
-        draws = rng.random(out=u[: n_draws - lo])
-        block, reached = symbols[: len(draws)], hit[: len(draws)]
+    for lo in range(0, len(flat), len(u)):
+        draws = rng.random(out=u[: len(flat) - lo])
+        block, reached = flat[lo : lo + len(draws)], hit[: len(draws)]
         block.fill(0)
         for c in cdf[:-1]:
             block += np.greater_equal(draws, c, out=reached)
-        for t in range(0, len(block), TRANSPOSE_TILE_ROWS):
-            tile = block[t : t + TRANSPOSE_TILE_ROWS]
-            out[:, lo + t : lo + t + len(tile)] = tile.T
     return out
 
 

@@ -26,7 +26,7 @@ from .config import (
     star_alphabet,
     symbol_dtype,
 )
-from .freegroup import GEN_A, GEN_B, IDENTITY, SiteSet, Word, ball, code_lengths, right_mul_codes
+from .freegroup import GEN_A, GEN_B, IDENTITY, SiteSet, Word, code_lengths, right_mul_codes
 
 
 class AlphabetMismatch(ValueError):
@@ -78,14 +78,10 @@ class FactorMap:
         raise NotImplementedError
 
     def dependency_sites(self, out_sites: SiteSet, budget_radius: int) -> SiteSet:
-        """Input sites that can influence the outputs on ``out_sites``.
-
-        For bounded maps this is the window closure; unbounded maps clip
-        their ray scans to words of length <= budget_radius.
-        """
-        if self.window_cost is None:
-            raise NotImplementedError
-        return out_sites.times(ball(self.window_cost, cap=max(self.window_cost, 12)))
+        """Input sites that can influence the outputs on ``out_sites``;
+        unbounded maps clip their ray scans to words of length <=
+        budget_radius.  Must be overridden."""
+        raise NotImplementedError
 
     def describe(self) -> dict:
         return {
@@ -416,6 +412,12 @@ class ComposedMap(FactorMap):
             cur = stage.apply_batch(cur, cur_sites, stage_out)
             cur_sites = stage_out
         return _safe_gather(cur, cur_sites.indices_of(out_sites)).astype(np.int64, copy=False)
+
+    def dependency_sites(self, out_sites, budget_radius):
+        # the stages' own cones, last stage first
+        for stage in reversed(self.stages):
+            out_sites = stage.dependency_sites(out_sites, budget_radius)
+        return out_sites
 
     def pushforward(self, dist: Distribution) -> Distribution:
         for stage in self.stages:

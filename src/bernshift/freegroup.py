@@ -304,19 +304,19 @@ def decode(codes: np.ndarray) -> tuple[Word, ...]:
     return tuple(Word._from_reduced(tuple(row[top - n :]), code) for row, n, code in rows)
 
 
-def ball(r: int, cap: int = DEFAULT_RADIUS_CAP) -> "SiteSet":
+def ball(r: int) -> "SiteSet":
     """All reduced words of length <= r in shortlex order.
 
-    |ball(r)| = 2 * 3^r - 1 for r >= 1 and 1 for r = 0.  Guarded by a
-    radius cap because the count grows as 3^r.  Built level by level on
-    codes: the children 4c + s + 1 of a sorted level, in parent order, are
-    again sorted.
+    |ball(r)| = 2 * 3^r - 1 for r >= 1 and 1 for r = 0.  Refused above
+    ``DEFAULT_RADIUS_CAP`` because the count grows as 3^r.  Built level by
+    level on codes: the children 4c + s + 1 of a sorted level, in parent
+    order, are again sorted.
     """
     if r < 0:
         raise ValueError("radius must be nonnegative")
-    if r > cap:
-        raise RadiusTooLarge(f"radius {r} exceeds cap {cap} (|ball| would be {2 * 3**r - 1})")
-    level = np.zeros(1, dtype=np.int64 if r <= MAX_INT64_LETTERS else object)
+    if r > DEFAULT_RADIUS_CAP:
+        raise RadiusTooLarge(f"radius {r} exceeds cap {DEFAULT_RADIUS_CAP} (|ball| would be {2 * 3**r - 1})")
+    level = np.zeros(1, dtype=np.int64)
     levels = [level]
     digits = np.arange(1, 5)
     for _ in range(r):

@@ -155,7 +155,7 @@ def test_sample_respects_weights():
 def _searchsorted_reference(dist, n_sites, n_draws, rng):
     cdf = np.cumsum(np.asarray(dist.float_weights(), dtype=np.float64))
     cdf[-1] = 1.0
-    return np.searchsorted(cdf, rng.random((n_draws, n_sites)), side="right")
+    return np.searchsorted(cdf, rng.random((n_sites, n_draws)), side="right")
 
 
 def _plain_law(weights):
@@ -197,7 +197,7 @@ def _byte_reference(dist, d, c, n_sites, n_draws, rng):
 def test_sample_matrix_matches_searchsorted(law):
     dist = _LAWS[law]
     assert dyadic_table(dist.weights) is None
-    got = sample_matrix(dist, 37, 2000, np.random.default_rng(21)).T  # (draws, sites)
+    got = sample_matrix(dist, 37, 2000, np.random.default_rng(21))
     want = _searchsorted_reference(dist, 37, 2000, np.random.default_rng(21))
     assert got.dtype == (np.int8 if dist.alphabet.size <= 128 else np.int64)
     np.testing.assert_array_equal(got, want)
@@ -213,14 +213,14 @@ def test_sample_matrix_matches_one_byte_stream(law):
 
 
 def test_sample_matrix_row_blocks_continue_one_stream():
-    # two full row blocks and a partial third one, on the float path
+    # two full blocks of cells and a partial third one, on the float path
     n_sites = 37
-    rows = SAMPLE_BLOCK_BYTES // (8 * n_sites)
-    n_draws = 2 * rows + rows // 3
+    block = SAMPLE_BLOCK_BYTES // 8
+    n_draws = (2 * block + block // 3) // n_sites
     dist = _LAWS["star_third"]
-    got = sample_matrix(dist, n_sites, n_draws, np.random.default_rng(22)).T  # (draws, sites)
+    got = sample_matrix(dist, n_sites, n_draws, np.random.default_rng(22))
     want = _searchsorted_reference(dist, n_sites, n_draws, np.random.default_rng(22))
-    assert n_draws % rows != 0
+    assert 2 * block < n_sites * n_draws < 3 * block
     np.testing.assert_array_equal(got, want)
 
 
@@ -281,10 +281,10 @@ def test_sample_matrix_draws_on_a_cdf_step_take_the_upper_symbol():
     dist = _LAWS["skew5"]
     cdf = np.cumsum(dist.float_weights())
     u = [0.0, cdf[0], np.nextafter(cdf[0], 0), cdf[2], np.nextafter(cdf[2], 0), np.nextafter(1.0, 0)]
-    got = sample_matrix(dist, len(u), 1, _FixedUniforms(u)).T  # (draws, sites)
+    got = sample_matrix(dist, len(u), 1, _FixedUniforms(u))
     want = _searchsorted_reference(dist, len(u), 1, _FixedUniforms(u))
     np.testing.assert_array_equal(got, want)
-    assert got.tolist() == [[0, 2, 0, 4, 2, 4]]
+    assert got[:, 0].tolist() == [0, 2, 0, 4, 2, 4]
 
 
 # ------------------------------------------------------------- enumeration

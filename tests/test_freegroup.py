@@ -120,8 +120,6 @@ def test_ball_set_inclusion():
 def test_radius_cap():
     with pytest.raises(RadiusTooLarge):
         ball(13)
-    with pytest.raises(RadiusTooLarge):
-        ball(3, cap=2)
 
 
 def test_parse_and_str_roundtrip():

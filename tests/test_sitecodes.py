@@ -139,7 +139,10 @@ def test_dependency_sites_match_the_oracles():
             got = star(0.25).dependency_sites(SiteSet(out), budget)
             assert list(got) == star_dependency_direct(out, budget)
         assert list(ow().dependency_sites(SiteSet(out), 0)) == dependency_direct(out, ow().offsets)
-        assert list(timar(2).dependency_sites(SiteSet(out), 0)) == dependency_direct(out, ball_direct(2))
+        want = out
+        for stage in reversed(timar(2).stages):
+            want = dependency_direct(want, stage.offsets)
+        assert list(timar(2).dependency_sites(SiteSet(out), 0)) == want
 
 
 # -------------------------------------------------------------- protocol

@@ -49,6 +49,7 @@ from oracles import (
     check_coset_roundtrip_direct,
     check_equivariance_direct,
     config_mismatch,
+    dependency_direct,
     enumerate_configurations,
     ow_direct,
     random_word,
@@ -194,6 +195,17 @@ def test_mc_withholds_when_the_threshold_cannot_be_exceeded():
     explicit = mc_pushforward(timar(3), uniform(U2), 3, 1, 20_000, 11, threshold=1.0)
     assert explicit.verdict == "withheld"
     assert mc_pushforward(timar(3), uniform(U2), 3, 1, 20_000, 11, threshold=0.99).verdict == "pass"
+
+
+@pytest.mark.parametrize("m, sizes", [(1, (3, 11)), (2, (7, 23)), (3, (15, 47)), (4, (31, 95))])
+def test_mc_samples_the_stage_fold_of_a_composition(m, sizes):
+    # the input is the cone the stages read, walked back through each stage's offsets
+    for r_out, size in zip((0, 1), sizes):
+        want = list(ball(r_out))
+        for stage in reversed(timar(m).stages):
+            want = dependency_direct(want, stage.offsets)
+        rep = mc_pushforward(timar(m), uniform(U2), m, r_out, 100, 0)
+        assert rep.input_sites == tuple(str(w) for w in want) and len(want) == size
 
 
 @pytest.mark.parametrize("r_in", [0, 1, 2, 3])
