@@ -410,11 +410,12 @@ def index_matrix(size: int, n_sites: int, lo: int, hi: int) -> np.ndarray:
     matrix: site-major like ``sample_matrix``, with column k the input
     lo + k and site j its j-th base-``size`` digit.  Int8 for alphabets
     of at most 128 symbols and int64 otherwise, as ``sample_matrix``."""
-    idx = np.arange(lo, hi, dtype=np.int64)
+    idx = np.arange(lo, hi, dtype="<i8")  # little-endian: byte b holds binary digits 8b..8b+7
     out = np.empty((n_sites, hi - lo), dtype=symbol_dtype(size))
     if size == 2:
+        by_byte = np.ascontiguousarray(idx.view(np.uint8).reshape(-1, 8).T[: -(-n_sites // 8)])
         for j in range(n_sites):
-            out[j] = (idx >> j) & 1
+            np.bitwise_and(by_byte[j // 8] >> (j % 8), 1, out=out[j])
     else:
         q = idx.copy()
         for j in range(n_sites):

@@ -539,19 +539,22 @@ def translated_sites(sites: SiteSet, g: Word) -> tuple[SiteSet, np.ndarray]:
     return new, perm
 
 
-def random_reduced(rng: np.random.Generator, max_len: int) -> tuple[tuple[int, ...], int]:
-    """The letters and the code of a random reduced word of length uniform
-    in [0, max_len].
+def random_reduced_codes(rng: np.random.Generator, n: int, max_len: int) -> np.ndarray:
+    """The codes of n random reduced words of length uniform in [0, max_len].
 
-    After the length, one scalar draw picks each letter: the first among
-    the four, each later one among the three that do not cancel the letter
-    before it, in letter order.
+    One draw of an (n, max_len + 1) matrix, row w for word w in row-major
+    order, so word w depends on the seed and w alone.  Column 0 is the
+    length; column k + 1 picks letter k, the first among the four and each
+    later one among the three that do not cancel the letter before it, in
+    letter order; the picks past the length go unused.
     """
-    n = int(rng.integers(0, max_len + 1))
-    letters: list[int] = []
-    code, banned = 0, 4  # banned: the inverse of the letter before; none before the first
-    for k in range(n):
-        i = int(rng.integers(0, 3 if k else 4))
-        letters.append(i + (i >= banned))
-        code, banned = 4 * code + letters[-1] + 1, letters[-1] ^ 1
-    return tuple(letters), code
+    if max_len < 0:
+        raise ValueError("max_len must be at least 0")
+    draws = rng.integers(0, [max_len + 1, 4, *[3] * (max_len - 1)][: max_len + 1], size=(n, max_len + 1))
+    codes = np.zeros(n, dtype=np.int64 if max_len <= MAX_INT64_LETTERS else object)
+    banned = np.full(n, 4)  # the inverse of the letter before; none before the first
+    for k in range(max_len):
+        letter = draws[:, k + 1] + (draws[:, k + 1] >= banned)
+        codes = np.where(k < draws[:, 0], 4 * codes + letter + 1, codes)
+        banned = letter ^ 1
+    return codes

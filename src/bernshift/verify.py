@@ -32,7 +32,7 @@ from .config import (
     symbol_dtype,
 )
 from .factormaps import FactorMap, InsufficientRadius
-from .freegroup import ball, codes_array, decode, inv_codes, mul_codes, random_reduced, strip_a_codes
+from .freegroup import ball, decode, inv_codes, mul_codes, random_reduced_codes, strip_a_codes
 from .freegroup import translated_sites
 
 CHUNK_SIZE = 1 << 16
@@ -341,7 +341,8 @@ def check_equivariance(fmap, r: int, trials: int, seed: int) -> PropertyReport:
     """Translation equivariance: applying the map commutes with the shift
     at every site where both sides are defined (exact symbol equality).
 
-    Each trial draws g from ball(G_RADIUS), then x on ball(r).  A block of
+    Each trial draws g from ball(G_RADIUS), then x on ball(r), a block of
+    trials in one draw of a (trials, 1 + |ball(r)|) matrix.  A block of
     trials maps its x at once on ball(r); the trials sharing a g are moved
     by one scatter and mapped at once on g * ball(r), beside their moved
     images.  A run that compares no site could not fail, and is refused.
@@ -352,12 +353,12 @@ def check_equivariance(fmap, r: int, trials: int, seed: int) -> PropertyReport:
     sites = ball(r)
     g_pool = ball(G_RADIUS).words
     alpha = fmap.input_alphabet
+    highs = np.r_[len(g_pool), np.full(len(sites), alpha.size)]
     failures = compared = 0
     first = None
-    for lo, hi in _chunks(trials, block_rows(8 * len(sites))):
-        draws = [(rng.integers(len(g_pool)), rng.integers(0, alpha.size, len(sites))) for _ in range(lo, hi)]
-        picks = np.array([pick for pick, _ in draws])
-        xs = np.stack([x for _, x in draws], axis=1).astype(symbol_dtype(alpha.size))
+    for lo, hi in _chunks(trials, block_rows(8 * len(highs))):
+        draws = rng.integers(0, highs, size=(hi - lo, len(highs)))
+        picks, xs = draws[:, 0], draws[:, 1:].T.astype(symbol_dtype(alpha.size), order="C")
         images = fmap.apply_batch(xs, sites, sites)
         for g, cols, moved_sites, perm, moved in _translated_by_g(sites, g_pool, picks, xs):
             lhs = fmap.apply_batch(moved, moved_sites, moved_sites)
@@ -381,14 +382,14 @@ def check_equivariance(fmap, r: int, trials: int, seed: int) -> PropertyReport:
 def check_cocycle(trials: int, seed: int, max_len: int = 6) -> PropertyReport:
     """The cocycle identity c(g1 g2, c) = c(g1, c) + c(g2, g1^-1 c) over
     random pairs and cosets, as exact integer equality of a-exponents.
-    Words are drawn straight as shortlex codes and computed on in blocks."""
+    Words are drawn straight as shortlex codes, three per trial, and
+    computed on in blocks."""
     _require_trials(trials)
     rng = np.random.default_rng(seed)
     failures = 0
     first = None
-    for lo, hi in _chunks(trials, block_rows(3 * 8)):
-        drawn = [random_reduced(rng, max_len)[1] for _ in range(3 * (hi - lo))]
-        g1, g2, word = codes_array(drawn).reshape(-1, 3).T
+    for lo, hi in _chunks(trials, block_rows(3 * 8 * (max_len + 1))):
+        g1, g2, word = random_reduced_codes(rng, 3 * (hi - lo), max_len).reshape(-1, 3).T
         c = strip_a_codes(word)[0]
         c2 = strip_a_codes(mul_codes(inv_codes(g1), c))[0]
         # a trial's three cocycles side by side, so the first to fail is the first checked
@@ -400,7 +401,7 @@ def check_cocycle(trials: int, seed: int, max_len: int = 6) -> PropertyReport:
         failures += len(bad)
         if len(bad) and first is None:
             t = int(bad[0])
-            g1w, g2w, cw = decode(codes_array([int(g1[t]), int(g2[t]), int(c[t])]))
+            g1w, g2w, cw = decode(np.array([g1[t], g2[t], c[t]]))
             first = {"trial": lo + t, "g1": str(g1w), "g2": str(g2w), "coset": str(cw),
                      "lhs": int(lhs[t]), "rhs": int(rhs[t])}
     return PropertyReport("cocycle_identity", trials, failures, first, seed)
@@ -408,19 +409,19 @@ def check_cocycle(trials: int, seed: int, max_len: int = 6) -> PropertyReport:
 
 def check_coset_roundtrip(r: int, trials: int, seed: int) -> PropertyReport:
     """Round trip and equivariance of the coset-splitting conjugacy on random binary
-    configurations, in blocks as in ``check_equivariance``: one split and merge per block,
-    and one scatter, split and coinduced action per drawn g.  A trial whose round trip
-    loses a site is reported as that loss."""
+    configurations, in blocks as in ``check_equivariance`` (each block one draw, x before
+    g): one split and merge per block, and one scatter, split and coinduced action per
+    drawn g.  A trial whose round trip loses a site is reported as that loss."""
     _require_trials(trials)
     rng = np.random.default_rng(seed)
     sites = ball(r)
     g_pool = ball(G_RADIUS).words
+    highs = np.r_[np.full(len(sites), 2), len(g_pool)]
     failures = 0
     first = None
-    for lo, hi in _chunks(trials, block_rows(8 * len(sites))):
-        draws = [(rng.integers(0, 2, len(sites)), rng.integers(len(g_pool))) for _ in range(lo, hi)]
-        xs = np.stack([x for x, _ in draws], axis=1).astype(symbol_dtype(2))
-        picks = np.array([pick for _, pick in draws])
+    for lo, hi in _chunks(trials, block_rows(8 * len(highs))):
+        draws = rng.integers(0, highs, size=(hi - lo, len(highs)))
+        xs, picks = draws[:, :-1].T.astype(symbol_dtype(2), order="C"), draws[:, -1]
         reps, grid = split_grid(sites, xs)
         merged_sites, merged = merge_grid(reps, grid)
         back = merged_sites.indices_of(sites)

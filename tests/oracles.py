@@ -48,7 +48,7 @@ from bernshift import (
 )
 from bernshift.coinduce import NotInSubgroup, a_exponents, coset_configs_agree
 from bernshift.config import DEFAULT_ENUMERATION_CAP
-from bernshift.freegroup import GEN_A, GEN_A_INV, GEN_B, GEN_B_INV, random_reduced
+from bernshift.freegroup import GEN_A, GEN_A_INV, GEN_B, GEN_B_INV, decode, random_reduced_codes
 
 
 class ZBlockMap(BlockMap):
@@ -96,7 +96,7 @@ def point_mass(alphabet, symbol_index) -> Distribution:
 
 def random_word(rng, max_len) -> Word:
     """A random reduced word of length uniform in [0, max_len]."""
-    return Word._from_reduced(*random_reduced(rng, max_len))
+    return decode(random_reduced_codes(rng, 1, max_len))[0]
 
 
 def plain_alphabet(name, symbols) -> Alphabet:
@@ -351,13 +351,17 @@ def translated_direct(words, g):
 
 
 def random_word_direct(rng, max_len):
-    """A random reduced word drawn one letter at a time: the length, then
-    each letter among those that do not cancel the one before."""
+    """A random reduced word drawn one scalar at a time: the length, then
+    a pick for each of the max_len positions, among the four letters at the
+    first and among the three that do not cancel the one before after it;
+    only the first ``length`` picks are kept."""
     n = int(rng.integers(0, max_len + 1))
     letters = []
-    for _ in range(n):
+    for k in range(max_len):
         choices = [s for s in (0, 1, 2, 3) if not letters or letters[-1] != s ^ 1]
-        letters.append(int(choices[rng.integers(0, len(choices))]))
+        pick = int(choices[rng.integers(0, 4 if k == 0 else 3)])
+        if k < n:
+            letters.append(pick)
     return Word(letters)
 
 

@@ -314,6 +314,18 @@ def test_enumeration_matches_index_matrix():
         assert tuple(mat[i]) == cfg.values
 
 
+@pytest.mark.parametrize("n_sites", [1, 8, 9, 17, 24])
+def test_binary_index_matrix_matches_the_shifted_digits(n_sites):
+    # lo > 0 and a row count that is not a multiple of 8, so the byte view
+    # of the inputs starts inside a digit pattern and ends on a partial byte
+    lo, hi = 3 * 2**17 + 5, 3 * 2**17 + 5 + 1003
+    idx = np.arange(lo, hi, dtype=np.int64)
+    want = np.stack([(idx >> j) & 1 for j in range(n_sites)])
+    got = index_matrix(2, n_sites, lo, hi)
+    assert got.dtype == np.int8
+    np.testing.assert_array_equal(got, want)
+
+
 def test_enumeration_cap():
     with pytest.raises(EnumerationTooLarge):
         next(enumerate_configurations(bit_alphabet(2), ball(2)))

@@ -6,7 +6,7 @@ int codes)."""
 import numpy as np
 import pytest
 
-from bernshift import CosetConfiguration, SiteSet, Word, ball, from_coset_config, gen_power, inv, mul, ow
+from bernshift import CosetConfiguration, SiteSet, Word, ball, check_cocycle, from_coset_config, gen_power, inv, mul, ow
 from bernshift import star, timar
 from bernshift.freegroup import (
     GEN_A,
@@ -15,9 +15,11 @@ from bernshift.freegroup import (
     GEN_B_INV,
     MAX_INT64_LETTERS,
     code_lengths,
+    decode,
     encode,
     inv_codes,
     mul_codes,
+    random_reduced_codes,
     translated_sites,
 )
 
@@ -261,3 +263,30 @@ def test_random_words_match_the_per_letter_draws(max_len):
         fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
         assert [random_word(fast, max_len) for _ in range(50)] == [random_word_direct(slow, max_len) for _ in range(50)]
         assert fast.random() == slow.random()
+
+
+@pytest.mark.parametrize("max_len", [0, 1, 6, 31, 32])
+def test_random_reduced_codes_are_reduced_words_up_to_max_len(max_len):
+    codes = random_reduced_codes(np.random.default_rng(max_len), 3000, max_len)
+    # the codes of 32-letter words pass int64, as in codes_array
+    assert codes.dtype == (np.int64 if max_len <= MAX_INT64_LETTERS else object)
+    words = decode(codes)
+    assert len(words) == 3000
+    assert all(len(w) <= max_len and Word(w.letters) == w for w in words)
+    assert max(len(w) for w in words) == max_len
+
+
+def test_random_reduced_codes_have_uniform_lengths_and_first_letters():
+    n, max_len = 70_000, 6
+    words = decode(random_reduced_codes(np.random.default_rng(5), n, max_len))
+    lengths = np.bincount([len(w) for w in words], minlength=max_len + 1)
+    assert np.all(np.abs(lengths - n / (max_len + 1)) < 0.05 * n / (max_len + 1))
+    firsts = np.bincount([w.letters[0] for w in words if w.letters], minlength=4)
+    assert np.all(np.abs(firsts - firsts.sum() / 4) < 0.05 * firsts.sum() / 4)
+
+
+def test_random_reduced_codes_refuse_a_negative_max_len():
+    with pytest.raises(ValueError, match="max_len must be at least 0"):
+        random_reduced_codes(np.random.default_rng(0), 5, -1)
+    with pytest.raises(ValueError, match="max_len must be at least 0"):
+        check_cocycle(10, 1, max_len=-1)

@@ -423,6 +423,17 @@ def test_one_trial_per_block_gives_the_same_reports(monkeypatch):
         "cocycle": check_cocycle(200, 6).to_json(),
         "roundtrip": check_coset_roundtrip(3, 30, 7).to_json(),
     }
+    # under a fault the cocycle's counterexample shows which words were drawn: an
+    # a-exponent off by one fails every trial, and off by one where positive fails
+    # seed 0 first at trial 26
+    real = coinduce.strip_a_codes
+    for fault, seed, failures, trial in ((lambda e: e + 1, 6, 40, 0), (lambda e: e + (e > 0), 0, 1, 26)):
+        with monkeypatch.context() as faulted:
+            faulted.setattr(coinduce, "strip_a_codes", lambda codes: (real(codes)[0], fault(real(codes)[1])))
+            report = check_cocycle(40, seed).to_json()
+            faulted.setattr(config, "SAMPLE_BLOCK_BYTES", 1)
+            assert check_cocycle(40, seed).to_json() == report
+        assert (report["failures"], report["first_counterexample"]["trial"]) == (failures, trial)
     # seed 3's first odd g is drawn by trial 3, so its counterexample is
     # found in a later block than the first
     assert whole["broken"]["first_counterexample"]["trial"] > 0
