@@ -7,14 +7,17 @@ for unbounded ray lookahead), how to apply itself to one configuration,
 and how to evaluate itself on a whole batch of value matrices at once.
 Batch matrices are site-major, (sites, rows): each site's values across
 the batch are one contiguous row, so a kernel's per-site gather copies
-whole rows.  A kernel builds its undefined-cell masks only where a -1
-can occur: a total input read through complete index tables needs none.
+whole rows.  Batch evaluation runs a plan, the map compiled once per
+pair of site sets into index tables and memoized on the input window.
+A kernel builds its undefined-cell masks only where a -1 can occur: a
+total input read through complete index tables needs none.
 Descriptors are immutable and shareable across threads.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+import functools
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -63,9 +66,26 @@ class FactorMap:
         where the output is undefined.  ``BlockMap`` returns the dtype of
         ``symbol_dtype`` (int8 up to 128 output symbols), so a caller that
         does arithmetic on the result widens it first; ``StarMap`` and
-        ``ComposedMap`` return int64.  Must be overridden.
+        ``ComposedMap`` return int64.  Runs ``plan(sites, out_sites)``.
         """
-        raise NotImplementedError
+        return self.plan(sites, out_sites)(values)
+
+    def plan(self, sites: SiteSet, out_sites: SiteSet) -> Callable[[np.ndarray], np.ndarray]:
+        """This map compiled from ``sites`` to ``out_sites``: its kernel with
+        the index tables it reads bound (a ``functools.partial``), memoized
+        on ``sites`` like its neighbour tables.  The window holds the map by
+        weak reference and no plan refers to a map, so a plan lives as long
+        as its window and its map.  Compiled by a subclass (``_compile``)."""
+        own = sites._own(out_sites)
+        key = None if own else out_sites
+        plans = sites._plans.setdefault(self, {})
+        plan = plans.get(key)
+        if plan is None:
+            plan = plans[key] = self._compile(sites, sites if own else out_sites)
+        return plan
+
+    def _compile(self, sites: SiteSet, out_sites: SiteSet) -> functools.partial:
+        raise NotImplementedError(f"{self.name} has no batch evaluation")
 
     def check_alphabet(self, x: Configuration) -> None:
         if self.input_alphabet is not None and x.alphabet != self.input_alphabet:
@@ -106,6 +126,46 @@ def _safe_gather(values: np.ndarray, idx: np.ndarray, complete: bool = False) ->
     return np.where((idx >= 0)[..., None], values.take(np.maximum(idx, 0), axis=0), -1)
 
 
+def _stacked(sites: SiteSet, offsets: Sequence[Word], of: SiteSet | None = None) -> np.ndarray:
+    """The (offsets, sites of ``of``) neighbour index table of ``sites``."""
+    tables = [sites.neighbor_indices(off, of) for off in offsets]
+    return np.array(tables, dtype=np.int64).reshape(len(offsets), len(sites if of is None else of))
+
+
+def _block_gather(values: np.ndarray, idx: np.ndarray, valid: np.ndarray | None) -> np.ndarray:
+    """The rows values[idx] for a block kernel.  A kernel that masks passes
+    its mask ``valid``, which is cleared where a row is undefined (-1),
+    and reads those cells as 0."""
+    col = values.take(idx, axis=0)
+    if valid is not None:
+        valid &= col >= 0
+        np.maximum(col, 0, out=col)
+    return col
+
+
+def _run_block(values, table, inside, lookup, size):
+    shape = (table.shape[1], values.shape[1])
+    if inside is not None and not inside.any():  # an empty window, say
+        return np.full(shape, -1, dtype=lookup.dtype)
+    # a total input read through the table (complete but for ``inside``) has
+    # no undefined cell to mask
+    valid = None if values.size == 0 or values.min() >= 0 else np.ones(shape, dtype=bool)
+    # one flat table index per output cell, by Horner's rule over the offsets,
+    # gathered one offset at a time so that a batch holds one gathered row set
+    flat = np.zeros(shape, dtype=np.int64)
+    for idx in table:
+        flat *= size
+        flat += _block_gather(values, idx, valid)
+    # every index is in range, and "clip" skips the copy of out that "raise"
+    # makes; in place, take reads each cell's index before it writes that cell
+    out = flat if lookup.dtype == np.int64 else np.empty(shape, lookup.dtype)
+    lookup.take(flat, mode="clip", out=out)
+    for keep in (valid, inside):
+        if keep is not None:
+            out[~keep] = -1
+    return out
+
+
 class BlockMap(FactorMap):
     """A sliding block code: output at g is table[x(g*w1), ..., x(g*wk)].
 
@@ -139,31 +199,20 @@ class BlockMap(FactorMap):
         self._lookup = self.table.ravel().astype(symbol_dtype(output_alphabet.size))
         self.window_cost = max((len(w) for w in self.offsets), default=0)
 
-    def apply_batch(self, values, sites, out_sites):
-        tables = [sites.neighbor_indices(off, out_sites) for off in self.offsets]
-        # a total input read through complete tables has no undefined cell to mask
-        total = all(sites.covers(off, out_sites) for off in self.offsets) and (
-            values.size == 0 or values.min() >= 0)
-        # one flat table index per output cell, by Horner's rule over the offsets
-        size = self.input_alphabet.size
-        flat = np.zeros((len(out_sites), values.shape[1]), dtype=np.int64)
-        valid = None if total else np.ones(flat.shape, dtype=bool)
-        for idx in tables:
-            col = _safe_gather(values, idx, total)
-            if valid is not None:
-                valid &= col >= 0
-                np.maximum(col, 0, out=col)
-            flat *= size
-            flat += col
-        # every index is in range, and "clip" skips the copy of out that "raise"
-        # makes; in place, take reads each cell's index before it writes that cell
-        out = flat if self._lookup.dtype == np.int64 else np.empty(flat.shape, self._lookup.dtype)
-        self._lookup.take(flat, mode="clip", out=out)
-        if valid is not None:
-            out[~valid] = -1
-        return out
+    # bound here so a tracer can wrap them per class
+    apply_batch = FactorMap.apply_batch
+    apply = FactorMap.apply
 
-    apply = FactorMap.apply  # the batch kernel, bound here so a tracer can wrap it per class
+    def _compile(self, sites, out_sites):
+        return self._plan(_stacked(sites, self.offsets, out_sites))
+
+    def _plan(self, table: np.ndarray) -> functools.partial:
+        """The kernel in which output g reads input rows table[:, g]; a missing
+        row (-1) reads row 0, and the static mask ``inside`` (None if the
+        table is complete) leaves g undefined."""
+        inside = (table >= 0).all(axis=0)
+        return functools.partial(_run_block, table=np.maximum(table, 0), inside=None if inside.all() else inside,
+                                 lookup=self._lookup, size=self.input_alphabet.size)
 
     def dependency_sites(self, out_sites, budget_radius):
         return out_sites.times(self.offsets)
@@ -247,6 +296,41 @@ def identity_map(alphabet: Alphabet) -> BlockMap:
     return relabel(f"identity_{alphabet.name}", alphabet, alphabet, np.arange(alphabet.size))
 
 
+def _first_bits(values: np.ndarray, rays: tuple[np.ndarray, np.ndarray], star: int) -> np.ndarray:
+    """The first non-star value along each ray, one ray step at a time.
+
+    values: site-major (s, n) matrix; rays: the (m, L) site indices (-1
+    padding) and the m ray lengths of ``SiteSet.ray_indices``.  Returns
+    an (m, n) array in the dtype of values, -1 where the ray leaves the
+    site set, meets an undefined site, or runs out while still seeing
+    stars.
+    """
+    rays, lengths = rays
+    # step k of every ray is a site while k < the shortest ray's length
+    shortest = lengths.min(initial=rays.shape[1])
+    first = np.full((rays.shape[0], values.shape[1]), -1, dtype=values.dtype)
+    open_rays = np.ones(first.shape, dtype=bool)
+    for k, col in enumerate(rays.T):
+        step = _safe_gather(values, col, k < shortest)
+        # an open ray takes every step; it stays open only on a star
+        np.copyto(first, step, where=open_rays)
+        open_rays &= step == star
+        if not open_rays.any():
+            return first
+    first[open_rays] = -1  # ran out while still seeing stars
+    return first
+
+
+def _run_star(values, centers, complete, rays, star, star_out):
+    # in the input's dtype until the end: every value here is -1, a bit or *
+    centers = _safe_gather(values, centers, complete)
+    a, b = (_first_bits(values, r, star) for r in rays)
+    center_bit = (centers == 0) | (centers == 1)
+    out = np.where(center_bit & (a >= 0) & (b >= 0), (centers ^ a) + 2 * (centers ^ b), -1)
+    out[centers == star] = star_out
+    return out.astype(np.int64, copy=False)
+
+
 class StarMap(FactorMap):
     """The star-extended doubling rule with generator-ray lookahead.
 
@@ -266,45 +350,14 @@ class StarMap(FactorMap):
         self.output_alphabet = star_alphabet(2)
         self.window_cost = None
 
-    def _first_bits(self, values: np.ndarray, rays: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-        """The first non-star value along each ray, one ray step at a time.
-
-        values: site-major (s, n) matrix; rays: the (m, L) site indices (-1
-        padding) and the m ray lengths of ``SiteSet.ray_indices``.  Returns
-        an (m, n) array in the dtype of values, -1 where the ray leaves the
-        site set, meets an undefined site, or runs out while still seeing
-        stars.
-        """
-        star = self.input_alphabet.star_index
-        rays, lengths = rays
-        # step k of every ray is a site while k < the shortest ray's length
-        shortest = lengths.min(initial=rays.shape[1])
-        first = np.full((rays.shape[0], values.shape[1]), -1, dtype=values.dtype)
-        open_rays = np.ones(first.shape, dtype=bool)
-        for k, col in enumerate(rays.T):
-            step = _safe_gather(values, col, k < shortest)
-            # an open ray takes every step; it stays open only on a star
-            np.copyto(first, step, where=open_rays)
-            open_rays &= step == star
-            if not open_rays.any():
-                return first
-        first[open_rays] = -1  # ran out while still seeing stars
-        return first
-
+    apply_batch = FactorMap.apply_batch
     apply = FactorMap.apply
 
-    def apply_batch(self, values, sites, out_sites):
-        # in the input's dtype until the end: every value here is -1, a bit or *;
-        # the centres gather through the cached neighbour table of the identity offset
-        centers = _safe_gather(
-            values, sites.neighbor_indices(IDENTITY, out_sites), sites.covers(IDENTITY, out_sites)
-        )
-        a = self._first_bits(values, sites.ray_indices(GEN_A, out_sites))
-        b = self._first_bits(values, sites.ray_indices(GEN_B, out_sites))
-        center_bit = (centers == 0) | (centers == 1)
-        out = np.where(center_bit & (a >= 0) & (b >= 0), (centers ^ a) + 2 * (centers ^ b), -1)
-        out[centers == self.input_alphabet.star_index] = self.output_alphabet.star_index
-        return out.astype(np.int64, copy=False)
+    def _compile(self, sites, out_sites):
+        centers = sites.neighbor_indices(IDENTITY, out_sites)
+        rays = (sites.ray_indices(GEN_A, out_sites), sites.ray_indices(GEN_B, out_sites))
+        return functools.partial(_run_star, centers=centers, complete=bool(centers.min(initial=0) >= 0), rays=rays,
+                                 star=self.input_alphabet.star_index, star_out=self.output_alphabet.star_index)
 
     def dependency_sites(self, out_sites, budget_radius):
         # each ray up to its first power longer than the budget
@@ -344,28 +397,11 @@ class StarMap(FactorMap):
         return d
 
 
-def _stage_windows(
-    stages: tuple[FactorMap, ...], sites: SiteSet, out_sites: SiteSet
-) -> tuple[SiteSet, ...]:
-    """The site set each stage of a composition must emit so that the
-    last one covers ``out_sites`` inside the window ``sites``.
-
-    Once a stage needs the whole window, so do the stages before it, and
-    the window itself is returned (its lookup tables are memoized)."""
-
-    def inside(s: SiteSet) -> SiteSet:
-        keep = sites.indices_of(s) >= 0
-        return sites if keep.sum() == len(sites) else SiteSet._from_sorted(s.codes[keep])
-
-    need = inside(out_sites)
-    windows = [need]
-    for stage in reversed(stages[1:]):
-        if isinstance(stage, BlockMap) and need is not sites:
-            need = inside(stage.dependency_sites(need, 0))
-        else:
-            need = sites
-        windows.append(need)
-    return tuple(reversed(windows))
+def _run_composed(values, steps, final, complete):
+    # a stage that is not a block code reads the whole window, widened with -1
+    for widen, step in steps:
+        values = step(values if widen is None else _safe_gather(values, widen))
+    return _safe_gather(values, final, complete).astype(np.int64, copy=False)
 
 
 class ComposedMap(FactorMap):
@@ -375,15 +411,23 @@ class ComposedMap(FactorMap):
     unbounded stages propagate undefinedness exactly as they do alone.
     An empty composition is the identity.
 
-    Batch evaluation runs each stage only on its dependency cone: walking
-    back from the output sites inside the window, a ``BlockMap`` stage
-    needs the window sites its offsets reach, and any other stage needs
-    the whole window.  The result equals stage-by-stage evaluation on the
-    full window restricted to ``out_sites``.
+    Batch evaluation runs a ``BlockMap`` stage only on the window sites
+    it must emit (walking back from the output sites, the window sites
+    the later block stages' offsets reach) whose whole cone the stage
+    before emitted, so every block stage reads a complete table; any
+    other stage maps the whole window.  The result equals stage-by-stage
+    evaluation on the full window restricted to ``out_sites``.  Stages
+    run by their plans, so a stage whose class has an ``apply_batch`` of
+    its own but no plan compiler is refused (NotImplementedError).
     """
 
     def __init__(self, stages: Sequence[FactorMap], name: str | None = None):
         self.stages = tuple(stages)
+        for k, stage in enumerate(self.stages):
+            # the nearest class that defines either must compile plans
+            kind = next(c for c in type(stage).__mro__ if {"apply_batch", "_compile"} & vars(c).keys())
+            if "_compile" not in vars(kind):
+                raise NotImplementedError(f"stage {k} ({stage.name}) has an apply_batch but no plan")
         for k in range(len(self.stages) - 1):
             out_a = self.stages[k].output_alphabet
             in_a = self.stages[k + 1].input_alphabet
@@ -406,12 +450,38 @@ class ComposedMap(FactorMap):
             except AlphabetMismatch as exc:
                 raise AlphabetMismatch(f"stage 0 ({self.stages[0].name}): {exc}") from exc
 
-    def apply_batch(self, values, sites, out_sites):
-        cur, cur_sites = values, sites
-        for stage, stage_out in zip(self.stages, _stage_windows(self.stages, sites, out_sites)):
-            cur = stage.apply_batch(cur, cur_sites, stage_out)
-            cur_sites = stage_out
-        return _safe_gather(cur, cur_sites.indices_of(out_sites)).astype(np.int64, copy=False)
+    def _compile(self, sites, out_sites):
+        # index operations on the window's own neighbour tables only: first the
+        # window sites each stage must emit, walking back from the output sites
+        n = len(sites)
+        where = sites.neighbor_indices(IDENTITY, out_sites)
+        need = where[where >= 0]
+        needs = [need]
+        for stage in reversed(self.stages[1:]):
+            if not isinstance(stage, BlockMap):
+                need = np.arange(n)
+            # a stage that reads its own site needs the whole window if its output does
+            elif len(need) < n or IDENTITY not in stage.offsets:
+                reach = _stacked(sites, stage.offsets).take(need, axis=1)
+                need = np.flatnonzero(np.bincount(reach[reach >= 0], minlength=n))
+            needs.append(need)
+        # then each stage's kernel; ``rows`` holds each window site's row in the
+        # current matrix, -1 if not emitted, and a last -1 that index -1 reads
+        rows, emit = np.append(np.arange(n), -1), np.arange(n)
+        steps = []
+        for stage, need in zip(self.stages, reversed(needs)):
+            if isinstance(stage, BlockMap):
+                table = rows.take(_stacked(sites, stage.offsets).take(need, axis=1))
+                defined = np.flatnonzero((table >= 0).all(axis=0))
+                emit = need.take(defined)
+                steps.append((None, stage._plan(table.take(defined, axis=1))))
+            else:
+                steps.append((None if len(emit) == n else rows[:n], stage.plan(sites, sites)))
+                emit = np.arange(n)
+            rows = np.full(n + 1, -1)
+            rows[emit] = np.arange(len(emit))
+        final = rows[where]
+        return functools.partial(_run_composed, steps=steps, final=final, complete=bool(final.min(initial=0) >= 0))
 
     def dependency_sites(self, out_sites, budget_radius):
         # the stages' own cones, last stage first

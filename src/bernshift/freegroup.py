@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 from typing import Iterable, Iterator, NamedTuple, Sequence
+from weakref import WeakKeyDictionary
 
 import numpy as np
 
@@ -346,13 +347,13 @@ class SiteSet:
     The set is the strictly increasing, read-only array ``codes`` of its
     sites' shortlex codes (construction drops duplicates and sorts);
     ``words``, iteration and indexing decode it when first asked.  Derived
-    lookup tables (neighbor, generator-ray and coset indices) are built on
-    the codes and memoized on the instance, which is safe because they are
-    pure functions of the site list; they are read-only, since every
-    caller shares them.
+    lookup tables (neighbor, generator-ray and coset indices) and the maps'
+    evaluation plans are built on the codes and memoized on the instance,
+    which is safe because they are pure functions of the site list; they
+    are read-only, since every caller shares them.
     """
 
-    __slots__ = ("codes", "_words", "_neighbors", "_rays", "_cosets", "_hash")
+    __slots__ = ("codes", "_words", "_neighbors", "_rays", "_plans", "_cosets", "_hash")
 
     def __init__(self, words: Iterable[Word]):
         self._finish_init(np.unique(encode(words)))
@@ -376,6 +377,7 @@ class SiteSet:
         object.__setattr__(self, "_words", None)
         object.__setattr__(self, "_neighbors", {})
         object.__setattr__(self, "_rays", {})
+        object.__setattr__(self, "_plans", WeakKeyDictionary())  # map -> {None or out sites: plan}
         object.__setattr__(self, "_cosets", None)
         object.__setattr__(self, "_hash", hash(key))
 
@@ -439,27 +441,20 @@ class SiteSet:
 
     def neighbor_indices(self, offset: Word, of: "SiteSet | None" = None) -> np.ndarray:
         """For each site g of ``of`` (default: this set), the index of
-        g*offset in this set, or -1 if absent.  Cached per (offset,
-        ``of``), with whether the table is complete (``covers``)."""
-        return self._neighbor_table(offset, of)[0]
-
-    def covers(self, offset: Word, of: "SiteSet | None" = None) -> bool:
-        """Whether g*offset is a site of this set for every site g of
-        ``of`` (default: this set): the neighbour table holds no -1.
-        Compiled with the cached table, so asking costs no scan."""
-        return self._neighbor_table(offset, of)[1]
-
-    def _neighbor_table(self, offset: Word, of: "SiteSet | None") -> tuple[np.ndarray, bool]:
-        # the set's own tables are keyed by the offset alone, so the cache holds no cycle
-        own = of is None or of is self or of == self
+        g*offset in this set, or -1 if absent.  Cached per (offset, ``of``)."""
+        own = self._own(of)
         key = offset if own else (offset, of)
-        cached = self._neighbors.get(key)
-        if cached is None:
+        table = self._neighbors.get(key)
+        if table is None:
             table = self._find(right_mul_codes(self.codes if own else of.codes, offset))
             table.setflags(write=False)
-            cached = (table, bool(table.min(initial=0) >= 0))
-            self._neighbors[key] = cached
-        return cached
+            self._neighbors[key] = table
+        return table
+
+    def _own(self, of: "SiteSet | None") -> bool:
+        """Whether ``of`` is this set, whose own tables are cached without
+        it in their keys, so that the caches hold no cycle."""
+        return of is None or of is self or of == self
 
     def ray_indices(self, letter: int, of: "SiteSet | None" = None) -> tuple[np.ndarray, np.ndarray]:
         """Generator-ray lookup: indices of g*s^k for k = 1, 2, ... for
@@ -473,8 +468,7 @@ class SiteSet:
         max_len) index array (-1 past the end), stored column-major, and
         the ray lengths.
         """
-        # the set's own rays are keyed by the letter alone, so the cache holds no cycle
-        key = letter if of is None or of is self or of == self else (letter, of)
+        key = letter if self._own(of) else (letter, of)
         cached = self._rays.get(key)
         if cached is None:
             step = self.neighbor_indices(_SINGLE[letter])

@@ -130,8 +130,11 @@ def _chunks(total: int, size: int = CHUNK_SIZE) -> list[tuple[int, int]]:
 
 
 def _require_batch(fmap: FactorMap) -> None:
-    """Refuse a map without batch evaluation before any input matrix exists."""
-    if getattr(type(fmap), "apply_batch", FactorMap.apply_batch) is FactorMap.apply_batch:
+    """Refuse a map without batch evaluation (neither a plan compiler nor
+    its own ``apply_batch``) before any input matrix exists."""
+    kind = type(fmap)
+    if getattr(kind, "_compile", FactorMap._compile) is FactorMap._compile and (
+            getattr(kind, "apply_batch", FactorMap.apply_batch) is FactorMap.apply_batch):
         raise NotImplementedError(f"{fmap.name} has no batch evaluation")
 
 

@@ -95,25 +95,43 @@ def _window(spec: str, r_in: int, r_out: int):
     return fmap, sites, out_sites, law
 
 
-def _gathers(monkeypatch) -> list:
-    """Record the ``complete`` flag of every kernel gather."""
-    flags = []
-    real = factormaps._safe_gather
+def _masks(monkeypatch) -> list:
+    """Record, for every kernel gather, its kind and whether it builds an
+    undefined-cell mask: a block code's gathers (``_block_gather``, given
+    the kernel's mask) and the index gathers of the star map and of a
+    composition's widening and final gathers (``_safe_gather``)."""
+    masks = []
+    block, index = factormaps._block_gather, factormaps._safe_gather
 
-    def spy(values, idx, complete=False):
-        flags.append(complete)
-        return real(values, idx, complete)
+    def block_spy(values, idx, valid):
+        masks.append(("block", valid is not None))
+        return block(values, idx, valid)
 
-    monkeypatch.setattr(factormaps, "_safe_gather", spy)
-    return flags
+    def index_spy(values, idx, complete=False):
+        masks.append(("index", not complete))
+        return index(values, idx, complete)
+
+    monkeypatch.setattr(factormaps, "_block_gather", block_spy)
+    monkeypatch.setattr(factormaps, "_safe_gather", index_spy)
+    return masks
 
 
-def _check_rows(spec, fmap, values, sites, out_sites):
+def _stage_plans(plan) -> list:
+    """The block kernels of a plan: a composition's stages, or the plan."""
+    return [step for _, step in plan.keywords.get("steps", [(None, plan)]) if step.func is factormaps._run_block]
+
+
+def _check_rows(spec, fmap, values, sites, out_sites, masks):
+    """The kernel's output, checked row by row against the oracle, and the
+    gathers the kernel made (the oracles' own are not recorded)."""
+    masks.clear()
     got = fmap.apply_batch(values, sites, out_sites)
+    kernel = list(masks)
     assert got.shape == (len(out_sites), values.shape[1])
     for k in range(values.shape[1]):
         x = Configuration(fmap.input_alphabet, sites, values[:, k].astype(np.int64))
         np.testing.assert_array_equal(got[:, k], _reference(spec, x, out_sites), err_msg=f"row {k}")
+    return got, kernel
 
 
 @pytest.mark.parametrize("spec,r_in,r_out", _WINDOWS)
@@ -121,27 +139,44 @@ def _check_rows(spec, fmap, values, sites, out_sites):
 def test_fast_path_and_masked_paths_agree_with_the_per_row_oracles(spec, r_in, r_out, dtype, monkeypatch):
     fmap, sites, out_sites, law = _window(spec, r_in, r_out)
     total = sample_matrix(law, len(sites), 6, np.random.default_rng(len(sites))).astype(dtype)
-    flags = _gathers(monkeypatch)
+    spied = _masks(monkeypatch)
 
-    # a total input on a window whose tables are all complete
-    _check_rows(spec, fmap, total, sites, out_sites)
-    assert any(flags), "the fast path was not taken"
-    if isinstance(fmap, BlockMap):
-        assert all(flags)
-
-    # the same input with one undefined cell: a block code masks every gather
-    # (a star ray's complete steps still skip the mask: a hole there is data)
-    holey = total.copy()
-    holey[0, 2] = -1
-    flags.clear()
-    _check_rows(spec, fmap, holey, sites, out_sites)
+    # a total input on a window whose tables are all complete: no gather masks
+    # (a star ray's steps past the shortest ray's length still do)
+    _, masks = _check_rows(spec, fmap, total, sites, out_sites, spied)
+    assert masks and not all(masked for _, masked in masks), "the fast path was not taken"
     if not spec.startswith("star"):
-        assert not any(flags)
+        assert not any(masked for _, masked in masks)
+        assert all(step.keywords["inside"] is None for step in _stage_plans(fmap.plan(sites, out_sites)))
 
-    # the total input on a window past the input: its tables are incomplete
-    flags.clear()
-    _check_rows(spec, fmap, total, sites, ball(r_in + 1))
-    assert not any(flags)
+    # the same input with one undefined cell, at the centre: a block code masks
+    # every gather, and the masks leave every output that reads it undefined,
+    # the centre's first (an index gather through a complete table, like a
+    # star ray's complete steps, passes the -1 on as data)
+    holey = total.copy()
+    holey[sites.position(IDENTITY), 2] = -1
+    got, masks = _check_rows(spec, fmap, holey, sites, out_sites, spied)
+    assert got[out_sites.position(IDENTITY), 2] == -1
+    if not spec.startswith("star"):
+        block = [masked for kind, masked in masks if kind == "block"]
+        assert block and all(block)
+
+    # the total input on a window past the input: the table that reads the
+    # output window is incomplete, and its mask leaves the sites outside
+    # undefined; a composition's stages still read complete tables, since
+    # each emits only defined sites, so only its final gather masks
+    past = ball(r_in + 1)
+    got, masks = _check_rows(spec, fmap, total, sites, past, spied)
+    outside = sites.indices_of(past) < 0
+    assert outside.any() and (got[outside] == -1).all()
+    stages = _stage_plans(fmap.plan(sites, past))
+    if isinstance(fmap, BlockMap):
+        assert stages[0].keywords["inside"] is not None
+    elif spec.startswith("star"):
+        assert masks[0] == ("index", True)  # the centre gather
+    else:
+        assert [masked for _, masked in masks] == [False] * (len(masks) - 1) + [True]
+        assert all(step.keywords["inside"] is None for step in stages)
 
 
 @pytest.mark.parametrize("size,dtype", [(2, np.int8), (3, np.int8), (128, np.int8), (129, np.int64)])

@@ -1,0 +1,174 @@
+"""Compiled evaluation plans: a plan's output equals stage-by-stage
+evaluation on the whole window restricted to the output sites, on the
+windows the property checks use, and plans are memoized on the input
+window instance."""
+
+import numpy as np
+import pytest
+
+from bernshift import (
+    BlockMap,
+    ComposedMap,
+    IDENTITY,
+    SiteSet,
+    Word,
+    ball,
+    parse_map_spec,
+    relabel,
+    star,
+    star_alphabet,
+    timar,
+)
+from bernshift.config import symbol_dtype
+from bernshift.freegroup import translated_sites
+
+STAR1, STAR2 = star_alphabet(1), star_alphabet(2)
+A, B = Word.parse("a"), Word.parse("b")
+G_POOL = ball(2).words  # the translations of the property checks
+
+
+def _star_stages():
+    swap01 = relabel("swap01", STAR1, STAR1, [1, 0, 2])
+    look_a = BlockMap("look_a", STAR1, STAR1, (A,), np.arange(3))
+    cycle5 = relabel("cycle5", STAR2, STAR2, [1, 2, 3, 4, 0])
+    spread = BlockMap("spread", STAR2, STAR2, (IDENTITY, A), np.add.outer(np.arange(5), np.arange(5)) % 5)
+    look_b = BlockMap("look_b", STAR2, STAR2, (B,), np.arange(5))
+    return swap01, look_a, cycle5, spread, look_b
+
+
+def _maps():
+    """(map, window radius, input symbols) for every plan kind."""
+    swap01, look_a, cycle5, spread, look_b = _star_stages()
+    cases = {f"timar:{m}": (timar(m), m + 1, 2) for m in (1, 2, 3, 4)}
+    cases.update({spec: (parse_map_spec(spec), 3, 2) for spec in ("ow", "coinduced:identity", "coinduced:swap")})
+    cases["empty"] = (ComposedMap([]), 2, 2)
+    cases["star_first"] = (ComposedMap([star(0.25), cycle5, spread, look_b]), 3, 3)
+    cases["star_middle"] = (ComposedMap([swap01, look_a, star(0.25), spread, look_b]), 3, 3)
+    cases["star_last"] = (ComposedMap([swap01, look_a, star(0.25)]), 3, 3)
+    return cases
+
+
+_MAPS = _maps()
+
+
+def _block_on_window(stage, values, sites):
+    """A block code on the whole window, one offset at a time: -1 where an
+    offset leaves the window or reads an undefined cell."""
+    padded = np.vstack([values, np.full((1, values.shape[1]), -1, dtype=values.dtype)])
+    flat = np.zeros(values.shape, dtype=np.int64)
+    valid = np.ones(values.shape, dtype=bool)
+    for off in stage.offsets:
+        col = padded[sites.neighbor_indices(off)]  # index -1 reads the padding row
+        valid &= col >= 0
+        flat = flat * stage.input_alphabet.size + np.maximum(col, 0)
+    return np.where(valid, stage.table.ravel()[flat], -1)
+
+
+def _stagewise(fmap, values, sites, out_sites):
+    """Every stage on the whole window, then the rows of ``out_sites``."""
+    cur = values.astype(np.int64)
+    for stage in fmap.stages if isinstance(fmap, ComposedMap) else (fmap,):
+        if isinstance(stage, BlockMap):
+            cur = _block_on_window(stage, cur, sites)
+        else:
+            cur = stage.apply_batch(cur, sites, sites).astype(np.int64)
+    padded = np.vstack([cur, np.full((1, cur.shape[1]), -1, dtype=np.int64)])
+    return padded[sites.indices_of(out_sites)]
+
+
+def _values(rng, symbols, n_sites, dtype, rows=7):
+    values = rng.integers(0, symbols, (n_sites, rows)).astype(dtype)
+    values[rng.random(values.shape) < 0.05] = -1
+    return values
+
+
+def _check(fmap, values, sites, out_sites):
+    got = fmap.plan(sites, out_sites)(values)
+    want = _stagewise(fmap, values, sites, out_sites)
+    wide = not isinstance(fmap, BlockMap)
+    assert got.dtype == (np.int64 if wide else symbol_dtype(fmap.output_alphabet.size))
+    np.testing.assert_array_equal(got, want)
+    return got
+
+
+@pytest.mark.parametrize("case", list(_MAPS))
+def test_plans_equal_stage_by_stage_evaluation_on_translated_windows(case):
+    fmap, r, symbols = _MAPS[case]
+    rng = np.random.default_rng(len(case))
+    base, inner, outer = ball(r), ball(r - 1), ball(r + 1)
+    defined = 0
+    for g in G_POOL:
+        sites = translated_sites(base, g)[0]
+        outs = (
+            sites,                               # the window itself
+            translated_sites(inner, g)[0],       # inside it
+            base,                                # not inside it unless g is the identity
+            translated_sites(outer, g)[0],       # past it
+            SiteSet([]),
+        )
+        for dtype in (np.int8, np.int64):
+            values = _values(rng, symbols, len(sites), dtype)
+            for out_sites in outs:
+                defined += int((_check(fmap, values, sites, out_sites) >= 0).sum())
+    assert defined > 0
+
+
+@pytest.mark.parametrize("case", list(_MAPS))
+def test_plans_on_an_empty_window(case):
+    fmap = _MAPS[case][0]
+    empty = SiteSet([])
+    for out_sites in (empty, ball(1)):
+        got = _check(fmap, np.empty((0, 4), dtype=np.int8), empty, out_sites)
+        assert got.shape == (len(out_sites), 4) and (got == -1).all()
+
+
+def test_a_plan_is_built_once_per_window_and_held_by_that_window_only(monkeypatch):
+    fmap = timar(3)
+    sites = ball(4)
+    values = np.zeros((len(sites), 3), dtype=np.int8)
+    plan = fmap.plan(sites, sites)
+    inner = fmap.plan(sites, ball(1))
+
+    # a second call on the same window and output sites builds nothing: no
+    # neighbour table is even looked up, and an equal output window hits
+    lookups = []
+    real = SiteSet.neighbor_indices
+    monkeypatch.setattr(SiteSet, "neighbor_indices", lambda *a, **k: lookups.append(a) or real(*a, **k))
+    assert fmap.plan(sites, sites) is plan and fmap.plan(sites, ball(4)) is plan
+    assert fmap.plan(sites, ball(1)) is inner
+    fmap.apply_batch(values, sites, sites)
+    fmap.apply_batch(values, sites, ball(1))
+    assert lookups == []
+    monkeypatch.undo()
+
+    # a fresh window equal to a planned one builds its own plan; a translated
+    # window, kept by translated_sites' cache, keeps its plan with it, so the
+    # fresh window's translate hits both
+    fresh = ball(4)
+    assert fresh == sites and fmap.plan(fresh, fresh) is not plan
+    moved = translated_sites(sites, Word.parse("aB"))[0]
+    moved_plan = fmap.plan(moved, moved)
+    again = translated_sites(fresh, Word.parse("aB"))[0]
+    assert again is moved and fmap.plan(again, again) is moved_plan
+
+    # the window's own plan is keyed by the map alone, so the window's cache
+    # does not refer to the window
+    assert sites._plans[fmap][None] is plan
+    for fm, plans in sites._plans.items():
+        assert fm is not sites and all(key is not sites for key in plans)
+    assert all(value is not sites for value in plan.keywords.values())
+
+
+@pytest.mark.parametrize("case", ["timar:3", "ow", "coinduced:swap", "star_middle"])
+def test_a_window_drops_the_plans_of_a_map_that_is_gone(case):
+    fmap, _, symbols = _maps()[case]
+    sites = ball(3)
+    values = _values(np.random.default_rng(2), symbols, len(sites), np.int8)
+    want = fmap.apply_batch(values, sites, sites)
+    plan = fmap.plan(sites, ball(1))
+    assert len(sites._plans[fmap]) == 2
+    # the window holds the map weakly and no plan refers to a map, so the
+    # map's plans go with it, while a plan its caller kept still runs
+    del fmap
+    assert len(sites._plans) == 0
+    np.testing.assert_array_equal(plan(values), want[sites.indices_of(ball(1))])

@@ -8,6 +8,7 @@ import pytest
 
 from bernshift import (
     CoinducedCellMap,
+    ComposedMap,
     Configuration,
     SiteSet,
     EnumerationTooLarge,
@@ -37,6 +38,7 @@ from bernshift import (
     parse_map_spec,
     star,
     star_base,
+    swap_bits,
     timar,
     uniform,
     verify,
@@ -305,6 +307,21 @@ def test_equivariance_catches_corrupted_rule():
     ce = rep.first_counterexample
     assert ce is not None
     assert {"trial", "g", "site", "lhs", "rhs", "x"} <= set(ce)
+
+
+def test_a_composition_refuses_a_stage_whose_own_apply_batch_it_would_skip():
+    # a composition runs its stages by their plans, never by their apply_batch
+    base = ow()
+    leaky = _LeakyDoubling("leaky_ow", base.input_alphabet, base.output_alphabet, base.offsets, base.table)
+    for stage in (leaky, _BrokenMap()):
+        with pytest.raises(NotImplementedError, match="has an apply_batch but no plan"):
+            ComposedMap([swap_bits(), stage])
+    # a subclass that overrides neither, like a coinduced lift, still composes
+    lift = CoinducedCellMap(swap_bits())
+    sites = ball(2)
+    values = np.random.default_rng(3).integers(0, 2, (len(sites), 5))
+    want = lift.apply_batch(lift.apply_batch(values, sites, sites), sites, sites)
+    np.testing.assert_array_equal(ComposedMap([lift, lift]).apply_batch(values, sites, sites), want)
 
 
 def test_config_mismatch_looks_each_site_up_in_the_other_set():
