@@ -304,31 +304,56 @@ def _first_bits(values: np.ndarray, rays: tuple[np.ndarray, np.ndarray], star: i
     an (m, n) array in the dtype of values, -1 where the ray leaves the
     site set, meets an undefined site, or runs out while still seeing
     stars.
+
+    A ray is open exactly while its value so far is the last step's
+    ``*``, so each step moves only the open rays on, and the scan stops
+    once no ray is open.
     """
     rays, lengths = rays
+    if rays.shape[1] == 0:
+        return np.full((rays.shape[0], values.shape[1]), -1, dtype=values.dtype)
     # step k of every ray is a site while k < the shortest ray's length
     shortest = lengths.min(initial=rays.shape[1])
-    first = np.full((rays.shape[0], values.shape[1]), -1, dtype=values.dtype)
-    open_rays = np.ones(first.shape, dtype=bool)
-    for k, col in enumerate(rays.T):
-        step = _safe_gather(values, col, k < shortest)
-        # an open ray takes every step; it stays open only on a star
-        np.copyto(first, step, where=open_rays)
-        open_rays &= step == star
-        if not open_rays.any():
+    cols = rays.T
+    first = _safe_gather(values, cols[0], shortest > 0)
+    open_rays = np.empty(first.shape, dtype=bool)
+    for k in range(1, len(cols)):
+        if not np.equal(first, star, out=open_rays).any():
             return first
-    first[open_rays] = -1  # ran out while still seeing stars
+        # an open ray holds *, so adding (step - *) gives it the step's value;
+        # in the input's dtype this stays in [-3, 0] and cannot overflow
+        step = _safe_gather(values, cols[k], k < shortest)
+        step -= star
+        step *= open_rays
+        first += step
+    first[np.equal(first, star, out=open_rays)] = -1  # ran out while still seeing stars
     return first
 
 
-def _run_star(values, centers, complete, rays, star, star_out):
-    # in the input's dtype until the end: every value here is -1, a bit or *
-    centers = _safe_gather(values, centers, complete)
-    a, b = (_first_bits(values, r, star) for r in rays)
-    center_bit = (centers == 0) | (centers == 1)
-    out = np.where(center_bit & (a >= 0) & (b >= 0), (centers ^ a) + 2 * (centers ^ b), -1)
-    out[centers == star] = star_out
-    return out.astype(np.int64, copy=False)
+def _star_lookup(star: int, star_out: int) -> np.ndarray:
+    """The star rule's output for each (centre, a-ray bit, b-ray bit) over
+    {-1, 0, 1, *}, flat at ((c+1)*4 + a+1)*4 + b+1: the pair of mod-2 sums
+    for a bit centre with both rays closed on bits, ``star_out`` for a
+    ``*`` centre, and -1 (undefined) otherwise."""
+    table = np.full((star + 2,) * 3, -1, dtype=np.int64)
+    c, a, b = np.ix_(range(star), range(star), range(star))
+    table[1:-1, 1:-1, 1:-1] = (c ^ a) + 2 * (c ^ b)
+    table[-1] = star_out
+    return table.ravel()
+
+
+def _run_star(values, centers, complete, rays, star, lookup):
+    # the flat index ((c+1)*4 + a+1)*4 + b+1 is built in place in the
+    # input's dtype (at most 63, so int8 holds it), then read in lookup;
+    # by take, not fancy indexing, which left a heap that raised the next
+    # Monte Carlo call's resident peak by 8 MB
+    idx = _safe_gather(values, centers, complete)
+    for bits in (_first_bits(values, r, star) for r in rays):
+        idx += 1
+        idx *= star + 2
+        idx += bits
+    idx += 1
+    return lookup.take(idx)
 
 
 class StarMap(FactorMap):
@@ -355,9 +380,10 @@ class StarMap(FactorMap):
 
     def _compile(self, sites, out_sites):
         centers = sites.neighbor_indices(IDENTITY, out_sites)
+        star = self.input_alphabet.star_index
         rays = (sites.ray_indices(GEN_A, out_sites), sites.ray_indices(GEN_B, out_sites))
         return functools.partial(_run_star, centers=centers, complete=bool(centers.min(initial=0) >= 0), rays=rays,
-                                 star=self.input_alphabet.star_index, star_out=self.output_alphabet.star_index)
+                                 star=star, lookup=_star_lookup(star, self.output_alphabet.star_index))
 
     def dependency_sites(self, out_sites, budget_radius):
         # each ray up to its first power longer than the budget

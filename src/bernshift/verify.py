@@ -226,7 +226,10 @@ def exact_pushforward(
     total = fmap.input_alphabet.size ** len(sites_in)
     n_patterns = fmap.output_alphabet.size ** len(sites_out)
     if total > DEFAULT_ENUMERATION_CAP or n_patterns > DEFAULT_ENUMERATION_CAP:
-        raise EnumerationTooLarge(f"{total} inputs / {n_patterns} patterns exceed cap {DEFAULT_ENUMERATION_CAP}")
+        raise EnumerationTooLarge(
+            f"{fmap.input_alphabet.size}^{len(sites_in)} inputs / {fmap.output_alphabet.size}^{len(sites_out)}"
+            f" patterns exceed cap {DEFAULT_ENUMERATION_CAP}"
+        )
 
     rows = functools.partial(index_matrix, fmap.input_alphabet.size, len(sites_in))
     apply = functools.partial(fmap.apply_batch, sites=sites_in, out_sites=sites_out)
@@ -271,11 +274,14 @@ def mc_pushforward(
     the truncation rate reaches the threshold: the valid samples follow
     the law conditioned on no truncation, and conditioning on an event E
     moves a law by up to P(not E) in total variation, so a correct map
-    could fail.  A threshold that is not positive and finite is refused.
+    could fail.  A threshold that is not positive and finite, or a
+    negative ``r_in``, is refused before anything is drawn.
     """
     _require_threads(threads)
     if n_samples < 1:
         raise ValueError("need at least one sample")
+    if r_in < 0:
+        raise ValueError("radius must be nonnegative")
     if threshold is not None and not 0 < threshold < math.inf:
         raise ValueError(f"threshold must be positive and finite, got {threshold}")
     if input_dist.alphabet != fmap.input_alphabet:
@@ -285,7 +291,9 @@ def mc_pushforward(
     dep_sites = fmap.dependency_sites(out_sites, r_in)
     n_patterns = fmap.output_alphabet.size ** len(out_sites)
     if n_patterns > DEFAULT_ENUMERATION_CAP:
-        raise EnumerationTooLarge(f"{n_patterns} output patterns exceed cap {DEFAULT_ENUMERATION_CAP}")
+        raise EnumerationTooLarge(
+            f"{fmap.output_alphabet.size}^{len(out_sites)} output patterns exceed cap {DEFAULT_ENUMERATION_CAP}"
+        )
     target = fmap.pushforward(input_dist)
     target_probs = _target_pattern_probs(target, len(out_sites))
     if threshold is None:

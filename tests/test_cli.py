@@ -290,6 +290,20 @@ def test_verify_mc_threshold_that_is_not_positive_and_finite_is_usage_error(caps
     assert code == 2 and data["error"]["code"] == "ValueError" and "threshold" in data["error"]["message"]
 
 
+def test_verify_mc_negative_input_radius_is_usage_error(capsys):
+    argv = ("verify", "mc", "--map", "star:0.25", "--dist", "star:0.25", "--rin", "-1", "--rout", "0",
+            "-N", "2000", "--seed", "1")
+    code, data = run_cli_strict(capsys, *argv)
+    assert code == 2 and data == {"error": {"code": "ValueError", "message": "radius must be nonnegative"}}
+
+
+def test_verify_mc_enumeration_cap_gives_the_pattern_count_in_power_form(capsys):
+    argv = ("verify", "mc", "--map", "star:0.25", "--dist", "star:0.25", "--rin", "3", "--rout", "5", "-N", "1000")
+    code, data = run_cli_strict(capsys, *argv)
+    assert code == 2 and data["error"]["code"] == "EnumerationTooLarge"
+    assert data["error"]["message"].startswith("5^485 output patterns exceed cap")
+
+
 def test_verify_mc_threshold_of_one_or_more_withholds(capsys):
     argv = ("verify", "mc", "--map", "ow", "--rin", "2", "--rout", "0", "-N", "5000", "--threshold", "1.5")
     code, data = run_cli_strict(capsys, *argv)

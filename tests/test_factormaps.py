@@ -298,6 +298,46 @@ def test_star_batch_undefined_site_mid_ray_stops_the_scan():
     assert _rows_batch(star(0.25), values, sites, e)[0, 0] == (0 ^ 1) + 2 * (0 ^ 1)
 
 
+@pytest.mark.parametrize("dtype", [np.int8, np.int64])
+def test_star_output_table_on_every_centre_and_first_step(dtype):
+    # all 4^3 rows over {-1, 0, 1, *} on {e, a, b}: an undefined centre, a
+    # ray that runs out on *, a ray that meets a hole, and every bit triple
+    sites = SiteSet(Word.parse(s) for s in ("e", "a", "b"))
+    rows = np.array(np.meshgrid(*[[-1, 0, 1, 2]] * len(sites), indexing="ij")).reshape(len(sites), -1).T
+    got = _rows_batch(star(0.25), rows.astype(dtype), sites, SiteSet([IDENTITY]))
+    assert got.dtype == np.int64 and got.shape == (64, 1)
+    for row, out in zip(rows, got[:, 0]):
+        want = star_direct(Configuration(STAR1, sites, row), IDENTITY)
+        assert (None if out < 0 else int(out)) == want, row
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 5])
+def test_star_ray_scan_stops_once_every_ray_has_closed(k, monkeypatch):
+    # one gather for the centre and one per ray step taken: a ray closes on
+    # its first non-star value, and the scan stops once every ray is closed
+    from bernshift import factormaps
+
+    gathers = []
+    gather = factormaps._safe_gather
+
+    def spy(values, idx, complete=False):
+        gathers.append(idx)
+        return gather(values, idx, complete)
+
+    sites = SiteSet(Word.parse(w) for w in ["e"] + ["a" * j for j in range(1, 9)] + ["b" * j for j in range(1, 9)])
+    e = SiteSet([IDENTITY])
+    values = np.random.default_rng(k).integers(0, 2, (3, len(sites)))
+    a_ray = [sites.position(Word.parse("a" * j)) for j in range(1, k + 1)]
+    values[1, a_ray] = 2  # row 1 reads * on the first k steps of its a-ray
+    m = star(0.25)
+    m.apply_batch(np.ascontiguousarray(values.T), sites, e)  # the plan is compiled outside the spy
+    monkeypatch.setattr(factormaps, "_safe_gather", spy)
+    got = _rows_batch(m, values, sites, e)
+    assert len(gathers) == 3 + k
+    for row, out in zip(values, got[:, 0]):
+        assert int(out) == star_direct(Configuration(STAR1, sites, row), IDENTITY)
+
+
 def test_star_monte_carlo_chunk_memory_is_bounded_by_its_output():
     # the scan walks the rays one step at a time: no (rows, sites, ray
     # length) temporary, so a chunk's peak is a few (sites, rows) arrays

@@ -82,6 +82,14 @@ def test_identity_relabel_trivially_uniform():
     assert rep.verdict == "pass" and rep.max_deviation == 0.0
 
 
+def test_enumeration_caps_give_the_counts_in_power_form():
+    # the counts themselves run to hundreds of digits
+    with pytest.raises(EnumerationTooLarge, match=r"^2\^53 inputs / 4\^17 patterns exceed cap 16777216$"):
+        exact_pushforward(ow(), 3, 2)
+    with pytest.raises(EnumerationTooLarge, match=r"^5\^485 output patterns exceed cap 16777216$"):
+        mc_pushforward(star(0.25), star_base(0.25), 3, 5, 1000, 1)
+
+
 def test_exact_window_too_small():
     with pytest.raises(WindowTooSmall):
         exact_pushforward(ow(), 1, 1)
@@ -522,6 +530,19 @@ def test_mc_refuses_a_threshold_that_is_not_positive_and_finite(threshold):
     # such a run reported "threshold": NaN or Infinity, which is no JSON
     with pytest.raises(ValueError, match="positive and finite"):
         mc_pushforward(ow(), uniform(U2), 2, 0, 5000, 1, threshold=threshold)
+
+
+@pytest.mark.parametrize("spec,law", [("star:0.25", star_base(0.25)), ("ow", uniform(U2))])
+def test_mc_refuses_a_negative_input_radius_before_it_draws(spec, law, monkeypatch):
+    # a star run at r_in -1 sampled, and reported a withheld verdict
+    from bernshift import verify
+
+    def draw(*args):
+        raise AssertionError("sampled")
+
+    monkeypatch.setattr(verify, "sample_matrix", draw)
+    with pytest.raises(ValueError, match="^radius must be nonnegative$"):
+        mc_pushforward(parse_map_spec(spec), law, -1, 0, 2000, 1)
 
 
 @pytest.mark.parametrize("trials", [0, -3])
