@@ -17,7 +17,7 @@ Descriptors are immutable and shareable across threads.
 from __future__ import annotations
 
 import functools
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from .config import (
     Configuration,
     Distribution,
     bit_alphabet,
+    block_rows,
     star_alphabet,
     symbol_dtype,
 )
@@ -65,8 +66,8 @@ class FactorMap:
         Returns an (|out_sites|, n) matrix, laid out the same way, with -1
         where the output is undefined.  ``BlockMap`` returns the dtype of
         ``symbol_dtype`` (int8 up to 128 output symbols), so a caller that
-        does arithmetic on the result widens it first; ``StarMap`` and
-        ``ComposedMap`` return int64.  Runs ``plan(sites, out_sites)``.
+        does arithmetic on the result uses a dtype that holds it; ``StarMap``
+        and ``ComposedMap`` return int64.  Runs ``plan(sites, out_sites)``.
         """
         return self.plan(sites, out_sites)(values)
 
@@ -143,23 +144,40 @@ def _block_gather(values: np.ndarray, idx: np.ndarray, valid: np.ndarray | None)
     return col
 
 
-def _run_block(values, table, inside, lookup, size):
+def _index_dtype(n: int) -> np.dtype:
+    """The narrowest signed dtype that holds 0..n-1: int8 to 128, int16 to 32,768, then int32."""
+    return np.min_scalar_type(-n)
+
+
+def _horner(digits: Iterable[np.ndarray], base: int, shape, dtype) -> np.ndarray:
+    """The sum of digits[k] * base ** (K-1-k) by Horner's rule in ``dtype``, which holds
+    base ** K - 1; the first digit is not multiplied, so one digit's base need not fit."""
+    flat = np.zeros(shape, dtype=dtype)
+    for k, digit in enumerate(digits):
+        if k:
+            flat *= base
+        flat += digit
+    return flat
+
+
+def _run_block(values, table, inside, lookup, size, index_dtype):
     shape = (table.shape[1], values.shape[1])
     if inside is not None and not inside.any():  # an empty window, say
         return np.full(shape, -1, dtype=lookup.dtype)
     # a total input read through the table (complete but for ``inside``) has
     # no undefined cell to mask
     valid = None if values.size == 0 or values.min() >= 0 else np.ones(shape, dtype=bool)
-    # one flat table index per output cell, by Horner's rule over the offsets,
+    # one flat table index per output cell in the plan's ``index_dtype``,
     # gathered one offset at a time so that a batch holds one gathered row set
-    flat = np.zeros(shape, dtype=np.int64)
-    for idx in table:
-        flat *= size
-        flat += _block_gather(values, idx, valid)
+    flat = _horner((_block_gather(values, idx, valid) for idx in table), size, shape, index_dtype)
     # every index is in range, and "clip" skips the copy of out that "raise"
-    # makes; in place, take reads each cell's index before it writes that cell
-    out = flat if lookup.dtype == np.int64 else np.empty(shape, lookup.dtype)
-    lookup.take(flat, mode="clip", out=out)
+    # makes; take widens its index to a fresh intp copy before it writes (so
+    # in place, too), here one block of rows at a time: one whole-matrix copy
+    # raised pushforward's resident peak by 10 MB and ran out of cache
+    out = flat if flat.dtype == lookup.dtype else np.empty(shape, lookup.dtype)
+    step = block_rows(np.dtype(np.intp).itemsize * shape[1])
+    for lo in range(0, shape[0], step):
+        lookup.take(flat[lo : lo + step], mode="clip", out=out[lo : lo + step])
     for keep in (valid, inside):
         if keep is not None:
             out[~keep] = -1
@@ -194,9 +212,10 @@ class BlockMap(FactorMap):
             raise ValueError("table entries out of output range")
         self.table = table.astype(np.int64, copy=False)
         self.table.setflags(write=False)
-        # the flat table in the output dtype; an int64 one looks outputs up in
-        # place in the kernel's int64 flat indices
+        # the flat table in the output dtype, and the narrowest dtype that holds
+        # its indices, in which the kernel computes them
         self._lookup = self.table.ravel().astype(symbol_dtype(output_alphabet.size))
+        self._index_dtype = _index_dtype(self._lookup.size)
         self.window_cost = max((len(w) for w in self.offsets), default=0)
 
     # bound here so a tracer can wrap them per class
@@ -212,7 +231,7 @@ class BlockMap(FactorMap):
         table is complete) leaves g undefined."""
         inside = (table >= 0).all(axis=0)
         return functools.partial(_run_block, table=np.maximum(table, 0), inside=None if inside.all() else inside,
-                                 lookup=self._lookup, size=self.input_alphabet.size)
+                                 lookup=self._lookup, size=self.input_alphabet.size, index_dtype=self._index_dtype)
 
     def dependency_sites(self, out_sites, budget_radius):
         return out_sites.times(self.offsets)

@@ -20,6 +20,7 @@ from .factormaps import ow, plane_projection, star, swap_bits, timar
 from .freegroup import ball
 from .pipeline import coinduced_map
 from .verify import (
+    _patterns,
     _require_threads,
     check_cocycle,
     check_coset_roundtrip,
@@ -74,12 +75,7 @@ def _ow_output_patterns() -> np.ndarray:
     """
     b2, b1 = ball(2), ball(1)
     values = index_matrix(2, len(b2), 0, 1 << len(b2))
-    out = ow().apply_batch(values, b2, b1)
-    packed = np.zeros(out.shape[1], dtype=np.int64)
-    for j, site in enumerate(out):
-        # widen first: the int8 output shifted in place would lose its high bits
-        packed |= site.astype(np.int64) << (2 * j)
-    return packed
+    return _patterns(ow().apply_batch(values, b2, b1), 4)
 
 
 def c02_ow_additivity(seed: int, threads: int) -> CriterionResult:

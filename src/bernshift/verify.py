@@ -31,7 +31,7 @@ from .config import (
     sample_matrix,
     symbol_dtype,
 )
-from .factormaps import FactorMap, InsufficientRadius
+from .factormaps import FactorMap, InsufficientRadius, _horner, _index_dtype
 from .freegroup import ball, decode, inv_codes, mul_codes, random_reduced_codes, strip_a_codes
 from .freegroup import translated_sites
 
@@ -150,19 +150,19 @@ def _require_trials(trials: int) -> None:
         raise ValueError(f"need at least one trial, got {trials}")
 
 
+def _patterns(out: np.ndarray, out_size: int) -> np.ndarray:
+    """Each column of a site-major matrix as one pattern, site 0 least
+    significant, in the narrowest dtype that holds out_size ** sites - 1."""
+    return _horner(out[::-1], out_size, out.shape[1], _index_dtype(out_size ** out.shape[0]))
+
+
 def _pattern_counts(out: np.ndarray, out_size: int) -> tuple[np.ndarray, int]:
     """Tally the output-window patterns of a site-major (sites, rows)
     matrix; columns containing undefined entries are excluded and counted
     as truncated."""
     valid = (out >= 0).all(axis=0)
     truncated = int(out.shape[1] - valid.sum())
-    # site 0 least significant, by Horner's rule from the last site: each
-    # narrow (int8) row is widened into the int64 pattern before any product
-    pattern = np.zeros(out.shape[1], dtype=np.int64)
-    for site in out[::-1]:
-        pattern *= out_size
-        pattern += site
-    return np.bincount(pattern[valid], minlength=out_size ** out.shape[0]), truncated
+    return np.bincount(_patterns(out, out_size)[valid], minlength=out_size ** out.shape[0]), truncated
 
 
 def _tally(apply: Callable, size_out: int, rows: Callable, chunks: Sequence, threads: int):

@@ -1,7 +1,8 @@
 """The batch kernels' fast path for total inputs and their narrow outputs:
 a total input read through complete index tables skips the undefined-cell
 masks, block codes emit int8 up to 128 output symbols, and every consumer
-that does arithmetic on a kernel output widens it first."""
+that does arithmetic on a kernel output does it in a dtype that holds the
+result, the narrowest one for packed patterns."""
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from bernshift import (
     uniform,
 )
 from bernshift import factormaps
-from bernshift.config import index_matrix, sample_matrix
+from bernshift.config import index_matrix, sample_matrix, symbol_dtype
 from bernshift.freegroup import GEN_A, GEN_B
 from bernshift.selftest import _ow_output_patterns
 from bernshift.verify import _pattern_counts
@@ -35,7 +36,7 @@ U2 = bit_alphabet(1)
 def test_ow_output_patterns_keep_every_bit_of_the_packed_image():
     f = _ow_output_patterns()
     # 5 output sites of 4 symbols: the packed image of ow on ball(2) is onto
-    assert f.dtype == np.int64 and len(np.unique(f)) == 4**5
+    assert f.dtype == np.int16 and len(np.unique(f)) == 4**5
     b2, b1 = ball(2), ball(1)
     for i in (0, 1, 5, 1 << 16, (1 << 17) - 1, 98765):
         x = Configuration(U2, b2, [(i >> j) & 1 for j in range(len(b2))])
@@ -43,16 +44,23 @@ def test_ow_output_patterns_keep_every_bit_of_the_packed_image():
         assert int(f[i]) == sum(int(v) << (2 * j) for j, v in enumerate(y))
 
 
-def test_pattern_counts_of_a_narrow_output_equal_the_int64_tally():
-    rng = np.random.default_rng(5)
-    out = rng.integers(0, 4, (5, 3000)).astype(np.int8)
-    out[rng.integers(0, 5, 40), rng.integers(0, 3000, 40)] = -1
-    counts, truncated = _pattern_counts(out, 4)
+# (output symbols, output sites): the ow window of the selftest, patterns on
+# each side of the int8 and int16 edges, 2^7 | 129 and 2^15 | 2^15 + 1, and
+# one site of 128 and of 129 symbols
+@pytest.mark.parametrize(
+    "out_size, n_out", [(4, 5), (2, 7), (129, 1), (8, 5), (32769, 1), (128, 1), (2, 8), (2, 16)]
+)
+def test_pattern_counts_of_a_narrow_output_equal_the_int64_tally(out_size, n_out):
+    rng = np.random.default_rng(out_size + n_out)
+    out = rng.integers(0, out_size, (n_out, 3000)).astype(symbol_dtype(out_size))
+    out[:, 0] = out_size - 1  # the largest pattern
+    out[rng.integers(0, n_out, 40), rng.integers(1, 3000, 40)] = -1
+    counts, truncated = _pattern_counts(out, out_size)
     wide = out.astype(np.int64)
     valid = (wide >= 0).all(axis=0)
-    pattern = sum(wide[j] * 4**j for j in range(5))
-    np.testing.assert_array_equal(counts, np.bincount(pattern[valid], minlength=4**5))
-    assert truncated == int((~valid).sum())
+    pattern = sum(wide[j] * out_size**j for j in range(n_out))
+    np.testing.assert_array_equal(counts, np.bincount(pattern[valid], minlength=out_size**n_out))
+    assert counts[-1] >= 1 and truncated == int((~valid).sum())
     assert counts.dtype == np.int64 and counts.sum() + truncated == 3000
 
 

@@ -13,14 +13,19 @@ from bernshift import (
     SiteSet,
     Word,
     ball,
+    ow,
     parse_map_spec,
+    plane_projection,
     relabel,
     star,
     star_alphabet,
     timar,
+    timar_stage,
 )
 from bernshift.config import symbol_dtype
 from bernshift.freegroup import translated_sites
+
+from oracles import plain_alphabet
 
 STAR1, STAR2 = star_alphabet(1), star_alphabet(2)
 A, B = Word.parse("a"), Word.parse("b")
@@ -36,10 +41,20 @@ def _star_stages():
     return swap01, look_a, cycle5, spread, look_b
 
 
+def _wide_code():
+    """A two-offset block code over 150 symbols: int64 inputs and outputs
+    around an int16 flat index (150^2 entries)."""
+    wide = plain_alphabet("wide150", range(150))
+    return BlockMap("wide", wide, wide, (IDENTITY, A), np.add.outer(np.arange(150), 7 * np.arange(150)) % 150)
+
+
 def _maps():
     """(map, window radius, input symbols) for every plan kind."""
     swap01, look_a, cycle5, spread, look_b = _star_stages()
-    cases = {f"timar:{m}": (timar(m), m + 1, 2) for m in (1, 2, 3, 4)}
+    # timar:5 and timar:6 end in stages of 32^3 (the int16 edge) and 64^3
+    # (int32) index entries, and timar:6 in a 128-symbol projection
+    cases = {f"timar:{m}": (timar(m), m + 1, 2) for m in (1, 2, 3, 4, 5, 6)}
+    cases["wide"] = (_wide_code(), 3, 150)
     cases.update({spec: (parse_map_spec(spec), 3, 2) for spec in ("ow", "coinduced:identity", "coinduced:swap")})
     cases["empty"] = (ComposedMap([]), 2, 2)
     cases["star_first"] = (ComposedMap([star(0.25), cycle5, spread, look_b]), 3, 3)
@@ -106,11 +121,56 @@ def test_plans_equal_stage_by_stage_evaluation_on_translated_windows(case):
             translated_sites(outer, g)[0],       # past it
             SiteSet([]),
         )
-        for dtype in (np.int8, np.int64):
+        for dtype in dict.fromkeys((symbol_dtype(symbols), np.int64)):
             values = _values(rng, symbols, len(sites), dtype)
             for out_sites in outs:
                 defined += int((_check(fmap, values, sites, out_sites) >= 0).sum())
     assert defined > 0
+
+
+# (block code, the dtype its kernel computes flat indices in): each side of
+# every narrow dtype's edge, a single offset whose 128 symbols do not fit
+# int8 as a multiplier, and int64 input symbols beside an int16 index
+_INDEX_EDGES = {
+    "ow": (ow(), np.int8),
+    "project7to6": (plane_projection(7, 6), np.int8),
+    "relabel129": (relabel("r129", plain_alphabet("p129", range(129)), STAR1, np.arange(129) % 3), np.int16),
+    "timar_stage2": (timar_stage(2), np.int16),
+    "timar_stage4": (timar_stage(4), np.int16),
+    "timar_stage5": (timar_stage(5), np.int32),
+    "wide": (_wide_code(), np.int16),
+}
+
+
+@pytest.mark.parametrize("case", list(_INDEX_EDGES))
+def test_block_kernels_at_each_index_dtype_edge_equal_the_int64_oracle(case):
+    stage, _ = _INDEX_EDGES[case]
+    size = stage.input_alphabet.size
+    rng = np.random.default_rng(size)
+    sites = ball(3)
+    for dtype in dict.fromkeys((symbol_dtype(size), np.int64)):
+        # every symbol, the largest flat index (all symbols size - 1) in
+        # column 0, and holes past column 1; the kernel reads its table for
+        # 32 of these 53 rows of 4000 columns at a time, so in two blocks
+        values = rng.integers(0, size, (len(sites), 4000)).astype(dtype)
+        values[:, 0] = size - 1
+        values[:, 2:][rng.random((len(sites), 3998)) < 0.01] = -1
+        for out_sites in (sites, ball(1)):
+            got = stage.plan(sites, out_sites)(values)
+            want = _block_on_window(stage, values.astype(np.int64), sites)[sites.indices_of(out_sites)]
+            assert got.dtype == symbol_dtype(stage.output_alphabet.size)
+            np.testing.assert_array_equal(got, want)
+        assert got[0, 0] == stage.table.ravel()[-1]
+
+
+def test_block_plans_compute_flat_indices_in_the_narrowest_dtype():
+    # a pure slowdown (an int64 index) passes every equality test, so pin
+    # the dtype each plan binds, also for the stages inside a composition
+    sites = ball(2)
+    for stage, index in _INDEX_EDGES.values():
+        assert stage.plan(sites, sites).keywords["index_dtype"] == index
+    stages = [plan.keywords for _, plan in timar(6).plan(sites, sites).keywords["steps"]]
+    assert [kw["index_dtype"] for kw in stages] == [np.int8, np.int8, np.int16, np.int16, np.int16, np.int32, np.int8]
 
 
 @pytest.mark.parametrize("case", list(_MAPS))
