@@ -5,11 +5,11 @@ inverses (written A, B).  This script shows reduction, multiplication,
 and the shortlex-ordered balls whose sizes grow as 2 * 3^r - 1.
 """
 
-from bernshift import Word, ball, gen_power, inv, mul, reduce_word
+from bernshift import Word, ball, gen_power, inv, mul
 from bernshift.freegroup import GEN_A
 
 raw = [0, 3, 2, 2, 1, 0]  # a b^-1 b b a^-1 a
-print("reducing  a B b b A a  ->", reduce_word(raw))
+print("reducing  a B b b A a  ->", Word(raw))
 
 g = Word.parse("ab")
 h = Word.parse("Ba")

@@ -58,12 +58,10 @@ from .freegroup import (
     RadiusTooLarge,
     SiteSet,
     Word,
-    a_power_decomposition,
     ball,
     gen_power,
     inv,
     mul,
-    reduce_word,
 )
 from .pipeline import (
     ChainPlan,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -20,7 +21,7 @@ import numpy as np
 
 from .coinduce import CosetConfiguration, cocycle, coinduced_act, coset_of, from_coset_config, to_coset_config
 from .config import Configuration, Distribution, sample, star_base, uniform
-from .entropy import LOG2, run_recursion, shannon, solve_p, star_base_entropy
+from .entropy import LOG2, OutOfRange, run_recursion, shannon, solve_p, star_base_entropy
 from .factormaps import parse_map_spec
 from .freegroup import Word, ball
 from .pipeline import ChainPlan, ExternalStageUnresolved, plan_boost_chain, run_chain, validate_plan
@@ -48,7 +49,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _emit(obj: dict) -> None:
     try:
-        print(json.dumps(obj, indent=2), flush=True)
+        print(json.dumps(obj, indent=2, allow_nan=False), flush=True)  # a NaN or infinity raises
     except BrokenPipeError:
         # the reader has gone: devnull takes the rest, so the final flush cannot raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
@@ -313,6 +314,10 @@ def _cmd_pipeline(args) -> int:
     if args.tool == "plan":
         if args.H0 <= 0:
             raise UsageError("--H0 must be positive")
+        if not math.isfinite(args.H0):
+            raise OutOfRange(f"H0 must be finite; got {args.H0!r}")
+        if args.max_steps < 0:
+            raise ValueError(f"max_steps must be nonnegative; got {args.max_steps!r}")
         if args.H0 >= LOG2:
             plan = ChainPlan(args.H0, (), (), terminated=True)
         else:

@@ -18,8 +18,8 @@ import numpy as np
 
 from .config import Alphabet, Configuration, alphabet_by_name, json_boundary, json_indices
 from .factormaps import BlockMap
-from .freegroup import GEN_A, GEN_A_INV, SiteSet, Word, a_power_decomposition, decode, encode
-from .freegroup import _longest, inv_codes, mul_codes, right_mul_codes, strip_a_codes
+from .freegroup import GEN_A, GEN_A_INV, SiteSet, Word, decode, encode
+from .freegroup import _SINGLE, _longest, inv_codes, mul_codes, right_mul_codes, strip_a_codes
 
 
 class NotInSubgroup(ValueError):
@@ -29,7 +29,7 @@ class NotInSubgroup(ValueError):
 
 def coset_of(g: Word) -> Word:
     """Canonical representative of the coset g<a> (also the section value)."""
-    return a_power_decomposition(g)[0]
+    return decode(strip_a_codes(encode([g]))[0])[0]
 
 
 def cocycles(g: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -186,10 +186,10 @@ def coinduced_act(g: Word, y: CosetConfiguration) -> CosetConfiguration:
 
 def a_exponents(phi: BlockMap) -> list[int]:
     """The o of the offsets a^o of a block code along <a>."""
-    parts = [a_power_decomposition(w) for w in phi.offsets]
-    if any(len(rep) for rep, _ in parts):
+    reps, powers = strip_a_codes(encode(phi.offsets))
+    if reps.any():
         raise ValueError(f"{phi.name} is not a block code along <a>")
-    return [o for _, o in parts]
+    return powers.tolist()
 
 
 def split_grid(sites: SiteSet, values: np.ndarray, window: int | None = None) -> tuple[SiteSet, np.ndarray]:
@@ -225,7 +225,7 @@ def _slot_codes(reps: SiteSet, w: int) -> np.ndarray:
     j = -w..w, each column sorted because the representatives are: a
     canonical representative ends in no a-letter, so each step along the
     a-run appends one digit to the slot's code."""
-    a, a_inv = Word((GEN_A,)), Word((GEN_A_INV,))
+    a, a_inv = _SINGLE[GEN_A], _SINGLE[GEN_A_INV]
     up = down = reps.codes
     columns = [up]
     for _ in range(w):

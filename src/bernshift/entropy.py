@@ -30,6 +30,8 @@ def shannon(dist: Distribution | Sequence) -> float:
     weights = dist.float_weights() if isinstance(dist, Distribution) else [float(w) for w in dist]
     acc = 0.0
     for w in weights:
+        if not math.isfinite(w):
+            raise ValueError(f"weight {w!r} is not finite")
         if w < 0:
             raise ValueError("negative weight")
         if w > 0:
@@ -112,8 +114,12 @@ def run_recursion(H0: float, max_steps: int = 10000) -> EntropyRecursion:
     (each step adds at least 2 p1 log 2 > 0, so this only happens for
     absurdly small budgets).
     """
+    if not math.isfinite(H0):
+        raise OutOfRange(f"H0 must be finite; got {H0!r}")
     if H0 <= 0:
         raise OutOfRange(f"H0 must be positive; got {H0!r}")
+    if max_steps < 0:
+        raise ValueError(f"max_steps must be nonnegative; got {max_steps!r}")
     hs = [H0]
     ps: list[float] = []
     H = H0

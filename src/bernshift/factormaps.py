@@ -30,7 +30,7 @@ from .config import (
     star_alphabet,
     symbol_dtype,
 )
-from .freegroup import GEN_A, GEN_B, IDENTITY, SiteSet, Word, code_lengths, right_mul_codes
+from .freegroup import _SINGLE, GEN_A, GEN_B, IDENTITY, SiteSet, Word, code_lengths, right_mul_codes
 
 
 class AlphabetMismatch(ValueError):
@@ -160,6 +160,18 @@ def _horner(digits: Iterable[np.ndarray], base: int, shape, dtype) -> np.ndarray
     return flat
 
 
+def _lookup(lookup: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """lookup[idx] in lookup's dtype, over idx where the dtypes match, one block of rows
+    at a time: take widens its index to a fresh intp copy before it writes (so in place,
+    too), and one whole-matrix copy raised pushforward's resident peak by 10 MB and ran
+    out of cache; every index is in range, and "clip" skips the copy of out that "raise" makes."""
+    out = idx if idx.dtype == lookup.dtype else np.empty(idx.shape, lookup.dtype)
+    step = block_rows(np.dtype(np.intp).itemsize * idx.shape[1])
+    for lo in range(0, idx.shape[0], step):
+        lookup.take(idx[lo : lo + step], mode="clip", out=out[lo : lo + step])
+    return out
+
+
 def _run_block(values, table, inside, lookup, size, index_dtype):
     shape = (table.shape[1], values.shape[1])
     if inside is not None and not inside.any():  # an empty window, say
@@ -170,14 +182,7 @@ def _run_block(values, table, inside, lookup, size, index_dtype):
     # one flat table index per output cell in the plan's ``index_dtype``,
     # gathered one offset at a time so that a batch holds one gathered row set
     flat = _horner((_block_gather(values, idx, valid) for idx in table), size, shape, index_dtype)
-    # every index is in range, and "clip" skips the copy of out that "raise"
-    # makes; take widens its index to a fresh intp copy before it writes (so
-    # in place, too), here one block of rows at a time: one whole-matrix copy
-    # raised pushforward's resident peak by 10 MB and ran out of cache
-    out = flat if flat.dtype == lookup.dtype else np.empty(shape, lookup.dtype)
-    step = block_rows(np.dtype(np.intp).itemsize * shape[1])
-    for lo in range(0, shape[0], step):
-        lookup.take(flat[lo : lo + step], mode="clip", out=out[lo : lo + step])
+    out = _lookup(lookup, flat)
     for keep in (valid, inside):
         if keep is not None:
             out[~keep] = -1
@@ -247,10 +252,6 @@ class BlockMap(FactorMap):
         return Distribution(self.output_alphabet, tuple(float(w) for w in out))
 
 
-_A_WORD = Word((GEN_A,))
-_B_WORD = Word((GEN_B,))
-
-
 def ow() -> BlockMap:
     """The Ornstein-Weiss doubling rule on binary configurations.
 
@@ -283,7 +284,7 @@ def timar_stage(n: int) -> BlockMap:
     c1 = top[:, None, None] ^ top[None, :, None]
     c2 = top[:, None, None] ^ top[None, None, :]
     table = low[:, None, None] + (c1 << n) + (c2 << (n + 1))
-    return BlockMap(f"timar_stage{n}", a_in, a_out, (IDENTITY, _A_WORD, _B_WORD), table)
+    return BlockMap(f"timar_stage{n}", a_in, a_out, (IDENTITY, _SINGLE[GEN_A], _SINGLE[GEN_B]), table)
 
 
 def plane_projection(planes_in: int, planes_out: int) -> BlockMap:
@@ -372,7 +373,7 @@ def _run_star(values, centers, complete, rays, star, lookup):
         idx *= star + 2
         idx += bits
     idx += 1
-    return lookup.take(idx)
+    return _lookup(lookup, idx)
 
 
 class StarMap(FactorMap):
@@ -407,7 +408,7 @@ class StarMap(FactorMap):
     def dependency_sites(self, out_sites, budget_radius):
         # each ray up to its first power longer than the budget
         parts = [out_sites.codes]
-        for step in (_A_WORD, _B_WORD):
+        for step in (_SINGLE[GEN_A], _SINGLE[GEN_B]):
             cur = out_sites.codes
             while len(cur):
                 cur = right_mul_codes(cur, step)

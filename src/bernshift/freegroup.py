@@ -10,10 +10,12 @@ and ``letter ^ 1`` is the inverse letter.  All values in this module are
 immutable after construction; every operation is a pure function and safe
 to share across threads.
 
-Site sets are stored as *shortlex codes*, the bijective base-4 numerals
-code(e) = 0, code(w*s) = 4 * code(w) + s + 1: integer order is shortlex
-order, and a word ending in t = (code - 1) % 4 times s is (code - 1 - t)
-// 4 if t == s ^ 1, else 4 * code + s + 1.  Code arrays are int64 while
+Words and site sets are stored as *shortlex codes*, the bijective base-4
+numerals code(e) = 0, code(w*s) = 4 * code(w) + s + 1: integer order is
+shortlex order, and a word ending in t = (code - 1) % 4 times s is
+(code - 1 - t) // 4 if t == s ^ 1, else 4 * code + s + 1.  The group
+arithmetic is one set of functions on code arrays, which ``mul``, ``inv``
+and ``gen_power`` call on a Word's one code.  Code arrays are int64 while
 every code formed has at most ``MAX_INT64_LETTERS`` letters, and object
 arrays of Python ints beyond; the same functions serve both.
 """
@@ -21,7 +23,7 @@ arrays of Python ints beyond; the same functions serve both.
 from __future__ import annotations
 
 import functools
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple
 from weakref import WeakKeyDictionary
 
 import numpy as np
@@ -37,37 +39,32 @@ class RadiusTooLarge(ValueError):
     """Requested Cayley ball exceeds the configured radius cap."""
 
 
-def inverse_letter(letter: int) -> int:
-    """Inverse generator code; an involution (s^1)^1 == s."""
-    return letter ^ 1
-
-
 class Word:
-    """A reduced word in the free group F2 = <a, b>.
+    """A reduced word in the free group F2 = <a, b>, held as its shortlex
+    code alone; the empty word, code 0, is the identity.
 
-    The empty word is the identity.  Words compare and hash by their
-    letter sequence; ``sorted`` uses shortlex order (length first, then
-    the letter order a < a^-1 < b < b^-1).
+    Words hash and compare by the code, so ``sorted`` uses shortlex order;
+    ``len`` is read off the code's size, ``letters`` and ``str`` decode it,
+    and ``Word(letters)`` reduces by folding the code step over the letters.
     """
 
-    __slots__ = ("letters", "_hash", "_code")
+    __slots__ = ("code",)
 
-    letters: tuple[int, ...]
+    code: int
 
     def __init__(self, letters: Iterable[int] = ()):
-        reduced = _reduce_letters(letters)
-        _set_letters(self, reduced)
-        _set_hash(self, hash(reduced))
+        code = 0
+        for s in letters:
+            if s not in (0, 1, 2, 3):
+                raise ValueError(f"bad letter code {s!r}")
+            code = (code - 1) // 4 if code and (code - 1) % 4 == s ^ 1 else 4 * code + int(s) + 1
+        _set_code(self, code)
 
     @classmethod
-    def _from_reduced(cls, letters: tuple[int, ...], code: int | None = None) -> "Word":
-        """Wrap letters already known to be reduced (internal fast path),
-        and their code if known."""
+    def _from_code(cls, code: int) -> "Word":
+        """The word whose code is ``code``, a Python int."""
         w = cls.__new__(cls)
-        _set_letters(w, letters)
-        _set_hash(w, hash(letters))
-        if code is not None:
-            _set_code(w, code)
+        _set_code(w, code)
         return w
 
     @classmethod
@@ -88,106 +85,54 @@ class Word:
         raise AttributeError("Word is immutable")
 
     def __len__(self) -> int:
-        return len(self.letters)
+        return ((3 * self.code + 1).bit_length() - 1) // 2
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash(self.code)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Word) and self.letters == other.letters
+        return isinstance(other, Word) and self.code == other.code
 
     def __lt__(self, other: "Word") -> bool:
-        return self.shortlex_key < other.shortlex_key
+        return self.code < other.code
 
     @property
-    def shortlex_key(self) -> tuple:
-        return (len(self.letters), self.letters)
-
-    @property
-    def code(self) -> int:
-        """The shortlex code, computed once (see the module docstring)."""
-        try:
-            return self._code
-        except AttributeError:
-            code = 0
-            for s in self.letters:
-                code = 4 * code + s + 1
-            _set_code(self, code)
-            return code
+    def letters(self) -> tuple[int, ...]:
+        """The letter codes, first to last, decoded from the code."""
+        out, code = [], self.code
+        while code:
+            code, s = divmod(code - 1, 4)
+            out.append(s)
+        return tuple(reversed(out))
 
     @property
     def is_identity(self) -> bool:
-        return not self.letters
+        return not self.code
 
     def __str__(self) -> str:
-        if not self.letters:
-            return "e"
-        return "".join(LETTER_CHARS[s] for s in self.letters)
+        return "".join(LETTER_CHARS[s] for s in self.letters) or "e"
 
     def __repr__(self) -> str:
         return f"Word({str(self)!r})"
 
 
-# The slot descriptors write past Word.__setattr__, which refuses every
-# assignment; they are cheaper than object.__setattr__ on the hot path.
-_set_letters = Word.__dict__["letters"].__set__
-_set_hash = Word.__dict__["_hash"].__set__
-_set_code = Word.__dict__["_code"].__set__
-
-
-def _reduce_letters(letters: Iterable[int]) -> tuple[int, ...]:
-    stack: list[int] = []
-    for s in letters:
-        if s not in (0, 1, 2, 3):
-            raise ValueError(f"bad letter code {s!r}")
-        if stack and stack[-1] == s ^ 1:
-            stack.pop()
-        else:
-            stack.append(s)
-    return tuple(stack)
-
+# The slot descriptor writes past Word.__setattr__, which refuses every
+# assignment; it is cheaper than object.__setattr__ on the hot path.
+_set_code = Word.__dict__["code"].__set__
 
 IDENTITY = Word()
-
-
-def reduce_word(letters: Sequence[int]) -> Word:
-    """Free reduction: cancel adjacent inverse pairs until none remain.
-
-    The result is the unique reduced word equal to the input; idempotent.
-    """
-    return Word(letters)
+# the one-letter words, indexed by letter
+_SINGLE = tuple(Word((s,)) for s in (GEN_A, GEN_A_INV, GEN_B, GEN_B_INV))
 
 
 def mul(g1: Word, g2: Word) -> Word:
-    """Reduced product g1*g2 (cancellation happens only at the seam)."""
-    left = list(g1.letters)
-    for s in g2.letters:
-        if left and left[-1] == s ^ 1:
-            left.pop()
-        else:
-            left.append(s)
-    return Word._from_reduced(tuple(left))
-
-
-def a_power_decomposition(g: Word) -> tuple[Word, int]:
-    """Split g = rep * a^n where rep has no trailing a-family letter.
-
-    In a reduced word the trailing a-run has a single sign, so n is just
-    the signed run length.  rep is the canonical representative of the
-    coset g<a>.
-    """
-    letters = g.letters
-    i = len(letters)
-    while i > 0 and letters[i - 1] in (GEN_A, GEN_A_INV):
-        i -= 1
-    run = letters[i:]
-    n = len(run) if (not run or run[0] == GEN_A) else -len(run)
-    return Word._from_reduced(letters[:i]), n
+    """Reduced product g1*g2."""
+    return decode(mul_codes(encode([g1]), encode([g2])))[0]
 
 
 def inv(g: Word) -> Word:
     """Reduced inverse; mul(g, inv(g)) is the identity."""
-    return Word._from_reduced(tuple(s ^ 1 for s in reversed(g.letters)))
+    return decode(inv_codes(encode([g])))[0]
 
 
 def gen_power(g: Word, letter: int, k: int) -> Word:
@@ -196,12 +141,8 @@ def gen_power(g: Word, letter: int, k: int) -> Word:
     Negative k uses the inverse letter, so the same helper walks both
     directions of a generator ray.
     """
-    if k == 0:
-        return g
-    s = letter if k > 0 else inverse_letter(letter)
-    return mul(g, Word._from_reduced((s,) * abs(k)))
-
-
+    s = letter if k >= 0 else letter ^ 1
+    return decode(right_mul_codes(encode([g]), Word((s,) * abs(k))))[0]
 
 
 # The longest words whose codes fit int64: 4 * (4**31 - 1) / 3 < 2**63.
@@ -228,15 +169,10 @@ def code_lengths(codes: np.ndarray) -> np.ndarray:
     return np.searchsorted(_level_starts(codes, _longest(codes) + 1), codes, side="right") - 1
 
 
-def codes_array(codes: Sequence[int]) -> np.ndarray:
-    """An array of the given codes (Python ints), int64 if they all fit."""
-    codes = np.array(codes, dtype=object)
-    return codes.astype(_dtype(codes))
-
-
 def encode(words: Iterable[Word]) -> np.ndarray:
-    """The codes of a sequence of Words, in order."""
-    return codes_array([w.code for w in words])
+    """The codes of a sequence of Words, in order, int64 if they all fit."""
+    codes = np.array([w.code for w in words], dtype=object)
+    return codes.astype(_dtype(codes))
 
 
 def _step(codes: np.ndarray, letter: int) -> np.ndarray:
@@ -292,17 +228,8 @@ def mul_codes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def decode(codes: np.ndarray) -> tuple[Word, ...]:
-    """The Words of an array of codes, one digit column at a time."""
-    lengths = code_lengths(codes)
-    top = int(lengths.max()) if len(codes) else 0
-    letters = np.zeros((len(codes), top), dtype=np.int8)  # right-aligned
-    cur = codes
-    for col in range(top - 1, -1, -1):
-        last = (cur - 1) % 4
-        letters[:, col] = np.where(cur > 0, last, 0)
-        cur = np.where(cur > 0, (cur - 1 - last) // 4, 0)
-    rows = zip(letters.tolist(), lengths.tolist(), codes.tolist())
-    return tuple(Word._from_reduced(tuple(row[top - n :]), code) for row, n, code in rows)
+    """The Words of an array of codes."""
+    return tuple(map(Word._from_code, codes.tolist()))
 
 
 def ball(r: int) -> "SiteSet":
@@ -400,9 +327,9 @@ class SiteSet:
         return self.position(w) is not None
 
     def __getitem__(self, i: int) -> Word:
-        if self._words is not None or isinstance(i, slice):
+        if isinstance(i, slice):
             return self.words[i]
-        return decode(np.atleast_1d(self.codes[i]))[0]
+        return Word._from_code(int(self.codes[i]))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SiteSet) and np.array_equal(self.codes, other.codes)
@@ -495,8 +422,10 @@ class SiteSet:
 
 
 def strip_a_codes(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Write every word as rep * a**n with rep ending in no a-letter (the
-    code form of ``a_power_decomposition``): the codes of rep, and n."""
+    """Write every word as rep * a**n with rep ending in no a-letter, the
+    canonical representative of the coset of the word: the codes of rep,
+    and n.  In a reduced word the trailing a-run has one sign, so n is its
+    signed length."""
     rep = codes
     power = np.zeros(len(codes), dtype=np.int64)
     while True:
@@ -514,9 +443,6 @@ def _build_coset_table(codes: np.ndarray) -> CosetTable:
     coset.setflags(write=False)
     power.setflags(write=False)
     return CosetTable(SiteSet._from_sorted(rep_codes), coset, power)
-
-
-_SINGLE = tuple(Word._from_reduced((s,)) for s in (GEN_A, GEN_A_INV, GEN_B, GEN_B_INV))
 
 
 @functools.lru_cache(maxsize=512)

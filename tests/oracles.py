@@ -1,10 +1,11 @@
 """Independent reference implementations used to pin expected values.
 
-These deliberately avoid the package's evaluation machinery: the reducer
-rescans from scratch, the map oracles read values straight off the
-defining formulas, and the solver oracle is scipy's brentq.  They exist
-so the fast paths are checked against something that cannot share their
-bugs.
+These deliberately avoid the package's evaluation machinery: the group
+arithmetic works on letter tuples where the package works on shortlex
+codes, the reducer rescans from scratch, the map oracles read values
+straight off the defining formulas, and the solver oracle is scipy's
+brentq.  They exist so the fast paths are checked against something that
+cannot share their bugs.
 
 The first few helpers are building blocks that only tests use: block
 codes given by integer a-offsets, the inverse of a relabeling, the
@@ -32,15 +33,10 @@ from bernshift import (
     PropertyReport,
     SiteSet,
     Word,
-    a_power_decomposition,
     ball,
     bit_alphabet,
     coinduced_act,
-    coset_of,
     from_coset_config,
-    gen_power,
-    inv,
-    mul,
     restrict,
     timar,
     to_coset_config,
@@ -49,6 +45,64 @@ from bernshift import (
 from bernshift.coinduce import NotInSubgroup, a_exponents, coset_configs_agree
 from bernshift.config import DEFAULT_ENUMERATION_CAP
 from bernshift.freegroup import GEN_A, GEN_A_INV, GEN_B, GEN_B_INV, decode, random_reduced_codes
+
+
+def mul(g1: Word, g2: Word) -> Word:
+    """The reduced product g1*g2 on letters: cancellation happens only at
+    the seam."""
+    left = list(g1.letters)
+    for s in g2.letters:
+        if left and left[-1] == s ^ 1:
+            left.pop()
+        else:
+            left.append(s)
+    return Word(left)
+
+
+def inv(g: Word) -> Word:
+    """The reduced inverse: the letters reversed, each inverted."""
+    return Word(s ^ 1 for s in reversed(g.letters))
+
+
+def gen_power(g: Word, letter: int, k: int) -> Word:
+    """g * s^k for a generator code s; negative k uses the inverse letter."""
+    s = letter if k >= 0 else letter ^ 1
+    return mul(g, Word((s,) * abs(k)))
+
+
+def a_power_decomposition(g: Word) -> tuple[Word, int]:
+    """Split g = rep * a^n where rep has no trailing a-family letter: in a
+    reduced word the trailing a-run has a single sign, so n is the signed
+    run length, and rep is the canonical representative of the coset g<a>."""
+    letters = g.letters
+    i = len(letters)
+    while i > 0 and letters[i - 1] in (GEN_A, GEN_A_INV):
+        i -= 1
+    run = letters[i:]
+    n = len(run) if (not run or run[0] == GEN_A) else -len(run)
+    return Word(letters[:i]), n
+
+
+def coset_of(g: Word) -> Word:
+    """The canonical representative of the coset g<a>."""
+    return a_power_decomposition(g)[0]
+
+
+def reduce_word(letters) -> Word:
+    """Free reduction with a stack: each letter cancels the one before it
+    if they are inverse."""
+    stack = []
+    for s in letters:
+        if stack and stack[-1] == s ^ 1:
+            stack.pop()
+        else:
+            stack.append(s)
+    return Word(stack)
+
+
+def shortlex_key(w: Word) -> tuple:
+    """Shortlex order on letters: length first, then the letter order."""
+    return (len(w.letters), w.letters)
 
 
 class ZBlockMap(BlockMap):
@@ -162,7 +216,7 @@ def star_direct(x: Configuration, g: Word):
 def split_direct(x: Configuration, window=None) -> CosetConfiguration:
     """The <a>-coset split slot by slot: (c, j) holds x at c * a^j."""
     w = window if window is not None else max((len(s) for s in x.sites), default=0)
-    cosets = sorted({coset_of(s) for s in x.sites}, key=lambda c: c.shortlex_key)
+    cosets = sorted({coset_of(s) for s in x.sites}, key=shortlex_key)
     rows = []
     for c in cosets:
         rows.append(tuple(x.value_at(gen_power(c, GEN_A, j)) for j in range(-w, w + 1)))
@@ -288,7 +342,7 @@ def ball_direct(r):
 
 
 def shortlex_sorted(words):
-    return sorted(set(words), key=lambda w: w.shortlex_key)
+    return sorted(set(words), key=shortlex_key)
 
 
 def neighbor_indices_direct(words, offset, of=None):

@@ -263,6 +263,30 @@ def test_pipeline_plan_h0_above_log2_is_empty(capsys):
     assert code == 0 and plan["stages"] == [] and plan["terminated"] is True
 
 
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (("entropy", "shannon", "nan"), "ValueError"),
+        (("entropy", "shannon", "inf", "1"), "ValueError"),
+        (("entropy", "recursion", "nan"), "OutOfRange"),
+        (("entropy", "recursion", "inf"), "OutOfRange"),
+        (("entropy", "recursion", "0.5", "--max-steps", "-1"), "ValueError"),
+        (("pipeline", "plan", "--H0", "inf"), "OutOfRange"),
+        (("pipeline", "plan", "--H0", "0.75", "--max-steps", "-1"), "ValueError"),
+    ],
+)
+def test_non_finite_entropies_and_negative_step_budgets_are_usage_errors(capsys, argv, error):
+    code, data = run_cli_strict(capsys, *argv)
+    assert code == 2 and data["error"]["code"] == error
+
+
+def test_a_report_holding_a_non_finite_number_is_refused_as_strict_json(capsys, monkeypatch):
+    # a NaN that slips past validation fails the emit instead of reaching stdout
+    monkeypatch.setattr(cli, "shannon", lambda weights: math.nan)
+    code, data = run_cli_strict(capsys, "entropy", "shannon", "0.5", "0.5")
+    assert code == 2 and data["error"]["code"] == "ValueError"
+
+
 def test_pipeline_run_external_plan_fails_cleanly(capsys, tmp_path):
     code, plan = run_cli(capsys, "pipeline", "plan", "--H0", "0.3")
     assert any(s["map"] == "external" for s in plan["stages"])

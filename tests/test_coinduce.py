@@ -7,15 +7,12 @@ from bernshift import (
     IDENTITY,
     SiteSet,
     Word,
-    a_power_decomposition,
     ball,
     bit_alphabet,
     cocycle,
     coinduced_act,
     coset_of,
     from_coset_config,
-    inv,
-    mul,
     sample,
     to_coset_config,
     translate,
@@ -23,10 +20,11 @@ from bernshift import (
 )
 from bernshift import coinduce, coinduced_map, freegroup, verify
 from bernshift.coinduce import NotInSubgroup, act_grid, cocycles, coset_configs_agree
-from bernshift.freegroup import encode, translated_sites
+from bernshift.freegroup import encode, strip_a_codes, translated_sites
 
 from oracles import (
     ZBlockMap,
+    a_power_decomposition,
     cocycle_direct,
     coinduce_factor,
     coinduce_factor_direct,
@@ -34,10 +32,13 @@ from oracles import (
     coinduced_lift_direct,
     coset_configs_agree_direct,
     full_group_act,
+    inv,
     merge_direct,
+    mul,
     plain_alphabet,
     random_word,
     relabel_inverse,
+    shortlex_key,
     split_direct,
     z_relabel,
 )
@@ -53,12 +54,12 @@ def _random_config(rng, sites):
 
 
 def test_a_power_decomposition():
-    rep, n = a_power_decomposition(Word.parse("baa"))
-    assert str(rep) == "b" and n == 2
-    rep, n = a_power_decomposition(Word.parse("bAA"))
-    assert str(rep) == "b" and n == -2
-    rep, n = a_power_decomposition(Word.parse("ab"))
-    assert str(rep) == "ab" and n == 0
+    # the letter oracle and the code stripping agree on the examples
+    for text, want_rep, want_n in (("baa", "b", 2), ("bAA", "b", -2), ("ab", "ab", 0)):
+        rep, n = a_power_decomposition(Word.parse(text))
+        assert (str(rep), n) == (want_rep, want_n)
+        codes, powers = strip_a_codes(encode([Word.parse(text)]))
+        assert (codes.tolist(), powers.tolist()) == ([Word.parse(want_rep).code], [want_n])
 
 
 def test_coset_of_examples():
@@ -148,14 +149,14 @@ def _coset_sample(rng, cosets, window):
 
 def test_coinduced_act_identity():
     rng = np.random.default_rng(23)
-    cosets = sorted({coset_of(w) for w in ball(3)}, key=lambda w: w.shortlex_key)
+    cosets = sorted({coset_of(w) for w in ball(3)}, key=shortlex_key)
     y = _coset_sample(rng, cosets, 3)
     assert coinduced_act(IDENTITY, y) == y
 
 
 def test_coinduced_act_a_shifts_the_home_coset():
     rng = np.random.default_rng(24)
-    cosets = sorted({coset_of(w) for w in ball(2)}, key=lambda w: w.shortlex_key)
+    cosets = sorted({coset_of(w) for w in ball(2)}, key=shortlex_key)
     y = _coset_sample(rng, cosets, 2)
     moved = coinduced_act(Word.parse("a"), y)
     for j in range(-1, 3):
@@ -165,7 +166,7 @@ def test_coinduced_act_a_shifts_the_home_coset():
 
 def test_coinduced_action_law():
     rng = np.random.default_rng(25)
-    cosets = sorted({coset_of(w) for w in ball(3)}, key=lambda w: w.shortlex_key)
+    cosets = sorted({coset_of(w) for w in ball(3)}, key=shortlex_key)
     for _ in range(500):
         y = _coset_sample(rng, cosets, 3)
         g1, g2 = random_word(rng, 3), random_word(rng, 3)
@@ -179,7 +180,7 @@ def test_coinduced_action_law():
 
 def test_coinduce_factor_identity_and_inverse():
     rng = np.random.default_rng(26)
-    cosets = sorted({coset_of(w) for w in ball(2)}, key=lambda w: w.shortlex_key)
+    cosets = sorted({coset_of(w) for w in ball(2)}, key=shortlex_key)
     y = _coset_sample(rng, cosets, 2)
     ident = z_relabel("id", U2, U2, [0, 1])
     assert coinduce_factor(ident, y) == y
@@ -189,7 +190,7 @@ def test_coinduce_factor_identity_and_inverse():
 
 def test_coinduce_factor_equivariance():
     rng = np.random.default_rng(27)
-    cosets = sorted({coset_of(w) for w in ball(3)}, key=lambda w: w.shortlex_key)
+    cosets = sorted({coset_of(w) for w in ball(3)}, key=shortlex_key)
     sw = z_relabel("swap", U2, U2, [1, 0])
     for _ in range(500):
         y = _coset_sample(rng, cosets, 3)

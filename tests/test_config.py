@@ -14,7 +14,6 @@ from bernshift import (
     alphabet_by_name,
     ball,
     bit_alphabet,
-    mul,
     restrict,
     sample,
     star_alphabet,
@@ -30,6 +29,7 @@ from bernshift.entropy import solve_p
 from oracles import (
     config_from_index,
     enumerate_configurations,
+    mul,
     plain_alphabet,
     point_mass,
     random_word,

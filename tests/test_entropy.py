@@ -41,6 +41,12 @@ def test_shannon_rejects_negative():
         shannon((-0.1, 1.1))
 
 
+@pytest.mark.parametrize("weights", [(math.nan,), (math.inf, 1.0), (0.5, -math.inf)])
+def test_shannon_rejects_non_finite_weights(weights):
+    with pytest.raises(ValueError, match="not finite"):
+        shannon(weights)
+
+
 def test_half_weight_entropy_is_exactly_log2():
     # (1/2, 1/2, 0): the zero term drops out by convention
     assert star_base_entropy(0.5) == LOG2
@@ -128,6 +134,18 @@ def test_recursion_step_limit_returns_partial_trace():
 def test_recursion_rejects_nonpositive():
     with pytest.raises(OutOfRange):
         run_recursion(0.0)
+
+
+@pytest.mark.parametrize("H0", [math.nan, math.inf])
+def test_recursion_rejects_a_non_finite_start(H0):
+    with pytest.raises(OutOfRange, match="finite"):
+        run_recursion(H0)
+
+
+def test_recursion_rejects_a_negative_step_budget():
+    with pytest.raises(ValueError, match="max_steps"):
+        run_recursion(0.5, max_steps=-1)
+    assert run_recursion(0.5, max_steps=0).steps == 0
 
 
 def test_recursion_json_shape():

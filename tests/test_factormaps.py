@@ -13,7 +13,6 @@ from bernshift import (
     ball,
     bit_alphabet,
     identity_map,
-    mul,
     ow,
     parse_map_spec,
     plane_projection,
@@ -33,6 +32,7 @@ from oracles import (
     compose,
     compose_stagewise,
     enumerate_configurations,
+    mul,
     ow_direct,
     relabel_inverse,
     star_direct,

@@ -9,24 +9,18 @@ from bernshift import (
     SiteSet,
     Word,
     ball,
+    coset_of,
     gen_power,
     inv,
     mul,
-    reduce_word,
 )
-from bernshift.freegroup import GEN_A, GEN_A_INV, GEN_B, GEN_B_INV, inverse_letter
+from bernshift.freegroup import GEN_A, GEN_A_INV, GEN_B, GEN_B_INV, MAX_INT64_LETTERS, encode
 
-from oracles import naive_reduce, random_word
+import oracles
+from oracles import a_power_decomposition, naive_reduce, random_word, random_word_direct, reduce_word, shortlex_key
 
 letter_lists = st.lists(st.integers(min_value=0, max_value=3), max_size=14)
 words = letter_lists.map(Word)
-
-
-def test_inverse_letter_is_involution():
-    for s in range(4):
-        assert inverse_letter(inverse_letter(s)) == s
-    assert inverse_letter(GEN_A) == GEN_A_INV
-    assert inverse_letter(GEN_B) == GEN_B_INV
 
 
 @pytest.mark.parametrize(
@@ -38,20 +32,20 @@ def test_inverse_letter_is_involution():
     ],
 )
 def test_reduce_examples(letters, expected):
-    assert str(reduce_word(letters)) == expected
+    assert str(Word(letters)) == expected
     # the naive rescanning oracle agrees
-    assert reduce_word(letters).letters == naive_reduce(letters)
+    assert Word(letters).letters == naive_reduce(letters)
 
 
 @given(letter_lists)
 def test_reduce_matches_naive_oracle(letters):
-    assert reduce_word(letters).letters == naive_reduce(letters)
+    assert Word(letters).letters == naive_reduce(letters)
 
 
 @given(letter_lists)
 def test_reduce_idempotent(letters):
-    w = reduce_word(letters)
-    assert reduce_word(w.letters) == w
+    w = Word(letters)
+    assert Word(w.letters) == w
 
 
 def test_mul_examples():
@@ -103,7 +97,7 @@ def test_ball_contents_and_order():
     b1 = ball(1)
     assert [str(w) for w in b1] == ["e", "a", "A", "b", "B"]
     b3 = ball(3)
-    keys = [w.shortlex_key for w in b3]
+    keys = [shortlex_key(w) for w in b3]
     assert keys == sorted(keys)
     assert len(set(b3.words)) == len(b3)
 
@@ -137,14 +131,48 @@ def test_word_is_immutable_and_hashable():
     assert len({w, Word.parse("ab"), Word.parse("ba")}) == 2
 
 
-@pytest.mark.parametrize("make", [Word, Word._from_reduced, lambda t: mul(Word(t), IDENTITY)])
+@pytest.mark.parametrize("make", [Word, lambda t: mul(Word(t), IDENTITY)])
 def test_every_word_constructor_sets_both_slots_and_stays_immutable(make):
+    # a Word holds its code, ((0 + 1) * 4 + 3 + 1) * 4 + 1 + 1, and nothing else
+    assert Word.__slots__ == ("code",)
     w = make((0, 3, 1))
-    assert w.letters == (0, 3, 1) and hash(w) == hash((0, 3, 1))
-    for name, value in (("letters", ()), ("_hash", 0), ("other", 1)):
+    assert w.letters == (0, 3, 1) and w.code == 34 and hash(w) == hash(34)
+    for name, value in (("letters", ()), ("code", 0), ("other", 1)):
         with pytest.raises(AttributeError):
             setattr(w, name, value)
-    assert w.letters == (0, 3, 1) and hash(w) == hash((0, 3, 1))
+    assert w.letters == (0, 3, 1) and w.code == 34 and hash(w) == hash(34)
+
+
+def test_code_level_words_match_the_letter_oracles():
+    # words of 0-45 letters cross the MAX_INT64_LETTERS = 31 that an int64
+    # code holds, so the boundary calls run on int64 and on object arrays
+    rng = np.random.default_rng(19)
+    lengths = set()
+    for _ in range(1500):
+        g, h = random_word_direct(rng, 45), random_word_direct(rng, 45)
+        lengths.add(len(g.letters))
+        assert mul(g, h).letters == oracles.mul(g, h).letters
+        assert inv(g).letters == oracles.inv(g).letters
+        letter, k = int(rng.integers(4)), int(rng.integers(-12, 13))
+        assert gen_power(g, letter, k).letters == oracles.gen_power(g, letter, k).letters
+        assert coset_of(g).letters == oracles.coset_of(g).letters
+        assert len(g) == len(g.letters) and g.is_identity == (not g.letters)
+        assert str(g) == ("".join("aAbB"[s] for s in g.letters) or "e") and Word.parse(str(g)) == g
+        assert (g < h) == (shortlex_key(g) < shortlex_key(h))
+        assert (g == h) == (g.letters == h.letters)
+        same = Word(g.letters)
+        assert same == g and hash(same) == hash(g) == hash(g.code) and not same < g
+    assert min(lengths) == 0 and max(lengths) == 45 and MAX_INT64_LETTERS in lengths
+
+
+def test_siteset_indexing_reads_one_code_without_decoding_the_set():
+    long = Word((GEN_B_INV,) * 40)
+    for sites in (ball(3), SiteSet.from_codes(encode([long, Word.parse("bAb"), IDENTITY]))):
+        picked = [sites[i] for i in range(len(sites))] + [sites[-1]]
+        assert sites._words is None  # indexing decoded nothing
+        assert all(type(w.code) is int for w in picked)
+        assert picked[:-1] == list(sites.words) and picked[-1] == sites.words[-1]
+    assert [str(w) for w in picked] == ["e", "bAb", str(long), str(long)]
 
 
 def test_siteset_canonicalizes():
@@ -206,11 +234,11 @@ def test_ray_tables_are_cached_per_letter_and_window():
 )
 def test_coset_table_decomposes_every_site(sites):
     table = sites.coset_table()
-    assert table.reps.words == tuple(sorted(set(table.reps), key=lambda c: c.shortlex_key))
+    assert table.reps.words == tuple(sorted(set(table.reps), key=shortlex_key))
     assert all(not c.letters or c.letters[-1] not in (GEN_A, GEN_A_INV) for c in table.reps)
     assert sorted(set(table.coset.tolist())) == list(range(len(table.reps)))
     for i, w in enumerate(sites):
-        assert gen_power(table.reps[table.coset[i]], GEN_A, int(table.power[i])) == w
+        assert a_power_decomposition(w) == (table.reps[table.coset[i]], int(table.power[i]))
     assert sites.coset_table() is table
 
 

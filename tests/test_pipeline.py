@@ -202,8 +202,8 @@ def test_coinduced_lift_accepts_single_site_blockmaps():
 
 def test_coinduced_sliding_block_cell_map():
     # a genuine 2-site rule along the a-direction: v(j) + v(j+1)
-    from bernshift import gen_power
     from bernshift.freegroup import GEN_A
+    from oracles import gen_power
 
     cell = ZBlockMap("asum", U2, U2, (0, 1), np.array([[0, 1], [1, 0]]))
     lifted = coinduced_map(cell)

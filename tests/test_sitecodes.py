@@ -6,7 +6,7 @@ int codes)."""
 import numpy as np
 import pytest
 
-from bernshift import CosetConfiguration, SiteSet, Word, ball, check_cocycle, from_coset_config, gen_power, inv, mul, ow
+from bernshift import CosetConfiguration, SiteSet, Word, ball, check_cocycle, from_coset_config, ow
 from bernshift import star, timar
 from bernshift.freegroup import (
     GEN_A,
@@ -27,10 +27,14 @@ from oracles import (
     ball_direct,
     coset_table_direct,
     dependency_direct,
+    gen_power,
+    inv,
+    mul,
     neighbor_indices_direct,
     random_word,
     random_word_direct,
     ray_indices_direct,
+    shortlex_key,
     shortlex_sorted,
     star_dependency_direct,
     translated_direct,
@@ -185,7 +189,7 @@ def test_codes_are_the_shortlex_numerals_and_read_only():
     for w in words:
         # code(e) = 0 and code(w * s) = 4 * code(w) + s + 1
         assert w.code == (0 if not w.letters else 4 * Word(w.letters[:-1]).code + w.letters[-1] + 1)
-    assert sorted(words, key=lambda w: w.code) == sorted(words, key=lambda w: w.shortlex_key)
+    assert sorted(words, key=lambda w: w.code) == sorted(words, key=shortlex_key)
     for sites in (ball(4), SiteSet(words), SiteSet([])):
         assert np.all(sites.codes[1:] > sites.codes[:-1])
         assert code_lengths(sites.codes).tolist() == [len(w) for w in sites]
@@ -268,7 +272,7 @@ def test_random_words_match_the_per_letter_draws(max_len):
 @pytest.mark.parametrize("max_len", [0, 1, 6, 31, 32])
 def test_random_reduced_codes_are_reduced_words_up_to_max_len(max_len):
     codes = random_reduced_codes(np.random.default_rng(max_len), 3000, max_len)
-    # the codes of 32-letter words pass int64, as in codes_array
+    # the codes of 32-letter words pass int64, as in encode
     assert codes.dtype == (np.int64 if max_len <= MAX_INT64_LETTERS else object)
     words = decode(codes)
     assert len(words) == 3000

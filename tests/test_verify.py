@@ -29,11 +29,8 @@ from bernshift import (
     exact_coset_pushforward,
     exact_pushforward,
     config,
-    gen_power,
     identity_map,
-    inv,
     mc_pushforward,
-    mul,
     ow,
     parse_map_spec,
     star,
@@ -53,6 +50,9 @@ from oracles import (
     config_mismatch,
     dependency_direct,
     enumerate_configurations,
+    gen_power,
+    inv,
+    mul,
     ow_direct,
     random_word,
     random_word_direct,
