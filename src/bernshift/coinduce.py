@@ -95,6 +95,9 @@ class CosetConfiguration:
     def __setattr__(self, name, value):
         raise AttributeError("CosetConfiguration is immutable")
 
+    def __reduce__(self):
+        return CosetConfiguration, (self.alphabet, self.coset_sites, self.window, self.grid)
+
     def _key(self) -> tuple:
         return (self.alphabet, self.coset_sites, self.window, self.grid.tobytes())
 
@@ -139,8 +142,8 @@ class CosetConfiguration:
 
     @classmethod
     @json_boundary
-    def from_json(cls, data: dict, alphabet: Alphabet | None = None) -> "CosetConfiguration":
-        alpha = alphabet if alphabet is not None else alphabet_by_name(data["alphabet"])
+    def from_json(cls, data: dict) -> "CosetConfiguration":
+        alpha = alphabet_by_name(data["alphabet"])
         cosets = tuple(Word.parse(s) for s in data["cosets"])
         window = data["window"]
         values = tuple(tuple(json_indices(row, 2 * window + 1)) for row in data["values"])

@@ -210,6 +210,9 @@ class Configuration:
     def __setattr__(self, name, value):
         raise AttributeError("Configuration is immutable")
 
+    def __reduce__(self):
+        return Configuration, (self.alphabet, self.sites, self.indices)
+
     def _key(self) -> tuple:
         return (self.alphabet, self.sites, self.indices.tobytes())
 
@@ -265,8 +268,8 @@ class Configuration:
 
     @classmethod
     @json_boundary
-    def from_json(cls, data: dict, alphabet: Alphabet | None = None) -> "Configuration":
-        alpha = alphabet if alphabet is not None else alphabet_by_name(data["alphabet"])
+    def from_json(cls, data: dict) -> "Configuration":
+        alpha = alphabet_by_name(data["alphabet"])
         words = [Word.parse(s) for s in data["sites"]]
         sites = SiteSet(words)
         if len(sites) != len(words):
@@ -294,8 +297,7 @@ def sample(
     dist: Distribution, sites: SiteSet, seed: int | np.random.Generator
 ) -> Configuration:
     """One i.i.d. draw of a total configuration; deterministic given seed."""
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    return Configuration(dist.alphabet, sites, sample_matrix(dist, len(sites), 1, rng)[:, 0])
+    return Configuration(dist.alphabet, sites, sample_matrix(dist, len(sites), 1, np.random.default_rng(seed))[:, 0])
 
 
 def symbol_dtype(size: int) -> type:

@@ -61,14 +61,10 @@ class FactorMap:
     ) -> np.ndarray:
         """Evaluate on a site-major (|sites|, n) index matrix (-1 =
         undefined) of any integer dtype: row j holds the n inputs' values
-        at ``sites[j]``.
-
-        Returns an (|out_sites|, n) matrix, laid out the same way, with -1
-        where the output is undefined.  ``BlockMap`` returns the dtype of
-        ``symbol_dtype`` (int8 up to 128 output symbols), so a caller that
-        does arithmetic on the result uses a dtype that holds it; ``StarMap``
-        and ``ComposedMap`` return int64.  Runs ``plan(sites, out_sites)``.
-        """
+        at ``sites[j]``.  Returns the (|out_sites|, n) matrix laid out the
+        same way, -1 where undefined, in the ``symbol_dtype`` of the output
+        alphabet (the empty composition keeps the input's dtype, in a copy).
+        Runs ``plan(sites, out_sites)``."""
         return self.plan(sites, out_sites)(values)
 
     def plan(self, sites: SiteSet, out_sites: SiteSet) -> Callable[[np.ndarray], np.ndarray]:
@@ -127,10 +123,10 @@ def _safe_gather(values: np.ndarray, idx: np.ndarray, complete: bool = False) ->
     return np.where((idx >= 0)[..., None], values.take(np.maximum(idx, 0), axis=0), -1)
 
 
-def _stacked(sites: SiteSet, offsets: Sequence[Word], of: SiteSet | None = None) -> np.ndarray:
-    """The (offsets, sites of ``of``) neighbour index table of ``sites``."""
-    tables = [sites.neighbor_indices(off, of) for off in offsets]
-    return np.array(tables, dtype=np.int64).reshape(len(offsets), len(sites if of is None else of))
+def _stacked(sites: SiteSet, offsets: Sequence[Word]) -> np.ndarray:
+    """The (offsets, sites) neighbour index table of ``sites``."""
+    tables = [sites.neighbor_indices(off) for off in offsets]
+    return np.array(tables, dtype=np.int64).reshape(len(offsets), len(sites))
 
 
 def _block_gather(values: np.ndarray, idx: np.ndarray, valid: np.ndarray | None) -> np.ndarray:
@@ -172,20 +168,16 @@ def _lookup(lookup: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return out
 
 
-def _run_block(values, table, inside, lookup, size, index_dtype):
+def _run_block(values, table, lookup, size, index_dtype):
     shape = (table.shape[1], values.shape[1])
-    if inside is not None and not inside.any():  # an empty window, say
-        return np.full(shape, -1, dtype=lookup.dtype)
-    # a total input read through the table (complete but for ``inside``) has
-    # no undefined cell to mask
+    # a total input read through the complete table has no undefined cell to mask
     valid = None if values.size == 0 or values.min() >= 0 else np.ones(shape, dtype=bool)
     # one flat table index per output cell in the plan's ``index_dtype``,
     # gathered one offset at a time so that a batch holds one gathered row set
     flat = _horner((_block_gather(values, idx, valid) for idx in table), size, shape, index_dtype)
     out = _lookup(lookup, flat)
-    for keep in (valid, inside):
-        if keep is not None:
-            out[~keep] = -1
+    if valid is not None:
+        out[~valid] = -1
     return out
 
 
@@ -228,18 +220,17 @@ class BlockMap(FactorMap):
     apply = FactorMap.apply
 
     def _compile(self, sites, out_sites):
-        return self._plan(_stacked(sites, self.offsets, out_sites))
+        return _compile_stages((self,), sites, out_sites)
 
     def _plan(self, table: np.ndarray) -> functools.partial:
-        """The kernel in which output g reads input rows table[:, g]; a missing
-        row (-1) reads row 0, and the static mask ``inside`` (None if the
-        table is complete) leaves g undefined."""
-        inside = (table >= 0).all(axis=0)
-        return functools.partial(_run_block, table=np.maximum(table, 0), inside=None if inside.all() else inside,
-                                 lookup=self._lookup, size=self.input_alphabet.size, index_dtype=self._index_dtype)
+        """The kernel in which output j reads input rows table[:, j] of a
+        complete table (no -1), as one stage of ``_compile_stages``."""
+        return functools.partial(_run_block, table=table, lookup=self._lookup, size=self.input_alphabet.size,
+                                 index_dtype=self._index_dtype)
 
     def dependency_sites(self, out_sites, budget_radius):
-        return out_sites.times(self.offsets)
+        # an output site is defined only where the window holds it: it is in its own cone
+        return out_sites.times(dict.fromkeys((IDENTITY, *self.offsets)))
 
     def pushforward(self, dist: Distribution) -> Distribution:
         if dist.alphabet != self.input_alphabet:
@@ -352,10 +343,10 @@ def _first_bits(values: np.ndarray, rays: tuple[np.ndarray, np.ndarray], star: i
 
 def _star_lookup(star: int, star_out: int) -> np.ndarray:
     """The star rule's output for each (centre, a-ray bit, b-ray bit) over
-    {-1, 0, 1, *}, flat at ((c+1)*4 + a+1)*4 + b+1: the pair of mod-2 sums
-    for a bit centre with both rays closed on bits, ``star_out`` for a
-    ``*`` centre, and -1 (undefined) otherwise."""
-    table = np.full((star + 2,) * 3, -1, dtype=np.int64)
+    {-1, 0, 1, *}, flat at ((c+1)*4 + a+1)*4 + b+1, in the output's symbol
+    dtype: the pair of mod-2 sums for a bit centre with both rays closed on
+    bits, ``star_out`` for a ``*`` centre, and -1 (undefined) otherwise."""
+    table = np.full((star + 2,) * 3, -1, dtype=symbol_dtype(star_out + 1))
     c, a, b = np.ix_(range(star), range(star), range(star))
     table[1:-1, 1:-1, 1:-1] = (c ^ a) + 2 * (c ^ b)
     table[-1] = star_out
@@ -447,7 +438,48 @@ def _run_composed(values, steps, final, complete):
     # a stage that is not a block code reads the whole window, widened with -1
     for widen, step in steps:
         values = step(values if widen is None else _safe_gather(values, widen))
-    return _safe_gather(values, final, complete).astype(np.int64, copy=False)
+    return values if final is None else _safe_gather(values, final, complete)
+
+
+def _compile_stages(stages: Sequence[FactorMap], sites: SiteSet, out_sites: SiteSet) -> functools.partial:
+    """The plan of ``stages`` run left to right from ``sites`` to ``out_sites``:
+    a ``BlockMap`` stage runs only on the window sites it must emit whose
+    whole cone the stage before emitted, so it reads a complete table; any
+    other stage maps the whole window.  A final gather picks the output
+    rows, unless the last stage emitted exactly ``out_sites``, in order."""
+    # index operations on the window's own neighbour tables only: first the
+    # window sites each stage must emit, walking back from the output sites
+    n = len(sites)
+    where = sites.neighbor_indices(IDENTITY, out_sites)
+    need = where[where >= 0]
+    needs = [need]
+    for stage in reversed(stages[1:]):
+        if not isinstance(stage, BlockMap):
+            need = np.arange(n)
+        # a stage that reads its own site needs the whole window if its output does
+        elif len(need) < n or IDENTITY not in stage.offsets:
+            reach = _stacked(sites, stage.offsets).take(need, axis=1)
+            need = np.flatnonzero(np.bincount(reach[reach >= 0], minlength=n))
+        needs.append(need)
+    # then each stage's kernel; ``rows`` holds each window site's row in the
+    # current matrix, -1 if not emitted, and a last -1 that index -1 reads
+    rows, emit = np.append(np.arange(n), -1), np.arange(n)
+    steps = []
+    for stage, need in zip(stages, reversed(needs)):
+        if isinstance(stage, BlockMap):
+            table = rows.take(_stacked(sites, stage.offsets).take(need, axis=1))
+            defined = np.flatnonzero((table >= 0).all(axis=0))
+            emit = need.take(defined)
+            steps.append((None, stage._plan(table.take(defined, axis=1))))
+        else:
+            steps.append((None if len(emit) == n else rows[:n], stage.plan(sites, sites)))
+            emit = np.arange(n)
+        rows = np.full(n + 1, -1)
+        rows[emit] = np.arange(len(emit))
+    # the empty composition still copies its input
+    final = None if steps and np.array_equal(emit, where) else rows[where]
+    return functools.partial(_run_composed, steps=steps, final=final,
+                             complete=final is None or bool(final.min(initial=0) >= 0))
 
 
 class ComposedMap(FactorMap):
@@ -457,11 +489,8 @@ class ComposedMap(FactorMap):
     unbounded stages propagate undefinedness exactly as they do alone.
     An empty composition is the identity.
 
-    Batch evaluation runs a ``BlockMap`` stage only on the window sites
-    it must emit (walking back from the output sites, the window sites
-    the later block stages' offsets reach) whose whole cone the stage
-    before emitted, so every block stage reads a complete table; any
-    other stage maps the whole window.  The result equals stage-by-stage
+    Batch evaluation compiles the stages by ``_compile_stages``, as a lone
+    ``BlockMap`` compiles itself, so the result equals stage-by-stage
     evaluation on the full window restricted to ``out_sites``.  Stages
     run by their plans, so a stage whose class has an ``apply_batch`` of
     its own but no plan compiler is refused (NotImplementedError).
@@ -497,37 +526,7 @@ class ComposedMap(FactorMap):
                 raise AlphabetMismatch(f"stage 0 ({self.stages[0].name}): {exc}") from exc
 
     def _compile(self, sites, out_sites):
-        # index operations on the window's own neighbour tables only: first the
-        # window sites each stage must emit, walking back from the output sites
-        n = len(sites)
-        where = sites.neighbor_indices(IDENTITY, out_sites)
-        need = where[where >= 0]
-        needs = [need]
-        for stage in reversed(self.stages[1:]):
-            if not isinstance(stage, BlockMap):
-                need = np.arange(n)
-            # a stage that reads its own site needs the whole window if its output does
-            elif len(need) < n or IDENTITY not in stage.offsets:
-                reach = _stacked(sites, stage.offsets).take(need, axis=1)
-                need = np.flatnonzero(np.bincount(reach[reach >= 0], minlength=n))
-            needs.append(need)
-        # then each stage's kernel; ``rows`` holds each window site's row in the
-        # current matrix, -1 if not emitted, and a last -1 that index -1 reads
-        rows, emit = np.append(np.arange(n), -1), np.arange(n)
-        steps = []
-        for stage, need in zip(self.stages, reversed(needs)):
-            if isinstance(stage, BlockMap):
-                table = rows.take(_stacked(sites, stage.offsets).take(need, axis=1))
-                defined = np.flatnonzero((table >= 0).all(axis=0))
-                emit = need.take(defined)
-                steps.append((None, stage._plan(table.take(defined, axis=1))))
-            else:
-                steps.append((None if len(emit) == n else rows[:n], stage.plan(sites, sites)))
-                emit = np.arange(n)
-            rows = np.full(n + 1, -1)
-            rows[emit] = np.arange(len(emit))
-        final = rows[where]
-        return functools.partial(_run_composed, steps=steps, final=final, complete=bool(final.min(initial=0) >= 0))
+        return _compile_stages(self.stages, sites, out_sites)
 
     def dependency_sites(self, out_sites, budget_radius):
         # the stages' own cones, last stage first

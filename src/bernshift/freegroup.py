@@ -84,6 +84,9 @@ class Word:
     def __setattr__(self, name, value):
         raise AttributeError("Word is immutable")
 
+    def __reduce__(self):
+        return Word._from_code, (self.code,)
+
     def __len__(self) -> int:
         return ((3 * self.code + 1).bit_length() - 1) // 2
 
@@ -310,6 +313,9 @@ class SiteSet:
 
     def __setattr__(self, name, value):
         raise AttributeError("SiteSet is immutable")
+
+    def __reduce__(self):
+        return SiteSet._from_sorted, (self.codes,)  # a copy builds its own tables
 
     @property
     def words(self) -> tuple[Word, ...]:

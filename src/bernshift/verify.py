@@ -38,6 +38,7 @@ from .freegroup import translated_sites
 CHUNK_SIZE = 1 << 16
 MC_MIN_SAMPLES = 1000
 G_RADIUS = 2  # property checks translate by the words of ball(G_RADIUS)
+COCYCLE_MAX_LEN = 6  # the longest word the cocycle check draws
 
 
 class WindowTooSmall(ValueError):
@@ -390,17 +391,17 @@ def check_equivariance(fmap, r: int, trials: int, seed: int) -> PropertyReport:
     return PropertyReport(f"equivariance[{fmap.name}]", trials, failures, first, seed)
 
 
-def check_cocycle(trials: int, seed: int, max_len: int = 6) -> PropertyReport:
+def check_cocycle(trials: int, seed: int) -> PropertyReport:
     """The cocycle identity c(g1 g2, c) = c(g1, c) + c(g2, g1^-1 c) over
     random pairs and cosets, as exact integer equality of a-exponents.
-    Words are drawn straight as shortlex codes, three per trial, and
-    computed on in blocks."""
+    Words of up to ``COCYCLE_MAX_LEN`` letters are drawn straight as
+    shortlex codes, three per trial, and computed on in blocks."""
     _require_trials(trials)
     rng = np.random.default_rng(seed)
     failures = 0
     first = None
-    for lo, hi in _chunks(trials, block_rows(3 * 8 * (max_len + 1))):
-        g1, g2, word = random_reduced_codes(rng, 3 * (hi - lo), max_len).reshape(-1, 3).T
+    for lo, hi in _chunks(trials, block_rows(3 * 8 * (COCYCLE_MAX_LEN + 1))):
+        g1, g2, word = random_reduced_codes(rng, 3 * (hi - lo), COCYCLE_MAX_LEN).reshape(-1, 3).T
         c = strip_a_codes(word)[0]
         c2 = strip_a_codes(mul_codes(inv_codes(g1), c))[0]
         # a trial's three cocycles side by side, so the first to fail is the first checked

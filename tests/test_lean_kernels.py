@@ -1,6 +1,7 @@
 """The batch kernels' fast path for total inputs and their narrow outputs:
 a total input read through complete index tables skips the undefined-cell
-masks, block codes emit int8 up to 128 output symbols, and every consumer
+masks, every map emits its output alphabet's dtype (int8 up to 128
+symbols), every block kernel reads a complete table, and every consumer
 that does arithmetic on a kernel output does it in a dtype that holds the
 result, the narrowest one for packed patterns."""
 
@@ -9,14 +10,19 @@ import pytest
 
 from bernshift import (
     BlockMap,
+    ComposedMap,
     Configuration,
     IDENTITY,
+    SiteSet,
+    Word,
     ball,
     bit_alphabet,
     ow,
     parse_map_spec,
     relabel,
     restrict,
+    star,
+    star_alphabet,
     star_base,
     swap_bits,
     timar,
@@ -24,13 +30,14 @@ from bernshift import (
 )
 from bernshift import factormaps
 from bernshift.config import index_matrix, sample_matrix, symbol_dtype
-from bernshift.freegroup import GEN_A, GEN_B
+from bernshift.freegroup import GEN_A, GEN_B, translated_sites
 from bernshift.selftest import _ow_output_patterns
 from bernshift.verify import _pattern_counts
 
 from oracles import coinduced_lift_direct, compose_stagewise, ow_direct, plain_alphabet, star_direct
 
 U2 = bit_alphabet(1)
+STAR1, STAR2 = star_alphabet(1), star_alphabet(2)
 
 
 def test_ow_output_patterns_keep_every_bit_of_the_packed_image():
@@ -125,8 +132,14 @@ def _masks(monkeypatch) -> list:
 
 
 def _stage_plans(plan) -> list:
-    """The block kernels of a plan: a composition's stages, or the plan."""
-    return [step for _, step in plan.keywords.get("steps", [(None, plan)]) if step.func is factormaps._run_block]
+    """The block kernels of a plan: the stages of a lone block code's or a
+    composition's plan (a star map's plan has none)."""
+    return [step for _, step in plan.keywords.get("steps", []) if step.func is factormaps._run_block]
+
+
+def _complete(steps) -> bool:
+    """Whether every block kernel binds a table with no -1."""
+    return all((step.keywords["table"] >= 0).all() for step in steps)
 
 
 def _check_rows(spec, fmap, values, sites, out_sites, masks):
@@ -155,7 +168,7 @@ def test_fast_path_and_masked_paths_agree_with_the_per_row_oracles(spec, r_in, r
     assert masks and not all(masked for _, masked in masks), "the fast path was not taken"
     if not spec.startswith("star"):
         assert not any(masked for _, masked in masks)
-        assert all(step.keywords["inside"] is None for step in _stage_plans(fmap.plan(sites, out_sites)))
+        assert _complete(_stage_plans(fmap.plan(sites, out_sites)))
 
     # the same input with one undefined cell, at the centre: a block code masks
     # every gather, and the masks leave every output that reads it undefined,
@@ -169,22 +182,19 @@ def test_fast_path_and_masked_paths_agree_with_the_per_row_oracles(spec, r_in, r
         block = [masked for kind, masked in masks if kind == "block"]
         assert block and all(block)
 
-    # the total input on a window past the input: the table that reads the
-    # output window is incomplete, and its mask leaves the sites outside
-    # undefined; a composition's stages still read complete tables, since
-    # each emits only defined sites, so only its final gather masks
+    # the total input on a window past the input: a block code's stages,
+    # a lone one's too, still read complete tables, since each emits only
+    # defined sites, so only the final gather masks, and it leaves the
+    # sites outside undefined
     past = ball(r_in + 1)
     got, masks = _check_rows(spec, fmap, total, sites, past, spied)
     outside = sites.indices_of(past) < 0
     assert outside.any() and (got[outside] == -1).all()
-    stages = _stage_plans(fmap.plan(sites, past))
-    if isinstance(fmap, BlockMap):
-        assert stages[0].keywords["inside"] is not None
-    elif spec.startswith("star"):
+    if spec.startswith("star"):
         assert masks[0] == ("index", True)  # the centre gather
     else:
         assert [masked for _, masked in masks] == [False] * (len(masks) - 1) + [True]
-        assert all(step.keywords["inside"] is None for step in stages)
+        assert _complete(_stage_plans(fmap.plan(sites, past)))
 
 
 @pytest.mark.parametrize("size,dtype", [(2, np.int8), (3, np.int8), (128, np.int8), (129, np.int64)])
@@ -214,14 +224,76 @@ def test_block_outputs_are_int8_up_to_128_output_symbols(size, dtype):
     np.testing.assert_array_equal(got, want)
 
 
-def test_only_block_codes_emit_narrow_outputs():
+# every name of the CLI's map list, a composition with a star stage, and the
+# empty composition
+_DTYPE_MAPS = {
+    spec: parse_map_spec(spec)
+    for spec in ("ow", "timar:1", "timar:3", "timar:6", "star:0.25", "swap", "identity", "project:3:2",
+                 "coinduced:identity", "coinduced:swap")
+}
+_DTYPE_MAPS["relabel+star"] = ComposedMap([relabel("swap01", STAR1, STAR1, [1, 0, 2]), star(0.25)])
+_DTYPE_MAPS["empty"] = ComposedMap([])
+
+
+@pytest.mark.parametrize("spec", list(_DTYPE_MAPS))
+@pytest.mark.parametrize("dtype", [np.int8, np.int64])
+def test_every_map_returns_its_output_alphabets_dtype(spec, dtype):
+    fmap = _DTYPE_MAPS[spec]
     sites = ball(3)
-    values = sample_matrix(uniform(U2), len(sites), 10, np.random.default_rng(1))
-    assert ow().apply_batch(values, sites, ball(2)).dtype == np.int8
-    assert BlockMap("id", U2, U2, (IDENTITY,), np.arange(2)).apply_batch(values, sites, sites).dtype == np.int8
-    assert timar(2).apply_batch(values, sites, ball(1)).dtype == np.int64
-    stars = sample_matrix(star_base(0.25), len(sites), 10, np.random.default_rng(1))
-    assert parse_map_spec("star:0.25").apply_batch(stars, sites, ball(1)).dtype == np.int64
+    law = star_base(0.25) if fmap.input_alphabet == STAR1 else uniform(fmap.input_alphabet or U2)
+    values = sample_matrix(law, len(sites), 10, np.random.default_rng(1)).astype(dtype)
+    for out_sites in (sites, ball(1), ball(4)):
+        got = fmap.apply_batch(values, sites, out_sites)
+        if fmap.output_alphabet is None:  # the identity copies its input
+            assert got.dtype == dtype and got is not values and not np.shares_memory(got, values)
+        else:
+            assert got.dtype == symbol_dtype(fmap.output_alphabet.size)
+
+
+# block codes, lone and in compositions, each read with and without their
+# own site
+_LOOK_A = BlockMap("look_a", U2, U2, (Word.parse("a"),), np.arange(2))
+_TABLE_MAPS = {
+    "ow": ow(),
+    "timar:3": timar(3),
+    "project:3:2": parse_map_spec("project:3:2"),
+    "coinduced:swap": parse_map_spec("coinduced:swap"),
+    "look_a": _LOOK_A,
+    "look_a+ow": ComposedMap([_LOOK_A, ow()]),
+    "ow+relabel+star": ComposedMap([ow(), relabel("split", bit_alphabet(2), STAR1, [0, 1, 2, 2]), star(0.25)]),
+}
+
+
+@pytest.mark.parametrize("spec", list(_TABLE_MAPS))
+def test_every_block_kernel_binds_a_complete_table(spec):
+    # a lone block code compiles as a one-stage composition: whatever the
+    # window, its stage reads only rows it emitted, and the final gather
+    # alone leaves the output sites past the window undefined
+    fmap = _TABLE_MAPS[spec]
+    sites = ball(3)
+    moved = translated_sites(sites, Word.parse("bA"))[0]
+    for window, out_sites in ((sites, sites), (sites, ball(2)), (sites, ball(4)),
+                              (moved, moved), (moved, sites), (SiteSet([]), sites)):
+        steps = _stage_plans(fmap.plan(window, out_sites))
+        assert steps and _complete(steps)
+        values = np.ones((len(window), 3), dtype=np.int8)
+        got = fmap.apply_batch(values, window, out_sites)
+        assert (got[window.indices_of(out_sites) < 0] == -1).all()
+
+
+_STAR_LOOK_A = ComposedMap([star(0.25), relabel("r", STAR2, U2, [0, 1, 0, 1, 0]), _LOOK_A])
+
+
+@pytest.mark.parametrize("fmap", [_LOOK_A, _STAR_LOOK_A], ids=["look_a", "star+look_a"])
+def test_a_block_code_that_skips_its_own_site_is_defined_on_its_dependency_sites(fmap):
+    # each output site is in its own cone, so a Monte Carlo window holds it
+    out_sites = ball(1)
+    dep = fmap.dependency_sites(out_sites, 12)
+    assert dep.indices_of(out_sites).min() >= 0
+    law = star_base(0.25) if fmap.input_alphabet == STAR1 else uniform(U2)
+    values = sample_matrix(law, len(dep), 200, np.random.default_rng(3))
+    got = fmap.apply_batch(values, dep, out_sites)
+    assert (got >= 0).mean() > 0.9
 
 
 def test_ray_tables_store_each_step_as_one_contiguous_column():

@@ -3,10 +3,14 @@ oracles: balls, neighbour, ray and coset tables, translation, lookups and
 the SiteSet protocol, on short words (int64 codes) and long ones (Python
 int codes)."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
 from bernshift import CosetConfiguration, SiteSet, Word, ball, check_cocycle, from_coset_config, ow
+from bernshift import Configuration, bit_alphabet, sample, to_coset_config, uniform
 from bernshift import star, timar
 from bernshift.freegroup import (
     GEN_A,
@@ -292,5 +296,57 @@ def test_random_reduced_codes_have_uniform_lengths_and_first_letters():
 def test_random_reduced_codes_refuse_a_negative_max_len():
     with pytest.raises(ValueError, match="max_len must be at least 0"):
         random_reduced_codes(np.random.default_rng(0), 5, -1)
-    with pytest.raises(ValueError, match="max_len must be at least 0"):
-        check_cocycle(10, 1, max_len=-1)
+
+
+_LONG = Word.parse("ab" * 20)  # 40 letters: a Python int code past int64
+
+
+def _values():
+    """One of each immutable value class, on short and on long words."""
+    x = sample(uniform(bit_alphabet(1)), ball(2), 4)
+    holey = Configuration(x.alphabet, x.sites, [None, *x.values[1:]])
+    long_sites = SiteSet([_LONG, Word.parse("b"), Word.parse("B" * 33)])
+    return {
+        "word": Word.parse("aBB"),
+        "long_word": _LONG,
+        "site_set": ball(2),
+        "long_site_set": long_sites,
+        "configuration": holey,
+        "long_configuration": Configuration(x.alphabet, long_sites, [1, None, 0]),
+        "coset_configuration": to_coset_config(holey, 2),
+    }
+
+
+_COPIES = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda v: pickle.loads(pickle.dumps(v)),
+}
+
+
+@pytest.mark.parametrize("how", list(_COPIES))
+@pytest.mark.parametrize("kind", list(_values()))
+def test_immutable_values_copy_and_pickle(kind, how):
+    value, fmap = _values()[kind], ow()
+    if isinstance(value, SiteSet):
+        fmap.plan(value, value)  # a cached plan is not copied
+    got = _COPIES[how](value)
+    assert type(got) is type(value) and got == value and hash(got) == hash(value)
+    assert str(got) == str(value) if isinstance(value, Word) else repr(got) == repr(value)
+    if isinstance(value, SiteSet):
+        assert got.codes.dtype == value.codes.dtype and not got.codes.flags.writeable
+        assert len(got._plans) == 0 and len(value._plans) == 1
+        assert list(got) == list(value)
+    if isinstance(value, (Configuration, CosetConfiguration)):
+        assert got.values == value.values and got.alphabet == value.alphabet
+    with pytest.raises(AttributeError, match="immutable"):
+        got.code = 0
+
+
+@pytest.mark.parametrize("how", list(_COPIES))
+def test_a_copied_or_pickled_block_code_maps_equal(how):
+    fmap = ow()
+    got = _COPIES[how](fmap)
+    assert got.offsets == fmap.offsets and got.offsets[1].code == fmap.offsets[1].code
+    x = sample(uniform(bit_alphabet(1)), ball(3), 8)
+    assert got.apply(x) == fmap.apply(x)

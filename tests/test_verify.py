@@ -473,8 +473,9 @@ def test_one_trial_per_block_gives_the_same_reports(monkeypatch):
 
 @pytest.mark.parametrize("seed", [0, 15, 19])
 @pytest.mark.parametrize("max_len", [0, 1, 6])
-def test_batched_cocycle_matches_the_word_oracle(seed, max_len):
-    rep = check_cocycle(300, seed, max_len)
+def test_batched_cocycle_matches_the_word_oracle(seed, max_len, monkeypatch):
+    monkeypatch.setattr(verify, "COCYCLE_MAX_LEN", max_len)
+    rep = check_cocycle(300, seed)
     assert rep.to_json() == check_cocycle_direct(300, seed, max_len).to_json()
     assert rep.verdict == "pass"
 
@@ -484,7 +485,8 @@ def test_long_cocycle_words_run_on_object_arrays(monkeypatch):
     dtypes = []
     real = verify.mul_codes
     monkeypatch.setattr(verify, "mul_codes", lambda x, y: dtypes.append(real(x, y).dtype) or real(x, y))
-    rep = check_cocycle(200, 8, max_len=20)
+    monkeypatch.setattr(verify, "COCYCLE_MAX_LEN", 20)
+    rep = check_cocycle(200, 8)
     assert rep.to_json() == check_cocycle_direct(200, 8, max_len=20).to_json()
     assert object in dtypes and rep.failures == 0
 
