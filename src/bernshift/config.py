@@ -20,8 +20,9 @@ from .freegroup import SiteSet, Word, encode, translated_sites
 
 DEFAULT_ENUMERATION_CAP = 2**24
 # Bytes of buffer ``sample_matrix`` fills per block: 1 MiB of float64
-# uniforms on the float path, 1 MiB of intp byte indices on the byte path,
-# either way small enough to stay in L2 cache with its companions.
+# uniforms on the float path, 1 MiB of intp byte-pair indices on the byte
+# path (a quarter as many 64-bit random words, four pairs each), either
+# way small enough to stay in L2 cache with its companions.
 SAMPLE_BLOCK_BYTES = 2**20
 
 
@@ -322,7 +323,8 @@ def dyadic_table(weights: tuple) -> np.ndarray | None:
     c * d <= 8 and c * itemsize <= 8, and lane l reads bits
     [l * 8/c, (l + 1) * 8/c) of b, of which symbol i owns k_i * 2^(8/c - d)
     values.  So in every lane symbol i owns exactly k_i * 2^(8 - d) of the
-    256 bytes, and the sampled law is exactly the declared one.
+    256 bytes, and the sampled law is exactly the declared one.  This
+    table defines the law; ``pair_table`` only reads two bytes at once.
     """
     exact = [Fraction(w) for w in weights]
     dens = [f.denominator for f in exact]
@@ -341,6 +343,26 @@ def dyadic_table(weights: tuple) -> np.ndarray | None:
     return table
 
 
+@functools.lru_cache(maxsize=32)
+def pair_table(weights: tuple) -> np.ndarray:
+    """The byte table of a dyadic law read two bytes at a time.
+
+    Row b0 + 256 * b1 of the 65,536 rows is ``dyadic_table`` row b0
+    followed by row b1: the 2c cells of the little-endian byte pair
+    (b0, b1), as one word of 2c * itemsize bytes (``V16`` when that is
+    wider than 8 bytes).  Read-only, and built on a law's first draw.
+    """
+    table = dyadic_table(weights)
+    c = table.shape[1]
+    both = np.empty((256, 256, 2 * c), dtype=table.dtype)
+    both[:, :, :c] = table  # axis 1 is b0
+    both[:, :, c:] = table[:, None]  # axis 0 is b1
+    width = both.itemsize * 2 * c
+    pairs = both.view(f"u{width}" if width <= 8 else f"V{width}").reshape(-1)
+    pairs.setflags(write=False)
+    return pairs
+
+
 def sample_matrix(
     dist: Distribution, n_sites: int, n_draws: int, rng: np.random.Generator
 ) -> np.ndarray:
@@ -353,12 +375,18 @@ def sample_matrix(
     its flat (site-major) order from one random stream.
 
     A dyadic law (``dyadic_table``) is sampled exactly from random bytes:
-    byte t of one ``rng.bytes`` stream gives the c cells t*c .. t*c + c - 1,
-    looked up as one c-cell word per byte and written straight into place.
-    The stream is drawn in blocks whose byte count is a multiple of 4, so
-    consecutive ``rng.bytes`` calls continue one call, and each block's
-    bytes are widened into one reused intp buffer of ``SAMPLE_BLOCK_BYTES``
-    (``np.take`` would widen a fresh copy).
+    byte t of the stream gives the c cells t*c .. t*c + c - 1.  The
+    stream is the little-endian bytes of ``rng.integers(0, 2**64,
+    dtype=np.uint64)`` words, drawn in blocks of whole words, so
+    consecutive blocks continue one stream.  On a fresh PCG64 generator
+    those bytes are exactly one ``rng.bytes`` call's (its 32-bit draws
+    are the low, then the high half of each 64-bit word); on a generator
+    that has made a lone 32-bit draw they are not, since ``rng.bytes``
+    would first spend the buffered half word.  Each byte pair is looked
+    up at once in ``pair_table`` and written straight into place, after
+    being widened into one reused intp buffer of ``SAMPLE_BLOCK_BYTES``
+    (``np.take`` would widen a fresh copy); a last partial pair is
+    filled from the byte table.
 
     Any other law takes inversion sampling against the cumulative
     weights: cell t is the number of cumulative weights (all but the
@@ -370,7 +398,7 @@ def sample_matrix(
     table = dyadic_table(dist.weights)
     if table is not None:
         out = np.empty((n_sites, n_draws), dtype=table.dtype)
-        _sample_bytes(table, out.reshape(-1), rng)
+        _sample_bytes(table, pair_table(dist.weights), out.reshape(-1), rng)
         return out
     cdf = np.cumsum(np.asarray(dist.float_weights(), dtype=np.float64))
     out = np.empty((n_sites, n_draws), dtype=symbol_dtype(len(cdf)))
@@ -387,24 +415,26 @@ def sample_matrix(
     return out
 
 
-def _sample_bytes(table: np.ndarray, flat: np.ndarray, rng: np.random.Generator) -> None:
-    """Fill ``flat`` from one random byte per row of ``table``; the last
-    byte fills a partial row when c does not divide ``flat``'s size."""
+def _sample_bytes(table: np.ndarray, pairs: np.ndarray, flat: np.ndarray, rng: np.random.Generator) -> None:
+    """Fill ``flat`` from one random byte pair per row of ``pairs``; the
+    last pair fills a partial row from ``table`` when 2c does not divide
+    ``flat``'s size."""
     c = table.shape[1]
-    n_full, rest = divmod(len(flat), c)
-    words = table.view(f"u{table.itemsize * c}").ravel()
-    full = flat[: n_full * c].view(words.dtype)
-    block = max(4, SAMPLE_BLOCK_BYTES // np.dtype(np.intp).itemsize // 4 * 4)
-    idx = np.empty(min(block, n_full), dtype=np.intp)
-    n_bytes = n_full + (rest > 0)
-    for lo in range(0, n_bytes, block):
-        raw = np.frombuffer(rng.bytes(min(block, n_bytes - lo)), dtype=np.uint8)
-        ix = idx[: min(len(raw), n_full - lo)]
-        ix[...] = raw[: len(ix)]
-        # every byte indexes the table; "clip" skips the copy "raise" buffers out through
-        np.take(words, ix, out=full[lo : lo + len(ix)], mode="clip")
-        if len(ix) < len(raw):
-            flat[n_full * c :] = table[raw[-1], :rest]
+    n_full, rest = divmod(len(flat), 2 * c)
+    full = flat[: n_full * 2 * c].view(pairs.dtype)
+    n_words = -(-len(flat) // (8 * c))  # 8 bytes of c cells each per word
+    block = max(1, SAMPLE_BLOCK_BYTES // np.dtype(np.intp).itemsize // 4)  # words of 4 pairs
+    idx = np.empty(min(4 * block, n_full), dtype=np.intp)
+    for lo in range(0, n_words, block):
+        words = rng.integers(0, 2**64, size=min(block, n_words - lo), dtype=np.uint64)
+        pair = words.astype("<u8", copy=False).view("<u2")
+        ix = idx[: min(len(pair), n_full - 4 * lo)]
+        ix[...] = pair[: len(ix)]
+        # every pair indexes the table; "clip" skips the copy "raise" buffers out through
+        np.take(pairs, ix, out=full[4 * lo : 4 * lo + len(ix)], mode="clip")
+        if rest and len(ix) < len(pair):
+            b = int(pair[len(ix)])
+            flat[n_full * 2 * c :] = table[[b & 255, b >> 8]].reshape(-1)[:rest]
 
 
 def index_matrix(size: int, n_sites: int, lo: int, hi: int) -> np.ndarray:

@@ -23,7 +23,7 @@ from bernshift import (
     uniform,
 )
 from bernshift import config
-from bernshift.config import SAMPLE_BLOCK_BYTES, dyadic_table, index_matrix, sample_matrix
+from bernshift.config import SAMPLE_BLOCK_BYTES, dyadic_table, index_matrix, pair_table, sample_matrix, symbol_dtype
 from bernshift.entropy import solve_p
 
 from oracles import (
@@ -167,6 +167,9 @@ def _plain_law(weights):
 _LAWS = {
     "U2": uniform(U2),
     "star3": star_base(0.25),
+    "U8": uniform(bit_alphabet(3)),
+    "U128": uniform(bit_alphabet(7)),
+    "U256": uniform(bit_alphabet(8)),
     "skew5": _plain_law([0.2, 0.0, 0.3, 0.0, 0.5]),
     "p128": _plain_law(np.arange(1, 129)),
     "p129": _plain_law(np.arange(1, 130)),
@@ -177,20 +180,29 @@ _LAWS = {
     "near_dyadic": Distribution(plain_alphabet("P2", "01"), (0.5, 0.5 + 2.0**-44)),
 }
 # the dyadic laws' (d, c): weights k_i / 2^d, and c cells per random byte;
-# star3's weights are the floats 0.25, 0.25 and 0.5
-_BYTE_LAWS = {"U2": (1, 8), "star3": (2, 4)}
+# star3's weights are the floats 0.25, 0.25 and 0.5; U128's cells are int8
+# and U256's int64, so their pair words are 2 and 16 bytes wide
+_BYTE_LAWS = {"U2": (1, 8), "star3": (2, 4), "U8": (3, 2), "U128": (7, 1), "U256": (8, 1)}
 
 
-def _byte_reference(dist, d, c, n_sites, n_draws, rng):
-    """Cell t*c + l of the flat site-major matrix from lane l (bits
-    [l*8/c, (l+1)*8/c)) of byte t of one ``rng.bytes`` call, whose top d
-    bits are inverted against the integer cumulative weights."""
-    n_cells = n_sites * n_draws
-    raw = np.frombuffer(rng.bytes(-(-n_cells // c)), dtype=np.uint8).astype(np.int64)
+def _byte_cells(dist, d, c, raw):
+    """The cells that the bytes ``raw`` give: cell t*c + l from lane l
+    (bits [l*8/c, (l+1)*8/c)) of byte t, whose top d bits are inverted
+    against the integer cumulative weights."""
     bits = 8 // c
-    lanes = (raw[:, None] >> (bits * np.arange(c))) & ((1 << bits) - 1)
+    lanes = (raw.astype(np.int64)[:, None] >> (bits * np.arange(c))) & ((1 << bits) - 1)
     cum = np.cumsum([int(Fraction(w) * 2**d) for w in dist.weights])
-    return np.searchsorted(cum, lanes >> (bits - d), side="right").ravel()[:n_cells].reshape(n_sites, n_draws)
+    return np.searchsorted(cum, lanes >> (bits - d), side="right").ravel()
+
+
+def _assert_one_byte_stream(got, dist, d, c, rng):
+    """``got`` is the matrix whose flat site-major cells one ``rng.bytes``
+    call gives, compared 2^17 bytes at a time to keep the reference small."""
+    flat = got.ravel()
+    raw = np.frombuffer(rng.bytes(-(-len(flat) // c)), dtype=np.uint8)
+    for lo in range(0, len(raw), 2**17):
+        want = _byte_cells(dist, d, c, raw[lo : lo + 2**17])[: len(flat) - lo * c]
+        np.testing.assert_array_equal(flat[lo * c : lo * c + len(want)], want)
 
 
 @pytest.mark.parametrize("law", ["skew5", "p128", "p129", "star_third", "star_solved", "star_512", "near_dyadic"])
@@ -203,13 +215,44 @@ def test_sample_matrix_matches_searchsorted(law):
     np.testing.assert_array_equal(got, want)
 
 
-@pytest.mark.parametrize("law", list(_BYTE_LAWS))
-def test_sample_matrix_matches_one_byte_stream(law):
+def _byte_stream_shapes():
+    """Per dyadic law: 37 x 2001, shapes whose cell count leaves a last
+    partial pair of 1 <= rest < c cells and of c <= rest < 2c cells (37
+    sites, and a lone partial pair), and the Monte Carlo chunk shapes."""
+    for law, (d, c) in _BYTE_LAWS.items():
+        shapes = [(37, 2001)]
+        for rest in sorted({1, c, 2 * c - 1}):
+            shapes += [(37, next(n for n in range(2001, 2001 + 2 * c) if 37 * n % (2 * c) == rest)), (1, rest)]
+        shapes += [(61, 65536), (179, 65536), (61, 16960), (47, 3392)]
+        for n_sites, n_draws in dict.fromkeys(shapes):
+            yield pytest.param(law, n_sites, n_draws, id=f"{law}-{n_sites}x{n_draws}")
+
+
+@pytest.mark.parametrize("law, n_sites, n_draws", list(_byte_stream_shapes()))
+def test_sample_matrix_matches_one_byte_stream(law, n_sites, n_draws):
     dist, (d, c) = _LAWS[law], _BYTE_LAWS[law]
-    got = sample_matrix(dist, 37, 2001, np.random.default_rng(21))
-    want = _byte_reference(dist, d, c, 37, 2001, np.random.default_rng(21))
-    assert got.dtype == np.int8 and (37 * 2001) % c != 0
-    np.testing.assert_array_equal(got, want)
+    got = sample_matrix(dist, n_sites, n_draws, np.random.default_rng(21))
+    assert got.shape == (n_sites, n_draws) and got.dtype == symbol_dtype(dist.alphabet.size)
+    _assert_one_byte_stream(got, dist, d, c, np.random.default_rng(21))
+
+
+@pytest.mark.parametrize("law", list(_BYTE_LAWS))
+def test_sample_matrix_reads_the_next_64_bit_words_of_a_used_generator(law):
+    # after a lone 32-bit draw, rng.bytes would first spend the buffered
+    # high half word; the sampler reads whole words, and exactly as many
+    # as its cells need
+    dist, (d, c) = _LAWS[law], _BYTE_LAWS[law]
+    rngs = [np.random.default_rng(24) for _ in range(3)]
+    for rng in rngs:
+        rng.integers(0, 2**32, size=1, dtype=np.uint32)
+    n_cells = 37 * 2001
+    got = sample_matrix(dist, 37, 2001, rngs[0])
+    words = rngs[1].integers(0, 2**64, size=-(-n_cells // (8 * c)), dtype=np.uint64)
+    want = _byte_cells(dist, d, c, words.astype("<u8").view(np.uint8))[:n_cells]
+    np.testing.assert_array_equal(got.ravel(), want)
+    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+    buffered = _byte_cells(dist, d, c, np.frombuffer(rngs[2].bytes(-(-n_cells // c)), dtype=np.uint8))
+    assert not np.array_equal(got.ravel(), buffered[:n_cells])
 
 
 def test_sample_matrix_row_blocks_continue_one_stream():
@@ -226,19 +269,39 @@ def test_sample_matrix_row_blocks_continue_one_stream():
 
 @pytest.mark.parametrize("block_bytes", [SAMPLE_BLOCK_BYTES, 1, 100])
 def test_sample_matrix_byte_blocks_continue_one_stream(monkeypatch, block_bytes):
-    # two full lookup blocks, a partial third one and a partial last byte;
-    # a block holds SAMPLE_BLOCK_BYTES of intp indices, rounded down to a
-    # multiple of 4 bytes and at least 4
+    # two full blocks of 64-bit words, a partial third one (unless a block
+    # is one word) and a last word whose partial pair has c <= rest < 2c
+    # cells; a block holds the words whose four byte pairs each fill
+    # SAMPLE_BLOCK_BYTES of intp indices, and at least one word
     monkeypatch.setattr(config, "SAMPLE_BLOCK_BYTES", block_bytes)
-    block = max(4, block_bytes // 8 // 4 * 4)
-    (d, c), n_sites = _BYTE_LAWS["star3"], 37
-    n_draws = (2 * block + block // 2) * c // n_sites | 1  # odd, so c does not divide the cell count
-    dist = _LAWS["star3"]
-    got = sample_matrix(dist, n_sites, n_draws, np.random.default_rng(23))
-    want = _byte_reference(dist, d, c, n_sites, n_draws, np.random.default_rng(23))
-    n_bytes = -(-n_sites * n_draws // c)
-    assert n_bytes > 2 * block and n_bytes % block and (n_sites * n_draws) % c
-    np.testing.assert_array_equal(got, want)
+    block = max(1, block_bytes // 8 // 4)
+    (d, c), dist = _BYTE_LAWS["star3"], _LAWS["star3"]
+    n_words = 2 * block + (block + 1) // 2
+    n_cells = n_words * 8 * c - 4 * c - 1
+    got = sample_matrix(dist, 1, n_cells, np.random.default_rng(23))
+    assert -(-n_cells // (8 * c)) == n_words > 2 * block and (n_words % block or block == 1)
+    assert c <= n_cells % (2 * c) < 2 * c
+    _assert_one_byte_stream(got, dist, d, c, np.random.default_rng(23))
+
+
+@pytest.mark.parametrize("law", ["U2", "star3", "U8", "U256"])
+def test_pair_table_reads_two_bytes_through_the_byte_table(law):
+    dist, (d, c) = _LAWS[law], _BYTE_LAWS[law]
+    table, pairs = dyadic_table(dist.weights), pair_table(dist.weights)
+    width = 2 * c * table.itemsize
+    assert pairs.shape == (65536,) and pairs.dtype == np.dtype(f"u{width}" if width <= 8 else f"V{width}")
+    assert not pairs.flags.writeable
+    cells = pairs.view(table.dtype).reshape(65536, 2 * c)
+    b = np.arange(65536)
+    np.testing.assert_array_equal(cells, np.concatenate([table[b & 255], table[b >> 8]], axis=1))
+    owned = [int(Fraction(w) * 2**d) * 2 ** (16 - d) for w in dist.weights]
+    for lane in cells.T:
+        assert np.bincount(lane, minlength=dist.alphabet.size).tolist() == owned
+
+
+def test_pair_table_is_one_per_law():
+    assert pair_table(star_base(0.25).weights) is pair_table(star_base(Fraction(1, 4)).weights)
+    assert pair_table(star_base(0.25).weights) is not pair_table(star_base(Fraction(1, 8)).weights)
 
 
 @pytest.mark.parametrize(
