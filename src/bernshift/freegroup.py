@@ -12,12 +12,17 @@ to share across threads.
 
 Words and site sets are stored as *shortlex codes*, the bijective base-4
 numerals code(e) = 0, code(w*s) = 4 * code(w) + s + 1: integer order is
-shortlex order, and a word ending in t = (code - 1) % 4 times s is
-(code - 1 - t) // 4 if t == s ^ 1, else 4 * code + s + 1.  The group
+shortlex order, and an n-letter word's code is start(n) = (4**n - 1) // 3,
+the digits 1...1, plus D, its letters as base-4 digits.  The group
 arithmetic is one set of functions on code arrays, which ``mul``, ``inv``
-and ``gen_power`` call on a Word's one code.  Code arrays are int64 while
+and ``gen_power`` call on a Word's one code.  Products, inverses and
+<a>-stripping take a fixed number of array operations at any length: an
+inverse swaps ever larger bit blocks of D and XORs start(n); a product
+cancels the common prefix of u**-1 and v, read off their XOR; the
+trailing a-run ends at D's lowest high bit.  Code arrays are int64 while
 every code formed has at most ``MAX_INT64_LETTERS`` letters, and object
-arrays of Python ints beyond; the same functions serve both.
+arrays of Python ints beyond; the same functions serve both, on masks 64
+bits wide or the next power of two (one more swap per doubling).
 """
 
 from __future__ import annotations
@@ -162,14 +167,17 @@ def _dtype(codes: np.ndarray, extra: int = 0):
     return np.int64 if _longest(codes) + extra <= MAX_INT64_LETTERS else object
 
 
-def _level_starts(codes: np.ndarray, top: int) -> np.ndarray:
-    """The first code (4**n - 1) // 3 of each length n <= top, in codes' dtype."""
-    return np.array([(4**n - 1) // 3 for n in range(top + 1)], dtype=codes.dtype)
+def _digits(codes: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The first codes start(n) of the lengths n <= top, in codes' dtype; each
+    code's length n, looked up in them; and its digits D = code - start(n)."""
+    starts = np.array([(4**n - 1) // 3 for n in range(top + 1)], dtype=codes.dtype)
+    n = np.searchsorted(starts, codes, side="right") - 1
+    return starts, n, codes - starts[n]
 
 
 def code_lengths(codes: np.ndarray) -> np.ndarray:
     """The word length of every code, by lookup in the first codes of each length."""
-    return np.searchsorted(_level_starts(codes, _longest(codes) + 1), codes, side="right") - 1
+    return _digits(codes, _longest(codes))[1]
 
 
 def encode(words: Iterable[Word]) -> np.ndarray:
@@ -193,41 +201,46 @@ def right_mul_codes(codes: np.ndarray, offset: Word) -> np.ndarray:
     return codes
 
 
+def _reversed(digits: np.ndarray, n: np.ndarray, top: int) -> np.ndarray:
+    """The last n <= top base-4 digits of each of ``digits``, reversed: moved
+    to the top of the mask width, then blocks of 2, 4, 8, ... bits swapped.
+    Masks keep a block's low half, so bits past the width, and signs, drop."""
+    width = 1 << max(6, (2 * top - 1).bit_length())
+    d = digits << (width - 2 * n)
+    for k in (1 << i for i in range(1, width.bit_length() - 1)):
+        mask = ((1 << width) - 1) // ((1 << 2 * k) - 1) * ((1 << k) - 1)
+        d = ((d >> k) & mask) | ((d & mask) << k)
+    return d
+
+
 def inv_codes(codes: np.ndarray) -> np.ndarray:
-    """Codes of w**-1 for every code of w: w's letters, last first, each inverted."""
+    """Codes of w**-1 for every code of w: w's digits reversed, each inverted."""
+    top = _longest(codes)
     codes = codes.astype(_dtype(codes), copy=False)
-    out, cur = np.zeros_like(codes), codes
-    for _ in range(_longest(codes)):
-        live = cur > 0
-        last = (cur - 1) % 4
-        out = np.where(live, 4 * out + (last ^ 1) + 1, out)
-        cur = np.where(live, (cur - 1 - last) // 4, 0)
-    return out
+    starts, n, digits = _digits(codes, top)
+    return starts[n] + (_reversed(digits, n, top) ^ starts[n])
 
 
 def mul_codes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Codes of u * v, elementwise over the codes of u in x and of v in y
     (broadcast against each other).
 
-    The k letters that cancel are u's last k, against v's first k, so u * v
-    is u's prefix P of n_u - k letters followed by v's suffix S of n_v - k;
-    code(P S) = code(P) * 4**len(S) + code(S).  Below code(w) - start(n) is
-    w's n letters as plain base-4 digits, start(n) the first code of length n.
+    The k letters that cancel are u's last k against v's first k: the
+    common prefix of u**-1 and v, m = min(n_u, n_v) less the digits left in
+    the XOR of their first m letters.  u * v is then u's first n_u - k
+    digits followed by v's last n_v - k.
     """
     x, y = np.atleast_1d(x), np.atleast_1d(y)
-    dtype = np.int64 if _longest(x) + _longest(y) <= MAX_INT64_LETTERS else object
+    lx, ly = _longest(x), _longest(y)
+    dtype = np.int64 if lx + ly <= MAX_INT64_LETTERS else object
     x, y = x.astype(dtype, copy=False), y.astype(dtype, copy=False)
-    nx, ny = code_lengths(x), code_lengths(y)
-    starts = _level_starts(x, int(nx.max(initial=0)) + int(ny.max(initial=0)))
-    pow4 = 3 * starts + 1
-    x_digits, y_digits = x - starts[nx], y - starts[ny]
-    k = np.zeros(np.broadcast_shapes(x.shape, y.shape), dtype=np.int64)
-    for j in range(1, min(int(nx.max(initial=0)), int(ny.max(initial=0))) + 1):
-        last = x_digits // pow4[j - 1] % 4  # u's j-th letter from the end
-        first = y_digits // pow4[np.maximum(ny - j, 0)] % 4  # v's j-th letter
-        k += (k == j - 1) & (nx >= j) & (ny >= j) & (first == last ^ 1)
+    (starts, nx, x_digits), (_, ny, y_digits) = _digits(x, lx + ly), _digits(y, lx + ly)
+    m = np.minimum(nx, ny)
+    # u's last m digits, reversed and inverted, are u**-1's first m
+    diff = _reversed(x_digits, m, min(lx, ly)) ^ starts[m] ^ (y_digits >> 2 * (ny - m))
+    k = m - np.searchsorted(3 * starts + 1, diff, side="right")
     rest = ny - k
-    return (starts[nx - k] + x_digits // pow4[k]) * pow4[rest] + starts[rest] + y_digits % pow4[rest]
+    return starts[nx - k + rest] + ((x_digits >> 2 * k) << 2 * rest) + (y_digits & 3 * starts[rest])
 
 
 def decode(codes: np.ndarray) -> tuple[Word, ...]:
@@ -431,16 +444,21 @@ def strip_a_codes(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Write every word as rep * a**n with rep ending in no a-letter, the
     canonical representative of the coset of the word: the codes of rep,
     and n.  In a reduced word the trailing a-run has one sign, so n is its
-    signed length."""
-    rep = codes
-    power = np.zeros(len(codes), dtype=np.int64)
-    while True:
-        last = (rep - 1) % 4
-        run = (rep > 0) & (last <= GEN_A_INV)
-        if not run.any():
-            return rep, power
-        power += np.where(last == GEN_A, 1, -1) * run
-        rep = np.where(run, (rep - 1 - last) // 4, rep)
+    signed length; the sign is the last digit's low bit."""
+    starts, n, digits = _digits(codes, _longest(codes))
+    pow4 = 3 * starts + 1
+    power = np.where((digits & 1) == 1, -1, 1)
+    # bit 2i is set where digit i is b or B, and past the word at digit n; the
+    # lowest is 4**run.  In place, to hold fewer ball-sized arrays at once
+    run = (digits >> 1) & starts[-1]
+    run |= pow4[n]
+    run &= -run
+    run = np.searchsorted(pow4, run)
+    power *= run
+    n -= run
+    digits >>= 2 * run
+    digits += starts[n]
+    return digits, power
 
 
 def _build_coset_table(codes: np.ndarray) -> CosetTable:

@@ -24,10 +24,12 @@ from bernshift.freegroup import (
     inv_codes,
     mul_codes,
     random_reduced_codes,
+    strip_a_codes,
     translated_sites,
 )
 
 from oracles import (
+    a_power_decomposition,
     ball_direct,
     coset_table_direct,
     dependency_direct,
@@ -234,7 +236,11 @@ def _seam_pairs(rng, length, n):
     return pairs
 
 
-@pytest.mark.parametrize("length", [0, 1, 2, 6, 15, 16, 20, 31, 40])
+# 32 and 64 letters fill a 64- and a 128-bit mask width; 33 and 65 need the next
+_ARITHMETIC_LENGTHS = [0, 1, 2, 6, 15, 16, 20, 31, 32, 33, 40, 64, 65]
+
+
+@pytest.mark.parametrize("length", _ARITHMETIC_LENGTHS)
 def test_code_products_and_inverses_match_word_arithmetic(length):
     rng = np.random.default_rng(length)
     pairs = _seam_pairs(rng, length, 150)
@@ -255,6 +261,28 @@ def test_code_products_and_inverses_match_word_arithmetic(length):
 
 def _longest_letters(pairs):
     return max(len(u) for u, _ in pairs) + max(len(v) for _, v in pairs)
+
+
+@pytest.mark.parametrize("length", _ARITHMETIC_LENGTHS)
+def test_a_stripping_matches_the_letter_oracle(length):
+    rng = np.random.default_rng(length)
+    words = [random_word(rng, length) for _ in range(150)]
+    # words ending in a-runs of either sign, up to the whole word, and the identity
+    words += [Word((s,) * k) for s in (GEN_A, GEN_A_INV) for k in range(length + 1)]
+    words += [mul(w, Word((GEN_A_INV if k < 0 else GEN_A,) * abs(k))) for w in words[:40] for k in (-length, -1, 1, length)]
+    codes = encode(words)
+    reps, powers = strip_a_codes(codes)
+    expected = [a_power_decomposition(w) for w in words]
+    assert reps.tolist() == [rep.code for rep, _ in expected]
+    assert powers.tolist() == [n for _, n in expected]
+    assert reps.dtype == codes.dtype and powers.dtype == np.int64
+
+
+def test_code_arithmetic_on_all_of_ball_3_matches_the_letter_oracles():
+    sites = ball(3)
+    products = mul_codes(sites.codes[:, None], sites.codes[None, :])
+    assert products.tolist() == [[mul(u, v).code for v in sites] for u in sites]
+    assert inv_codes(sites.codes).tolist() == [inv(u).code for u in sites]
 
 
 def test_code_products_of_empty_arrays_are_empty():
