@@ -18,8 +18,8 @@ import numpy as np
 
 from .config import Alphabet, Configuration, alphabet_by_name, json_boundary, json_indices
 from .factormaps import BlockMap
-from .freegroup import GEN_A, GEN_A_INV, SiteSet, Word, decode, encode
-from .freegroup import _SINGLE, _longest, inv_codes, mul_codes, right_mul_codes, strip_a_codes
+from .freegroup import GEN_A_INV, SiteSet, Word, decode, encode
+from .freegroup import _dtype, _longest, inv_codes, mul_codes, strip_a_codes
 
 
 class NotInSubgroup(ValueError):
@@ -225,16 +225,17 @@ def to_coset_config(x: Configuration, window: int | None = None) -> CosetConfigu
 
 def _slot_codes(reps: SiteSet, w: int) -> np.ndarray:
     """The codes of the slots rep(c) * a^j laid out column by column,
-    j = -w..w, each column sorted because the representatives are: a
-    canonical representative ends in no a-letter, so each step along the
-    a-run appends one digit to the slot's code."""
-    a, a_inv = _SINGLE[GEN_A], _SINGLE[GEN_A_INV]
-    up = down = reps.codes
-    columns = [up]
-    for _ in range(w):
-        up, down = right_mul_codes(up, a), right_mul_codes(down, a_inv)
-        columns = [down, *columns, up]
-    return np.concatenate(columns)
+    j = -w..w, each column sorted because the representatives are.  A
+    canonical representative ends in no a-letter, so a^j or A^j appends j
+    digits 1 or 2 to its code c: rep * a^j = 4^j c + (4^j - 1) / 3 and
+    rep * A^j = 4^j c + 2 (4^j - 1) / 3, in a dtype that holds them."""
+    dtype = _dtype(reps.codes, w)
+    j = range(-w, w + 1)
+    scale = np.array([4 ** abs(i) for i in j], dtype=dtype)[:, None]
+    tail = np.array([(4 ** abs(i) - 1) // 3 * (1 + (i < 0)) for i in j], dtype=dtype)[:, None]
+    slots = scale * reps.codes.astype(dtype, copy=False)
+    slots += tail
+    return slots.ravel()
 
 
 def merge_grid(reps: SiteSet, grid: np.ndarray) -> tuple[SiteSet, np.ndarray]:

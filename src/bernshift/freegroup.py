@@ -204,12 +204,18 @@ def right_mul_codes(codes: np.ndarray, offset: Word) -> np.ndarray:
 def _reversed(digits: np.ndarray, n: np.ndarray, top: int) -> np.ndarray:
     """The last n <= top base-4 digits of each of ``digits``, reversed: moved
     to the top of the mask width, then blocks of 2, 4, 8, ... bits swapped.
-    Masks keep a block's low half, so bits past the width, and signs, drop."""
+    Masks keep a block's low half, so bits past the width, and signs, drop.
+    The swaps shift in place, through one buffer: two code-sized arrays."""
     width = 1 << max(6, (2 * top - 1).bit_length())
     d = digits << (width - 2 * n)
+    high = np.empty_like(d)
     for k in (1 << i for i in range(1, width.bit_length() - 1)):
         mask = ((1 << width) - 1) // ((1 << 2 * k) - 1) * ((1 << k) - 1)
-        d = ((d >> k) & mask) | ((d & mask) << k)
+        np.right_shift(d, k, out=high)
+        high &= mask
+        d &= mask
+        d <<= k
+        d |= high
     return d
 
 
@@ -410,22 +416,32 @@ class SiteSet:
         Each ray stops at the first power that is not a site (membership,
         not word length: lengths are not monotone near cancellations).
         Step 1 looks up g*s, and every further step follows this set's
-        single-letter neighbour table.  Returns a padded (n_sites,
-        max_len) index array (-1 past the end), stored column-major, and
-        the ray lengths.
+        single-letter neighbour table from the rays still in the set only,
+        so a step costs its live rays, not the window.  Returns a padded
+        (n_sites, max_len) index array (-1 past the end), stored
+        column-major, and the ray lengths.
         """
         key = letter if self._own(of) else (letter, of)
         cached = self._rays.get(key)
         if cached is None:
             step = self.neighbor_indices(_SINGLE[letter])
-            cur = self.neighbor_indices(_SINGLE[letter], of)
-            cols = []
-            while (cur >= 0).any():
-                cols.append(cur)
-                cur = np.where(cur >= 0, step[np.maximum(cur, 0)], -1)
+            first = self.neighbor_indices(_SINGLE[letter], of)
+            lengths = np.zeros(len(first), dtype=np.int64)
+            # (row, position) of every ray that is still a site, one pair of arrays per step
+            rows = np.flatnonzero(first >= 0)
+            cur = first.take(rows)
+            walked = []
+            while len(rows):
+                walked.append((rows, cur))
+                lengths[rows] = len(walked)
+                cur = step.take(cur)
+                live = cur >= 0
+                rows, cur = rows[live], cur[live]
             # column-major, so the kernels' walk along ray step k reads one contiguous column
-            padded = np.stack(cols).T if cols else np.full((len(cur), 0), -1, dtype=np.int64)
-            lengths = (padded >= 0).sum(axis=1)
+            table = np.full((len(walked), len(first)), -1, dtype=np.int64)
+            for k, (rows, cur) in enumerate(walked):
+                table[k, rows] = cur
+            padded = table.T
             padded.setflags(write=False)
             lengths.setflags(write=False)
             cached = (padded, lengths)

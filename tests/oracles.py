@@ -368,6 +368,25 @@ def ray_indices_direct(words, letter, of=None):
     return [row + [-1] * (width - len(row)) for row in rows], [len(row) for row in rows]
 
 
+def first_bits_direct(values, rays, star):
+    """The first non-star value along each ray of a padded (rays, steps)
+    index array over a site-major (sites, columns) array, cell by cell:
+    walk row i for column j until a value that is not ``star``
+    (an undefined -1 included); -1 if the ray leaves the set (a -1 index)
+    or runs out while still seeing stars."""
+    n_cols, values = values.shape[1], values.tolist()
+    out = [[-1] * n_cols for _ in rays]
+    for i, ray in enumerate(rays.tolist()):
+        for j in range(n_cols):
+            for site in ray:
+                if site < 0:
+                    break
+                if values[site][j] != star:
+                    out[i][j] = values[site][j]
+                    break
+    return out
+
+
 def coset_table_direct(words):
     """(representatives, coset number, a-exponent) by decomposing every
     word of the shortlex-sorted set."""

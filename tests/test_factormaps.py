@@ -26,12 +26,14 @@ from bernshift import (
     timar_stage,
     uniform,
 )
-from bernshift.freegroup import translated_sites
+from bernshift import factormaps
+from bernshift.freegroup import GEN_A, GEN_B, translated_sites
 
 from oracles import (
     compose,
     compose_stagewise,
     enumerate_configurations,
+    first_bits_direct,
     mul,
     ow_direct,
     relabel_inverse,
@@ -311,12 +313,8 @@ def test_star_output_table_on_every_centre_and_first_step(dtype):
         assert (None if out < 0 else int(out)) == want, row
 
 
-@pytest.mark.parametrize("k", [0, 1, 2, 5])
-def test_star_ray_scan_stops_once_every_ray_has_closed(k, monkeypatch):
-    # one gather for the centre and one per ray step taken: a ray closes on
-    # its first non-star value, and the scan stops once every ray is closed
-    from bernshift import factormaps
-
+def _spy_gathers(monkeypatch) -> list:
+    """The index arrays of every ``_safe_gather`` call the star scan makes from now on."""
     gathers = []
     gather = factormaps._safe_gather
 
@@ -324,6 +322,14 @@ def test_star_ray_scan_stops_once_every_ray_has_closed(k, monkeypatch):
         gathers.append(idx)
         return gather(values, idx, complete)
 
+    monkeypatch.setattr(factormaps, "_safe_gather", spy)
+    return gathers
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 5])
+def test_star_ray_scan_stops_once_every_ray_has_closed(k, monkeypatch):
+    # one gather for the centre and one per ray step taken: a ray closes on
+    # its first non-star value, and the scan stops once every ray is closed
     sites = SiteSet(Word.parse(w) for w in ["e"] + ["a" * j for j in range(1, 9)] + ["b" * j for j in range(1, 9)])
     e = SiteSet([IDENTITY])
     values = np.random.default_rng(k).integers(0, 2, (3, len(sites)))
@@ -331,11 +337,95 @@ def test_star_ray_scan_stops_once_every_ray_has_closed(k, monkeypatch):
     values[1, a_ray] = 2  # row 1 reads * on the first k steps of its a-ray
     m = star(0.25)
     m.apply_batch(np.ascontiguousarray(values.T), sites, e)  # the plan is compiled outside the spy
-    monkeypatch.setattr(factormaps, "_safe_gather", spy)
+    gathers = _spy_gathers(monkeypatch)
     got = _rows_batch(m, values, sites, e)
     assert len(gathers) == 3 + k
     for row, out in zip(values, got[:, 0]):
         assert int(out) == star_direct(Configuration(STAR1, sites, row), IDENTITY)
+
+
+def _star_batch_direct(values, sites, star_in=2, star_out=4):
+    """The star map on a site-major matrix over ``sites`` to itself, from the
+    per-cell ray scans: * at a * centre, the pair of mod-2 sums for a bit
+    centre whose two scans found bits, and -1 otherwise."""
+    a, b = (np.array(first_bits_direct(values, sites.ray_indices(s)[0], star_in)) for s in (GEN_A, GEN_B))
+    c = values.astype(np.int64)
+    pair = np.where((c >= 0) & (a >= 0) & (b >= 0), (c ^ a) + 2 * (c ^ b), -1)
+    return np.where(c == star_in, star_out, pair)
+
+
+@pytest.mark.parametrize("n_cols", [1, 64])
+@pytest.mark.parametrize("hole_rate", [0.0, 0.1])
+def test_star_scan_over_live_rays_matches_the_per_cell_oracle(n_cols, hole_rate):
+    # ball(6) read star-heavy: rays end at every step from 0 to 12, many run
+    # out on *, and rays closed in every column drop out while others stay open
+    sites = ball(6)
+    rng = np.random.default_rng(10 * n_cols + int(100 * hole_rate))
+    values = _star_rows(rng, n_cols, len(sites), hole_rate).T.astype(np.int8, order="C")
+    for letter in (GEN_A, GEN_B):
+        rays = sites.ray_indices(letter)
+        got = factormaps._first_bits(values, rays, 2)
+        want = first_bits_direct(values, rays[0], 2)
+        assert got.dtype == np.int8 and got.tolist() == want
+        # the step at which each ray has closed in every column: rays drop
+        # out at many different steps, and some cells run out on stars
+        seen = np.where((rays[0] >= 0)[..., None], values[np.maximum(rays[0], 0)], -1) == 2
+        open_steps = np.where(seen.all(axis=1), seen.shape[1], seen.argmin(axis=1))
+        assert len(set(open_steps.max(axis=1).tolist())) >= 5
+        assert ((seen | (rays[0] < 0)[..., None]).all(axis=1) & (rays[1] > 0)[:, None]).any()
+    got = star(0.25).apply_batch(values, sites, sites)
+    assert got.tolist() == _star_batch_direct(values, sites).tolist()
+
+
+@pytest.mark.parametrize("n_cols", [2, factormaps._NARROW_CELLS])
+def test_star_scan_gathers_only_the_live_rays(n_cols, monkeypatch):
+    # rays e*a^k, b*a^k, B*a^k on a ragged window, read as * except at ba:
+    # the ray from b closes in every column at step 0, the ray from B runs
+    # out after 2 steps, the ray from e after 6; once a closed ray holds
+    # _NARROW_CELLS cells, later steps gather only the rays still open
+    words = ["e", "b", "B"] + ["a" * j for j in range(1, 7)] + ["ba", "ba" + "a", "Ba", "Baa"]
+    sites = SiteSet(Word.parse(w) for w in words)
+    out = SiteSet(Word.parse(w) for w in ("e", "b", "B"))
+    values = np.array([[1 if str(w) == "ba" else 2] * n_cols for w in sites], dtype=np.int8)
+    rays = sites.ray_indices(GEN_A, out)
+    assert rays[1].tolist() == [6, 2, 2]
+    gathers = _spy_gathers(monkeypatch)
+    got = factormaps._first_bits(values, rays, 2)
+    assert got.tolist() == first_bits_direct(values, rays[0], 2) == [[-1] * n_cols, [1] * n_cols, [-1] * n_cols]
+    # the ray from B reads the -1 past its end at step 2, and drops out after it;
+    # a block of fewer cells is walked whole, in place
+    want = [3, 2, 2, 1, 1, 1] if n_cols >= factormaps._NARROW_CELLS else [3] * 6
+    assert [len(idx) for idx in gathers] == want
+
+
+@pytest.mark.parametrize("n_cols", [3, factormaps._NARROW_CELLS])
+@pytest.mark.parametrize("r_out", [0, 1])
+def test_star_scan_works_in_place_while_every_ray_is_live(r_out, n_cols, monkeypatch):
+    # the Monte Carlo layout with all-star columns: every ray stays open to
+    # its end, so until the shortest has read past its end (to the end, on
+    # a small block) each step reads its column of the ray table itself
+    m = star(0.25)
+    out_sites = ball(r_out)
+    dep = m.dependency_sites(out_sites, 8)
+    values = np.full((len(dep), n_cols), 2, dtype=np.int8)
+    values[:, 0] = np.random.default_rng(4).integers(0, 2, len(dep))
+    rays = dep.ray_indices(GEN_A, out_sites)
+    gathers = _spy_gathers(monkeypatch)
+    got = factormaps._first_bits(values, rays, 2)
+    assert got.tolist() == first_bits_direct(values, rays[0], 2)
+    assert len(gathers) == rays[0].shape[1]
+    in_place = [np.shares_memory(idx, rays[0]) for idx in gathers]
+    small = len(out_sites) * n_cols < factormaps._NARROW_CELLS
+    assert in_place == [small or k <= rays[1].min() for k in range(len(gathers))]
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int64])
+def test_star_scan_on_a_zero_step_ray_table_is_undefined(dtype):
+    sites = SiteSet([IDENTITY, Word.parse("b")])
+    rays = sites.ray_indices(GEN_A)
+    assert rays[0].shape == (2, 0)
+    got = factormaps._first_bits(np.zeros((2, 5), dtype=dtype), rays, 2)
+    assert got.dtype == dtype and got.tolist() == [[-1] * 5] * 2
 
 
 def test_star_monte_carlo_chunk_memory_is_bounded_by_its_output():

@@ -102,6 +102,39 @@ def test_the_empty_set_matches_the_oracles():
     assert ball(2).indices_of(empty).tolist() == [] and empty.indices_of(ball(1)).tolist() == [-1] * 5
 
 
+_RAY_WINDOWS = {
+    "own": None,
+    "ball(3)": ball_direct(3),
+    # g * ball(3) with |g| = 3 reaches words of 6 letters, outside ball(5)
+    "bAb*ball(3)": translated_direct(ball_direct(3), Word.parse("bAb"))[0],
+    "empty": [],
+}
+
+
+@pytest.mark.parametrize("letter", [GEN_A, GEN_A_INV, GEN_B, GEN_B_INV])
+@pytest.mark.parametrize("of", list(_RAY_WINDOWS))
+def test_live_ray_tables_match_the_oracle_where_rays_end_at_many_steps(letter, of):
+    # rays of ball(5) end at every step from 0 to 10; each step walks only
+    # the rays still in the set, and the table keeps its layout
+    words, of_words = ball_direct(5), _RAY_WINDOWS[of]
+    sites = ball(5)
+    rays, lengths = sites.ray_indices(letter, None if of_words is None else SiteSet(of_words))
+    assert (rays.tolist(), lengths.tolist()) == ray_indices_direct(words, letter, of_words)
+    if of != "empty":
+        assert len(set(lengths.tolist())) >= 6
+    assert rays.dtype == lengths.dtype == np.int64
+    assert rays.T.flags.c_contiguous and not rays.flags.writeable and not lengths.flags.writeable
+
+
+@pytest.mark.parametrize("letter", [GEN_A, GEN_B_INV])
+def test_live_ray_tables_of_an_empty_set_have_no_steps(letter):
+    for sites, of in ((SiteSet([]), None), (SiteSet([]), ball(1)), (ball(2), SiteSet([]))):
+        rays, lengths = sites.ray_indices(letter, of)
+        n = len(sites if of is None else of)
+        assert rays.shape == (n, 0) and lengths.tolist() == [0] * n
+        assert rays.dtype == lengths.dtype == np.int64 and not rays.flags.writeable
+
+
 @pytest.mark.parametrize("length", [30, 31, 32, 40])
 def test_long_words_match_the_oracles(length):
     # codes of up to 31 letters are int64; any longer word makes the set

@@ -612,8 +612,9 @@ def _cocycle_off_by_one(monkeypatch):
 
 
 def _merge_with_a_doubled_step(monkeypatch):
-    real = coinduce.right_mul_codes
-    monkeypatch.setattr(coinduce, "right_mul_codes", lambda codes, offset: real(real(codes, offset), offset))
+    # slots built as rep * a^(2j): every other column of the slots of a window twice as wide
+    real = coinduce._slot_codes
+    monkeypatch.setattr(coinduce, "_slot_codes", lambda reps, w: real(reps, 2 * w).reshape(4 * w + 1, -1)[::2].ravel())
 
 
 def _act_reading_a_shifted_column_for_b(monkeypatch):
