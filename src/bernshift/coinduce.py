@@ -57,6 +57,13 @@ def cocycle(g: Word, c: Word) -> int:
     return int(cocycles(encode([g]), encode([coset_of(c)]))[1][0])
 
 
+def _window(window) -> int:
+    """A window half-width: a nonnegative integer, and no bool."""
+    if isinstance(window, bool) or not isinstance(window, (int, np.integer)) or window < 0:
+        raise ValueError(f"window must be a nonnegative integer, got {window!r}")
+    return int(window)
+
+
 class CosetConfiguration:
     """Per-coset windows over H = <a>: entry (c, j) is the value at the
     a-power position j in the coset with representative c.
@@ -75,6 +82,7 @@ class CosetConfiguration:
         codes = cosets.codes if isinstance(cosets, SiteSet) else encode(cosets)
         if (codes[1:] <= codes[:-1]).any():
             raise ValueError("cosets must be distinct and shortlex-sorted")
+        window = _window(window)
         width = 2 * window + 1
         if not isinstance(values, np.ndarray) or values.dtype == object:
             if any(len(row) != width for row in values):
@@ -145,7 +153,7 @@ class CosetConfiguration:
     def from_json(cls, data: dict) -> "CosetConfiguration":
         alpha = alphabet_by_name(data["alphabet"])
         cosets = tuple(Word.parse(s) for s in data["cosets"])
-        window = data["window"]
+        window = _window(data["window"])
         values = tuple(tuple(json_indices(row, 2 * window + 1)) for row in data["values"])
         return cls(alpha, cosets, window, values)
 
@@ -208,9 +216,7 @@ def split_grid(sites: SiteSet, values: np.ndarray, window: int | None = None) ->
     explicit window, sites farther than it along their coset are dropped.
     """
     table = sites.coset_table()
-    w = window if window is not None else _longest(sites.codes)
-    if w < 0:
-        raise ValueError(f"window must be nonnegative, got {w}")
+    w = _window(window) if window is not None else _longest(sites.codes)
     keep = np.abs(table.power) <= w
     grid = np.full((len(table.reps), 2 * w + 1, *values.shape[1:]), -1, dtype=values.dtype)
     grid[table.coset[keep], table.power[keep] + w] = values[keep]
@@ -223,19 +229,19 @@ def to_coset_config(x: Configuration, window: int | None = None) -> CosetConfigu
     return CosetConfiguration(x.alphabet, reps, grid.shape[1] // 2, grid[..., 0])
 
 
-def _slot_codes(reps: SiteSet, w: int) -> np.ndarray:
-    """The codes of the slots rep(c) * a^j laid out column by column,
-    j = -w..w, each column sorted because the representatives are.  A
+def _slot_codes(codes: np.ndarray, pos: np.ndarray, w: int) -> np.ndarray:
+    """The codes of the slots rep * a^(pos - w), elementwise over the codes
+    of canonical representatives and window positions 0 <= pos <= 2w.  A
     canonical representative ends in no a-letter, so a^j or A^j appends j
     digits 1 or 2 to its code c: rep * a^j = 4^j c + (4^j - 1) / 3 and
     rep * A^j = 4^j c + 2 (4^j - 1) / 3, in a dtype that holds them."""
-    dtype = _dtype(reps.codes, w)
+    dtype = _dtype(codes, w)
     j = range(-w, w + 1)
-    scale = np.array([4 ** abs(i) for i in j], dtype=dtype)[:, None]
-    tail = np.array([(4 ** abs(i) - 1) // 3 * (1 + (i < 0)) for i in j], dtype=dtype)[:, None]
-    slots = scale * reps.codes.astype(dtype, copy=False)
-    slots += tail
-    return slots.ravel()
+    scale = np.array([4 ** abs(i) for i in j], dtype=dtype)
+    tail = np.array([(4 ** abs(i) - 1) // 3 * (1 + (i < 0)) for i in j], dtype=dtype)
+    slots = scale[pos] * codes.astype(dtype, copy=False)
+    slots += tail[pos]
+    return slots
 
 
 def merge_grid(reps: SiteSet, grid: np.ndarray) -> tuple[SiteSet, np.ndarray]:
@@ -243,19 +249,24 @@ def merge_grid(reps: SiteSet, grid: np.ndarray) -> tuple[SiteSet, np.ndarray]:
     ``reps`` back to group-indexed values: the value at g is the entry at
     (gH, a-exponent of g).
 
-    The result's sites are every slot rep(c) * a^j with |j| <= w, defined
-    or not.  Their sorted runs (``_slot_codes``) are put in shortlex order
-    by one stable sort, which merges runs, and the values are one
-    permutation of the grid.
+    The result's sites are the slots rep(c) * a^j that hold a value (>= 0)
+    in at least one entry of their trailing axes, so a grid with no columns
+    merges to the empty set.  Taken position by position, the held slots'
+    codes (``_slot_codes``) are sorted runs, which one stable sort merges
+    into shortlex order; the values are gathered from the grid in it.
     """
-    slots = _slot_codes(reps, grid.shape[1] // 2)
+    w = grid.shape[1] // 2
+    held = (grid.swapaxes(0, 1) >= 0).any(axis=tuple(range(2, grid.ndim)))  # position-major
+    pos, coset = divmod(np.flatnonzero(held), len(reps))
+    slots = _slot_codes(reps.codes[coset], pos, w)
     order = np.argsort(slots, kind="stable")
     sites = SiteSet._from_sorted(slots.take(order, out=slots))  # sorted in place
-    return sites, grid.swapaxes(0, 1).reshape(len(slots), *grid.shape[2:])[order]
+    return sites, grid[coset.take(order), pos.take(order)]
 
 
 def from_coset_config(y: CosetConfiguration) -> Configuration:
-    """``merge_grid`` on the one column of y."""
+    """``merge_grid`` on the one column of y: the configuration on the
+    slots that hold a value, so that J^-1(J(x)) == x for every total x."""
     sites, values = merge_grid(y.coset_sites, y.grid[..., None])
     return Configuration(y.alphabet, sites, values[:, 0])
 

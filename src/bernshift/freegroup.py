@@ -398,7 +398,10 @@ class SiteSet:
         key = offset if own else (offset, of)
         table = self._neighbors.get(key)
         if table is None:
-            table = self._find(right_mul_codes(self.codes if own else of.codes, offset))
+            if own and offset.is_identity:
+                table = np.arange(len(self), dtype=np.int64)  # g * e = g, no search
+            else:
+                table = self._find(right_mul_codes(self.codes if own else of.codes, offset))
             table.setflags(write=False)
             self._neighbors[key] = table
         return table

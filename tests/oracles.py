@@ -134,12 +134,17 @@ def coinduce_factor(phi: BlockMap, y: CosetConfiguration) -> CosetConfiguration:
     undefined where some j + o is off the window or undefined.
 
     The block code itself runs on the merged slots, where the site c * a^j
-    reads c * a^(j + o), and the result is split back on the same window.
+    reads c * a^(j + o), and the result is split back on the same window
+    and read on y's own cosets: a coset with no defined slot has no site
+    after the merge, and its row comes back all undefined.
     This is the split-apply-merge path that ``CoinducedCellMap`` replaced."""
     if y.alphabet != phi.input_alphabet:
         raise ValueError(f"{phi.name} expects {phi.input_alphabet.name}, got {y.alphabet.name}")
     a_exponents(phi)  # a rule that reads outside its own coset is refused
-    return to_coset_config(phi.apply(from_coset_config(y)), y.window)
+    z = to_coset_config(phi.apply(from_coset_config(y)), y.window)
+    rows = dict(zip(z.cosets, z.values))
+    empty = (None,) * (2 * y.window + 1)
+    return CosetConfiguration(phi.output_alphabet, y.cosets, y.window, tuple(rows.get(c, empty) for c in y.cosets))
 
 
 def point_mass(alphabet, symbol_index) -> Distribution:
@@ -225,13 +230,14 @@ def split_direct(x: Configuration, window=None) -> CosetConfiguration:
 
 def merge_direct(y: CosetConfiguration) -> Configuration:
     """The merge slot by slot: the site c * a^j holds entry (c, j), for
-    every slot of the window, defined or not."""
+    every slot of the window that holds a value."""
     w = y.window
     pairs = []
     for i, c in enumerate(y.cosets):
         row = y.values[i]
         for j in range(-w, w + 1):
-            pairs.append((gen_power(c, GEN_A, j), row[j + w]))
+            if row[j + w] is not None:
+                pairs.append((gen_power(c, GEN_A, j), row[j + w]))
     sites = SiteSet(word for word, _ in pairs)
     values = [None] * len(sites)
     for word, v in pairs:

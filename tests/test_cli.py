@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from bernshift import Configuration, FactorMap, ball, bit_alphabet, cli, sample, star_base, uniform
+from bernshift import Configuration, FactorMap, ball, bit_alphabet, cli, sample, star_base, to_coset_config, uniform
 from bernshift.cli import dispatch
 from bernshift.factormaps import parse_map_spec
 
@@ -229,6 +229,25 @@ def test_coinduce_J_roundtrip_through_json(capsys, tmp_path):
     back = Configuration.from_json(merged)
     for w in x.sites:
         assert back.value_at(w) == x.value_at(w)
+
+
+def test_coinduce_Jinv_lists_only_the_sites_that_hold_a_value(capsys, tmp_path):
+    x = sample(uniform(bit_alphabet(1)), ball(1), 3)
+    split = to_coset_config(x).to_json()
+    assert len(split["cosets"]) * len(split["values"][0]) == 9
+    path = tmp_path / "y.json"
+    path.write_text(json.dumps(split))
+    code, merged = run_cli(capsys, "coinduce", "Jinv", "--input", str(path))
+    assert code == 0 and merged == x.to_json() and len(merged["sites"]) == 5
+
+
+@pytest.mark.parametrize("window", [-1, -3, 1.5, True, "1"])
+def test_coinduce_Jinv_refuses_a_window_that_is_no_nonnegative_integer(capsys, tmp_path, window):
+    path = tmp_path / "y.json"
+    path.write_text(json.dumps({"alphabet": "U2", "cosets": ["e"], "window": window, "values": [[0, 1, 0]]}))
+    code, data = run_cli(capsys, "coinduce", "Jinv", "--input", str(path))
+    message = f"window must be a nonnegative integer, got {window!r}"
+    assert code == 2 and data == {"error": {"code": "ValueError", "message": message}}
 
 
 def test_coinduce_act(capsys, tmp_path):

@@ -13,13 +13,14 @@ from bernshift import (
     coinduced_act,
     coset_of,
     from_coset_config,
+    restrict,
     sample,
     to_coset_config,
     translate,
     uniform,
 )
 from bernshift import coinduce, coinduced_map, freegroup, verify
-from bernshift.coinduce import NotInSubgroup, act_grid, cocycles, coset_configs_agree
+from bernshift.coinduce import NotInSubgroup, act_grid, cocycles, coset_configs_agree, merge_grid, split_grid
 from bernshift.freegroup import encode, strip_a_codes, translated_sites
 
 from oracles import (
@@ -363,12 +364,83 @@ def test_merge_matches_oracle_on_rows_past_any_ball():
         y = CosetConfiguration.from_json(data)
         x = from_coset_config(y)
         assert x == merge_direct(y)
-        assert to_coset_config(x, window) == y
+        assert to_coset_config(x, window) == _without_empty_rows(y)
+
+
+def _without_empty_rows(y):
+    keep = [i for i, row in enumerate(y.values) if any(v is not None for v in row)]
+    return CosetConfiguration(y.alphabet, [y.cosets[i] for i in keep], y.window, [y.values[i] for i in keep])
+
+
+# words past int64 codes: 32 to 40 letters, along a few cosets
+_LONG_WORDS = tuple(Word.parse(rep + power) for rep in ("b" * 32, "B" * 33, "ab" * 17, "aB" * 16)
+                    for power in ("", "a", "aaaa", "AA", "AAAAAA"))
+
+
+def _roundtrip_sets():
+    yield from (ball(r) for r in range(7))
+    for g in (Word.parse("b"), Word.parse("BAbaa"), Word.parse("aaab")):
+        yield translated_sites(ball(4), g)[0]
+    rng = np.random.default_rng(80)
+    words = ball(4).words
+    for _ in range(10):
+        keep = rng.random(len(words)) < rng.uniform(0.05, 0.9)
+        yield SiteSet(w for w, k in zip(words, keep) if k)
+    yield SiteSet(_LONG_WORDS)
+    yield SiteSet(_LONG_WORDS + ball(2).words)
+    yield SiteSet([])
+
+
+def test_merge_inverts_the_split_on_total_configurations():
+    rng = np.random.default_rng(81)
+    for sites in _roundtrip_sets():
+        x = _random_config(rng, sites)
+        assert from_coset_config(to_coset_config(x)) == x
+    assert SiteSet(_LONG_WORDS).codes.dtype == object
+
+
+def test_a_partial_configuration_merges_to_its_defined_sites():
+    rng = np.random.default_rng(82)
+    for sites in _roundtrip_sets():
+        x = _partial_config(rng, sites)
+        defined = SiteSet.from_codes(x.sites.codes[x.indices >= 0])
+        assert from_coset_config(to_coset_config(x)) == restrict(x, defined)
+        for window in (0, 1, 3):
+            y = to_coset_config(x, window)
+            assert to_coset_config(from_coset_config(y), window) == _without_empty_rows(y)
+
+
+def test_a_multi_column_grid_merges_to_the_union_of_held_slots():
+    rng = np.random.default_rng(83)
+    for sites in (ball(3), SiteSet(_LONG_WORDS + ball(1).words)):
+        xs = [_partial_config(rng, sites, p_none=0.6) for _ in range(3)]
+        values = np.stack([x.indices for x in xs], axis=1)
+        merged_sites, merged = merge_grid(*split_grid(sites, values))
+        union = SiteSet.from_codes(sites.codes[(values >= 0).any(axis=1)])
+        assert merged_sites == union and len(union) < len(sites)
+        for col, x in enumerate(xs):
+            assert Configuration(U2, union, merged[:, col]) == restrict(x, union)
+
+
+def test_a_grid_with_no_columns_merges_to_the_empty_set():
+    for sites in (ball(3), SiteSet(_LONG_WORDS)):
+        merged_sites, merged = merge_grid(*split_grid(sites, np.zeros((len(sites), 0), dtype=np.int64)))
+        assert len(merged_sites) == 0 and merged.shape == (0, 0)
 
 
 def test_negative_window_is_rejected():
     with pytest.raises(ValueError):
         to_coset_config(Configuration(U2, ball(1), [0] * 5), -1)
+
+
+@pytest.mark.parametrize("window", [-1, -3, 1.5, True, "1"])
+def test_a_window_that_is_no_nonnegative_integer_is_refused(window):
+    data = {"alphabet": "U2", "cosets": ["e"], "window": window, "values": [[0, 1, 0]]}
+    for refuse in (lambda: CosetConfiguration(U2, (), window, ()), lambda: CosetConfiguration.from_json(data),
+                   lambda: to_coset_config(Configuration(U2, ball(1), [0] * 5), window)):
+        with pytest.raises(ValueError) as info:
+            refuse()
+        assert str(info.value) == f"window must be a nonnegative integer, got {window!r}"
 
 
 def test_coset_table_is_built_once_per_site_set(monkeypatch):

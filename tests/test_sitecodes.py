@@ -152,6 +152,21 @@ def test_long_words_match_the_oracles(length):
         assert list(moved) == want and perm.tolist() == want_perm
 
 
+def test_the_identity_neighbour_table_is_the_search_it_skips():
+    e = Word.parse("e")
+    long_words = SiteSet([Word((GEN_B,) * 40), Word((GEN_B,) * 33 + (GEN_A,)), Word.parse("ab")])
+    assert long_words.codes.dtype == object
+    for sites in (*map(ball, range(6)), SiteSet([]), long_words):
+        table = sites.neighbor_indices(e)
+        assert table.dtype == np.int64 and not table.flags.writeable
+        assert table.tolist() == sites._find(sites.codes).tolist()
+        assert sites.neighbor_indices(e) is table and sites.neighbor_indices(e, sites) is table
+    # from another set the identity still looks each site up
+    other = SiteSet(ball(2).words + long_words.words)
+    for sites in (ball(3), long_words):
+        assert sites.neighbor_indices(e, other).tolist() == sites._find(other.codes).tolist()
+
+
 def test_a_31_letter_set_stepped_past_int64_matches_the_oracle():
     words = [Word((GEN_B,) * 31), Word((GEN_B,) * 30 + (GEN_A,)), Word((GEN_B,) * 28)]
     sites = SiteSet(words)

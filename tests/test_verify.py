@@ -614,7 +614,7 @@ def _cocycle_off_by_one(monkeypatch):
 def _merge_with_a_doubled_step(monkeypatch):
     # slots built as rep * a^(2j): every other column of the slots of a window twice as wide
     real = coinduce._slot_codes
-    monkeypatch.setattr(coinduce, "_slot_codes", lambda reps, w: real(reps, 2 * w).reshape(4 * w + 1, -1)[::2].ravel())
+    monkeypatch.setattr(coinduce, "_slot_codes", lambda codes, pos, w: real(codes, 2 * pos, 2 * w))
 
 
 def _act_reading_a_shifted_column_for_b(monkeypatch):
