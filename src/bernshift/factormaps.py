@@ -7,29 +7,21 @@ for unbounded ray lookahead), how to apply itself to one configuration,
 and how to evaluate itself on a whole batch of value matrices at once.
 Batch matrices are site-major, (sites, rows): each site's values across
 the batch are one contiguous row, so a kernel's per-site gather copies
-whole rows.  Batch evaluation runs a plan, the map compiled once per
-pair of site sets into index tables and memoized on the input window.
-A kernel builds its undefined-cell masks only where a -1 can occur: a
-total input read through complete index tables needs none.
+whole rows.  Batch evaluation runs a ``Plan``, the map compiled once per
+pair of site sets into block, star and gather steps and memoized on the
+input window.  A kernel builds its undefined-cell masks only where a -1
+can occur: a total input read through complete index tables needs none.
 Descriptors are immutable and shareable across threads.
 """
 
 from __future__ import annotations
 
-import functools
-from typing import Callable, Iterable, Sequence
+from collections import namedtuple
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .config import (
-    Alphabet,
-    Configuration,
-    Distribution,
-    bit_alphabet,
-    block_rows,
-    star_alphabet,
-    symbol_dtype,
-)
+from .config import Alphabet, Configuration, Distribution, bit_alphabet, block_rows, star_alphabet, symbol_dtype
 from .freegroup import _SINGLE, GEN_A, GEN_B, IDENTITY, SiteSet, Word, code_lengths, right_mul_codes
 
 
@@ -56,9 +48,7 @@ class FactorMap:
         # only the empty composition has no output alphabet: it is the identity
         return Configuration(self.output_alphabet or x.alphabet, x.sites, out)
 
-    def apply_batch(
-        self, values: np.ndarray, sites: SiteSet, out_sites: SiteSet
-    ) -> np.ndarray:
+    def apply_batch(self, values: np.ndarray, sites: SiteSet, out_sites: SiteSet) -> np.ndarray:
         """Evaluate on a site-major (|sites|, n) index matrix (-1 =
         undefined) of any integer dtype: row j holds the n inputs' values
         at ``sites[j]``.  Returns the (|out_sites|, n) matrix laid out the
@@ -67,10 +57,10 @@ class FactorMap:
         Runs ``plan(sites, out_sites)``."""
         return self.plan(sites, out_sites)(values)
 
-    def plan(self, sites: SiteSet, out_sites: SiteSet) -> Callable[[np.ndarray], np.ndarray]:
-        """This map compiled from ``sites`` to ``out_sites``: its kernel with
-        the index tables it reads bound (a ``functools.partial``), memoized
-        on ``sites`` like its neighbour tables.  The window holds the map by
+    def plan(self, sites: SiteSet, out_sites: SiteSet) -> Plan:
+        """This map compiled from ``sites`` to ``out_sites``: a ``Plan`` of
+        steps whose last emits ``out_sites``' window positions, memoized on
+        ``sites`` like its neighbour tables.  The window holds the map by
         weak reference and no plan refers to a map, so a plan lives as long
         as its window and its map.  Compiled by a subclass (``_compile``)."""
         own = sites._own(out_sites)
@@ -79,16 +69,16 @@ class FactorMap:
         plan = plans.get(key)
         if plan is None:
             plan = plans[key] = self._compile(sites, sites if own else out_sites)
+            for table in (field for step in plan for field in step if isinstance(field, np.ndarray)):
+                table.setflags(write=False)  # shared by every later call and thread
         return plan
 
-    def _compile(self, sites: SiteSet, out_sites: SiteSet) -> functools.partial:
+    def _compile(self, sites: SiteSet, out_sites: SiteSet) -> Plan:
         raise NotImplementedError(f"{self.name} has no batch evaluation")
 
     def check_alphabet(self, x: Configuration) -> None:
         if self.input_alphabet is not None and x.alphabet != self.input_alphabet:
-            raise AlphabetMismatch(
-                f"{self.name} expects {self.input_alphabet.name}, got {x.alphabet.name}"
-            )
+            raise AlphabetMismatch(f"{self.name} expects {self.input_alphabet.name}, got {x.alphabet.name}")
 
     def pushforward(self, dist: Distribution) -> Distribution:
         """Single-site output law under an i.i.d. input law."""
@@ -121,6 +111,30 @@ def _safe_gather(values: np.ndarray, idx: np.ndarray, complete: bool = False) ->
     if values.shape[0] == 0:
         return np.full((*idx.shape, values.shape[1]), -1, dtype=values.dtype)
     return np.where((idx >= 0)[..., None], values.take(np.maximum(idx, 0), axis=0), -1)
+
+
+class Plan(tuple):
+    """A flat tuple of block, star and gather steps, run in order on a
+    site-major matrix by ``_run_block``, ``_run_star`` and ``_safe_gather``."""
+
+    __slots__ = ()
+
+    def __call__(self, values: np.ndarray) -> np.ndarray:
+        for step in self:
+            if type(step) is GatherStep:
+                values = _safe_gather(values, step.rows, step.complete)
+            else:
+                values = (_run_block if type(step) is BlockStep else _run_star)(values, step)
+        return values
+
+
+# The steps of a plan.  Row i of what a step returns holds window site
+# ``emit[i]``, -1 for a site off the window; its other fields are the
+# read-only tables its kernel reads.  A gather returns its input's rows
+# ``rows``, -1 for -1 (``complete``: ``rows`` holds no -1).
+GatherStep = namedtuple("GatherStep", "emit rows complete")
+BlockStep = namedtuple("BlockStep", "emit table lookup size index_dtype")
+StarStep = namedtuple("StarStep", "emit complete rays star lookup")
 
 
 def _stacked(sites: SiteSet, offsets: Sequence[Word]) -> np.ndarray:
@@ -168,14 +182,14 @@ def _lookup(lookup: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return out
 
 
-def _run_block(values, table, lookup, size, index_dtype):
-    shape = (table.shape[1], values.shape[1])
+def _run_block(values, step):
+    shape = (step.table.shape[1], values.shape[1])
     # a total input read through the complete table has no undefined cell to mask
     valid = None if values.size == 0 or values.min() >= 0 else np.ones(shape, dtype=bool)
-    # one flat table index per output cell in the plan's ``index_dtype``,
+    # output j's flat table index, the rows table[:, j] read in base ``size`` in ``index_dtype``,
     # gathered one offset at a time so that a batch holds one gathered row set
-    flat = _horner((_block_gather(values, idx, valid) for idx in table), size, shape, index_dtype)
-    out = _lookup(lookup, flat)
+    flat = _horner((_block_gather(values, idx, valid) for idx in step.table), step.size, shape, step.index_dtype)
+    out = _lookup(step.lookup, flat)
     if valid is not None:
         out[~valid] = -1
     return out
@@ -209,10 +223,8 @@ class BlockMap(FactorMap):
             raise ValueError("table entries out of output range")
         self.table = table.astype(np.int64, copy=False)
         self.table.setflags(write=False)
-        # the flat table in the output dtype, and the narrowest dtype that holds
-        # its indices, in which the kernel computes them
+        # the flat table in the output dtype, which the block steps read
         self._lookup = self.table.ravel().astype(symbol_dtype(output_alphabet.size))
-        self._index_dtype = _index_dtype(self._lookup.size)
         self.window_cost = max((len(w) for w in self.offsets), default=0)
 
     # bound here so a tracer can wrap them per class
@@ -221,12 +233,6 @@ class BlockMap(FactorMap):
 
     def _compile(self, sites, out_sites):
         return _compile_stages((self,), sites, out_sites)
-
-    def _plan(self, table: np.ndarray) -> functools.partial:
-        """The kernel in which output j reads input rows table[:, j] of a
-        complete table (no -1), as one stage of ``_compile_stages``."""
-        return functools.partial(_run_block, table=table, lookup=self._lookup, size=self.input_alphabet.size,
-                                 index_dtype=self._index_dtype)
 
     def dependency_sites(self, out_sites, budget_radius):
         # an output site is defined only where the window holds it: it is in its own cone
@@ -386,18 +392,18 @@ def _star_lookup(star: int, star_out: int) -> np.ndarray:
     return table.ravel()
 
 
-def _run_star(values, centers, complete, rays, star, lookup):
-    # the flat index ((c+1)*4 + a+1)*4 + b+1 is built in place in the
-    # input's dtype (at most 63, so int8 holds it), then read in lookup;
-    # by take, not fancy indexing, which left a heap that raised the next
-    # Monte Carlo call's resident peak by 8 MB
-    idx = _safe_gather(values, centers, complete)
-    for bits in (_first_bits(values, r, star) for r in rays):
+def _run_star(values, step):
+    # the centres are the rows ``emit``; the flat index ((c+1)*4 + a+1)*4 + b+1
+    # is built in place in the input's dtype (at most 63, so int8 holds it),
+    # then read in lookup; by take, not fancy indexing, which left a heap that
+    # raised the next Monte Carlo call's resident peak by 8 MB
+    idx = _safe_gather(values, step.emit, step.complete)
+    for bits in (_first_bits(values, r, step.star) for r in step.rays):
         idx += 1
-        idx *= star + 2
+        idx *= step.star + 2
         idx += bits
     idx += 1
-    return _lookup(lookup, idx)
+    return _lookup(step.lookup, idx)
 
 
 class StarMap(FactorMap):
@@ -423,11 +429,10 @@ class StarMap(FactorMap):
     apply = FactorMap.apply
 
     def _compile(self, sites, out_sites):
-        centers = sites.neighbor_indices(IDENTITY, out_sites)
-        star = self.input_alphabet.star_index
+        centers, star = sites.neighbor_indices(IDENTITY, out_sites), self.input_alphabet.star_index
         rays = (sites.ray_indices(GEN_A, out_sites), sites.ray_indices(GEN_B, out_sites))
-        return functools.partial(_run_star, centers=centers, complete=bool(centers.min(initial=0) >= 0), rays=rays,
-                                 star=star, lookup=_star_lookup(star, self.output_alphabet.star_index))
+        lookup = _star_lookup(star, self.output_alphabet.star_index)
+        return Plan([StarStep(centers, bool(centers.min(initial=0) >= 0), rays, star, lookup)])
 
     def dependency_sites(self, out_sites, budget_radius):
         # each ray up to its first power longer than the budget
@@ -467,19 +472,12 @@ class StarMap(FactorMap):
         return d
 
 
-def _run_composed(values, steps, final, complete):
-    # a stage that is not a block code reads the whole window, widened with -1
-    for widen, step in steps:
-        values = step(values if widen is None else _safe_gather(values, widen))
-    return values if final is None else _safe_gather(values, final, complete)
-
-
-def _compile_stages(stages: Sequence[FactorMap], sites: SiteSet, out_sites: SiteSet) -> functools.partial:
-    """The plan of ``stages`` run left to right from ``sites`` to ``out_sites``:
-    a ``BlockMap`` stage runs only on the window sites it must emit whose
-    whole cone the stage before emitted, so it reads a complete table; any
-    other stage maps the whole window.  A final gather picks the output
-    rows, unless the last stage emitted exactly ``out_sites``, in order."""
+def _compile_stages(stages: Sequence[FactorMap], sites: SiteSet, out_sites: SiteSet) -> Plan:
+    """The plan of ``stages`` run left to right from ``sites`` to ``out_sites``.
+    A ``BlockMap`` stage is a block step on the sites it must emit whose cone
+    the step before emitted, so its table is complete.  Any other stage's plan
+    on the window is spliced in, after a gather that widens to the window.  A
+    final gather picks the output rows unless the last step emitted them."""
     # index operations on the window's own neighbour tables only: first the
     # window sites each stage must emit, walking back from the output sites
     n = len(sites)
@@ -494,7 +492,7 @@ def _compile_stages(stages: Sequence[FactorMap], sites: SiteSet, out_sites: Site
             reach = _stacked(sites, stage.offsets).take(need, axis=1)
             need = np.flatnonzero(np.bincount(reach[reach >= 0], minlength=n))
         needs.append(need)
-    # then each stage's kernel; ``rows`` holds each window site's row in the
+    # then each stage's steps; ``rows`` holds each window site's row in the
     # current matrix, -1 if not emitted, and a last -1 that index -1 reads
     rows, emit = np.append(np.arange(n), -1), np.arange(n)
     steps = []
@@ -502,17 +500,19 @@ def _compile_stages(stages: Sequence[FactorMap], sites: SiteSet, out_sites: Site
         if isinstance(stage, BlockMap):
             table = rows.take(_stacked(sites, stage.offsets).take(need, axis=1))
             defined = np.flatnonzero((table >= 0).all(axis=0))
-            emit = need.take(defined)
-            steps.append((None, stage._plan(table.take(defined, axis=1))))
+            steps.append(BlockStep(need.take(defined), table.take(defined, axis=1), stage._lookup,
+                                   stage.input_alphabet.size, _index_dtype(stage._lookup.size)))
         else:
-            steps.append((None if len(emit) == n else rows[:n], stage.plan(sites, sites)))
-            emit = np.arange(n)
+            if len(emit) < n:
+                steps.append(GatherStep(np.arange(n), rows[:n], False))
+            steps.extend(stage.plan(sites, sites))
+        emit = steps[-1].emit
         rows = np.full(n + 1, -1)
         rows[emit] = np.arange(len(emit))
     # the empty composition still copies its input
-    final = None if steps and np.array_equal(emit, where) else rows[where]
-    return functools.partial(_run_composed, steps=steps, final=final,
-                             complete=final is None or bool(final.min(initial=0) >= 0))
+    if not steps or not np.array_equal(emit, where):
+        steps.append(GatherStep(where, rows[where], bool(rows[where].min(initial=0) >= 0)))
+    return Plan(steps)
 
 
 class ComposedMap(FactorMap):

@@ -593,27 +593,23 @@ def test_composed_stage_windows_stay_inside_the_input_window():
         fmap = timar(m)
         for r_in, out_sites in ((2, ball(1)), (m + 1, _B1_SHIFTED), (1, ball(3))):
             sites = ball(r_in)
-            steps = fmap.plan(sites, out_sites).keywords["steps"]
+            steps = [step for step in fmap.plan(sites, out_sites) if isinstance(step, factormaps.BlockStep)]
             assert len(steps) == len(fmap.stages)
             # the sites each stage's output must cover: the later stages' cones
             cones = [out_sites]
             for stage in reversed(fmap.stages[1:]):
                 cones.insert(0, stage.dependency_sites(cones[0], 0))
             cur = np.zeros((len(sites), 1), dtype=np.int8)
-            window = np.arange(len(sites))
-            for stage, cone, (_, step) in zip(fmap.stages, cones, steps):
-                # each stage's first offset is its own site, so the first row of
-                # its table holds its sites' rows among the stage before's sites
-                assert stage.offsets[0] == IDENTITY
-                window = window[step.keywords["table"][0]]
+            for stage, cone, step in zip(fmap.stages, cones, steps):
                 # window indices, in order: the stage's sites inside the input window
+                window = step.emit
                 assert (np.diff(window) > 0).all() and ((window >= 0) & (window < len(sites))).all()
                 # exactly the cone's sites where the stage, run on the whole window
                 # from a total input, is defined; so its table is complete
                 cur = stage.apply_batch(cur, sites, sites)
                 want = (cur[:, 0] >= 0) & (cone.indices_of(sites) >= 0)
                 assert window.tolist() == np.flatnonzero(want).tolist()
-                assert (step.keywords["table"] >= 0).all()
+                assert (step.table >= 0).all()
 
 
 def test_composed_cone_with_a_star_stage():

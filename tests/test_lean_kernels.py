@@ -132,14 +132,13 @@ def _masks(monkeypatch) -> list:
 
 
 def _stage_plans(plan) -> list:
-    """The block kernels of a plan: the stages of a lone block code's or a
-    composition's plan (a star map's plan has none)."""
-    return [step for _, step in plan.keywords.get("steps", []) if step.func is factormaps._run_block]
+    """The block steps of a plan (a star map's plan has none)."""
+    return [step for step in plan if isinstance(step, factormaps.BlockStep)]
 
 
 def _complete(steps) -> bool:
-    """Whether every block kernel binds a table with no -1."""
-    return all((step.keywords["table"] >= 0).all() for step in steps)
+    """Whether every block step reads a table with no -1."""
+    return all((step.table >= 0).all() for step in steps)
 
 
 def _check_rows(spec, fmap, values, sites, out_sites, masks):

@@ -1,7 +1,8 @@
 """Compiled evaluation plans: a plan's output equals stage-by-stage
 evaluation on the whole window restricted to the output sites, on the
-windows the property checks use, and plans are memoized on the input
-window instance."""
+windows the property checks use; each step emits the window sites that
+stage-by-stage evaluation defines and holds only read-only tables; and
+plans are memoized on the input window instance."""
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from bernshift import (
     BlockMap,
     ComposedMap,
+    FactorMap,
     IDENTITY,
     SiteSet,
     Word,
@@ -23,6 +25,7 @@ from bernshift import (
     timar_stage,
 )
 from bernshift.config import symbol_dtype
+from bernshift.factormaps import BlockStep, GatherStep, Plan, StarMap, StarStep
 from bernshift.freegroup import translated_sites
 
 from oracles import plain_alphabet
@@ -60,6 +63,8 @@ def _maps():
     cases["star_first"] = (ComposedMap([star(0.25), cycle5, spread, look_b]), 3, 3)
     cases["star_middle"] = (ComposedMap([swap01, look_a, star(0.25), spread, look_b]), 3, 3)
     cases["star_last"] = (ComposedMap([swap01, look_a, star(0.25)]), 3, 3)
+    cases["star"] = (star(0.25), 3, 3)
+    cases["nested"] = (ComposedMap([ComposedMap([swap01, look_a]), star(0.25), ComposedMap([spread, look_b])]), 3, 3)
     return cases
 
 
@@ -169,10 +174,10 @@ def test_block_plans_compute_flat_indices_in_the_narrowest_dtype():
     # the dtype each plan binds, also for the stages inside a composition
     sites = ball(2)
     for stage, index in _INDEX_EDGES.values():
-        (_, step), = stage.plan(sites, sites).keywords["steps"]  # a lone block code is one stage
-        assert step.keywords["index_dtype"] == index
-    stages = [plan.keywords for _, plan in timar(6).plan(sites, sites).keywords["steps"]]
-    assert [kw["index_dtype"] for kw in stages] == [np.int8, np.int8, np.int16, np.int16, np.int16, np.int32, np.int8]
+        step, = [step for step in stage.plan(sites, sites) if type(step) is BlockStep]  # a lone block code's one
+        assert step.index_dtype == index
+    steps = [step for step in timar(6).plan(sites, sites) if type(step) is BlockStep]
+    assert [step.index_dtype for step in steps] == [np.int8, np.int8, np.int16, np.int16, np.int16, np.int32, np.int8]
 
 
 @pytest.mark.parametrize("case", list(_MAPS))
@@ -218,7 +223,8 @@ def test_a_plan_is_built_once_per_window_and_held_by_that_window_only(monkeypatc
     assert sites._plans[fmap][None] is plan
     for fm, plans in sites._plans.items():
         assert fm is not sites and all(key is not sites for key in plans)
-    assert all(value is not sites for value in plan.keywords.values())
+    # and no step refers to a window or a map
+    assert not any(isinstance(field, (SiteSet, FactorMap)) for step in plan for field in _leaves(step))
 
 
 @pytest.mark.parametrize("case", ["timar:3", "ow", "coinduced:swap", "star_middle"])
@@ -234,3 +240,101 @@ def test_a_window_drops_the_plans_of_a_map_that_is_gone(case):
     del fmap
     assert len(sites._plans) == 0
     np.testing.assert_array_equal(plan(values), want[sites.indices_of(ball(1))])
+
+
+def _leaves(step):
+    """Every field of a step, and the tables inside its tuple fields (a star
+    step's pair of ray tables and lengths)."""
+    for field in step:
+        if isinstance(field, tuple):
+            yield from _leaves(field)
+        else:
+            yield field
+
+
+@pytest.mark.parametrize("case", list(_MAPS))
+def test_a_plan_is_a_flat_tuple_of_steps_whose_arrays_are_read_only(case):
+    # a cached plan is shared by every later call on its window and by every
+    # thread: one write into ow's block lookup used to change what every
+    # later call returned, so every array a step holds refuses writes
+    fmap, r, _ = _MAPS[case]
+    sites = ball(r)
+    for out_sites in (sites, ball(1)):
+        plan = fmap.plan(sites, out_sites)
+        assert type(plan) is Plan and len(plan) > 0
+        for step in plan:
+            assert type(step) in (BlockStep, StarStep, GatherStep)
+            for field in _leaves(step):
+                # no plan holds another plan, a window or a map
+                assert not isinstance(field, (Plan, SiteSet, FactorMap))
+                if isinstance(field, np.ndarray):
+                    assert not field.flags.writeable
+                    with pytest.raises(ValueError):
+                        field[...] = 0
+
+
+def _check_gather(step, emit, want):
+    """``step`` is a gather from the rows ``emit`` (window positions) onto
+    the window positions ``want``: row i reads the row that holds want[i],
+    and -1 where no row does."""
+    assert type(step) is GatherStep
+    np.testing.assert_array_equal(step.emit, want)
+    np.testing.assert_array_equal(np.append(emit, -1)[step.rows], np.where(np.isin(want, emit), want, -1))
+    assert step.complete == bool((step.rows >= 0).all())
+
+
+def _check_emits(fmap, sites, out_sites):
+    """Check each step's ``emit`` against stage-by-stage evaluation on the
+    whole window from a total input, and that each step reads the rows that
+    hold the sites it reads."""
+    plan, n, where = list(fmap.plan(sites, out_sites)), len(sites), sites.indices_of(out_sites)
+    # the last step emits the output sites' window positions, -1 off the window
+    np.testing.assert_array_equal(plan[-1].emit, where)
+    if isinstance(fmap, StarMap):  # one step, which emits its centres
+        assert [type(step) for step in plan] == [StarStep]
+        return
+    stages = fmap.stages if isinstance(fmap, ComposedMap) else (fmap,)
+    # the window sites each stage must emit, walking back from the output
+    # sites: the sites a later block stage reads, or the whole window that a
+    # later star stage or composition maps
+    needs = [np.isin(np.arange(n), where)]
+    for stage in reversed(stages[1:]):
+        need = np.ones(n, dtype=bool)
+        if isinstance(stage, BlockMap):
+            need = np.isin(np.arange(n), [sites.neighbor_indices(off)[needs[0]] for off in stage.offsets])
+        needs.insert(0, need)
+    defined, emit = np.ones(n, dtype=bool), np.arange(n)  # a total input, one row per window site
+    for stage, need in zip(stages, needs):
+        if isinstance(stage, BlockMap):
+            # the stage on the whole window, from the sites defined so far
+            defined = _block_on_window(stage, np.where(defined, 0, -1)[:, None], sites)[:, 0] >= 0
+            step = plan.pop(0)
+            assert type(step) is BlockStep
+            np.testing.assert_array_equal(step.emit, np.flatnonzero(need & defined))
+            for off, rows in zip(stage.offsets, step.table):
+                np.testing.assert_array_equal(emit[rows], sites.neighbor_indices(off)[step.emit])
+        else:
+            # the stage's own plan on the whole window, spliced in after a
+            # gather that widens to the window; it emits the whole window
+            if len(emit) < n:
+                _check_gather(plan.pop(0), emit, np.arange(n))
+            inner = list(stage.plan(sites, sites))
+            assert all(a is b for a, b in zip(plan, inner))
+            del plan[: len(inner)]
+            _check_emits(stage, sites, sites)
+            step, defined = inner[-1], np.ones(n, dtype=bool)
+        emit = step.emit
+    # a final gather onto the output sites, unless the last stage emitted them
+    if plan:
+        _check_gather(plan.pop(0), emit, where)
+    assert plan == []
+
+
+@pytest.mark.parametrize("case", list(_MAPS))
+def test_each_step_emits_the_sites_that_stage_by_stage_evaluation_defines(case):
+    fmap, r, _ = _MAPS[case]
+    base = ball(r)
+    moved = translated_sites(base, Word.parse("bA"))[0]
+    for sites, out_sites in ((base, base), (base, ball(1)), (base, ball(r + 1)), (moved, moved),
+                             (moved, translated_sites(ball(r + 1), Word.parse("bA"))[0]), (base, SiteSet([]))):
+        _check_emits(fmap, sites, out_sites)
