@@ -245,27 +245,12 @@ class Configuration:
     def is_total(self) -> bool:
         return bool((self.indices >= 0).all())
 
-    def packed_bits(self) -> int | None:
-        """Bit-packed form for total binary configurations.
-
-        One bit per site in shortlex order, little-endian: site j is bit
-        j.  This is the same integer as the enumeration index.
-        """
-        if self.alphabet.size != 2 or not self.is_total:
-            return None
-        packed = np.packbits(self.indices.astype(np.uint8), bitorder="little")
-        return int.from_bytes(packed.tobytes(), "little")
-
     def to_json(self) -> dict:
-        out = {
+        return {
             "alphabet": self.alphabet.name,
             "sites": [str(w) for w in self.sites],
             "values": list(self.values),
         }
-        packed = self.packed_bits()
-        if packed is not None:
-            out["packed"] = packed
-        return out
 
     @classmethod
     @json_boundary

@@ -9,20 +9,24 @@ Batch matrices are site-major, (sites, rows): each site's values across
 the batch are one contiguous row, so a kernel's per-site gather copies
 whole rows.  Batch evaluation runs a ``Plan``, the map compiled once per
 pair of site sets into block, star and gather steps and memoized on the
-input window.  A kernel builds its undefined-cell masks only where a -1
+input window; adjacent block stages run as one block step of their fused
+table, built once per distinct group of stages.  A kernel builds its undefined-cell masks only where a -1
 can occur: a total input read through complete index tables needs none.
 Descriptors are immutable and shareable across threads.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from collections import namedtuple
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .config import Alphabet, Configuration, Distribution, bit_alphabet, block_rows, star_alphabet, symbol_dtype
-from .freegroup import _SINGLE, GEN_A, GEN_B, IDENTITY, SiteSet, Word, code_lengths, right_mul_codes
+from .config import (Alphabet, Configuration, Distribution, bit_alphabet, block_rows, index_matrix, star_alphabet,
+                     symbol_dtype)
+from .freegroup import _SINGLE, GEN_A, GEN_B, IDENTITY, SiteSet, Word, code_lengths, encode, mul_codes, right_mul_codes
 
 
 class AlphabetMismatch(ValueError):
@@ -69,11 +73,11 @@ class FactorMap:
         plan = plans.get(key)
         if plan is None:
             plan = plans[key] = self._compile(sites, sites if own else out_sites)
-            for table in (field for step in plan for field in step if isinstance(field, np.ndarray)):
-                table.setflags(write=False)  # shared by every later call and thread
         return plan
 
     def _compile(self, sites: SiteSet, out_sites: SiteSet) -> Plan:
+        """The plan; every array it holds is read-only, since every later call
+        on the window and every thread share it."""
         raise NotImplementedError(f"{self.name} has no batch evaluation")
 
     def check_alphabet(self, x: Configuration) -> None:
@@ -128,6 +132,12 @@ class Plan(tuple):
         return values
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """``array``, marked read-only where a plan or a shared table first holds it."""
+    array.setflags(write=False)
+    return array
+
+
 # The steps of a plan.  Row i of what a step returns holds window site
 # ``emit[i]``, -1 for a site off the window; its other fields are the
 # read-only tables its kernel reads.  A gather returns its input's rows
@@ -135,12 +145,6 @@ class Plan(tuple):
 GatherStep = namedtuple("GatherStep", "emit rows complete")
 BlockStep = namedtuple("BlockStep", "emit table lookup size index_dtype")
 StarStep = namedtuple("StarStep", "emit complete rays star lookup")
-
-
-def _stacked(sites: SiteSet, offsets: Sequence[Word]) -> np.ndarray:
-    """The (offsets, sites) neighbour index table of ``sites``."""
-    tables = [sites.neighbor_indices(off) for off in offsets]
-    return np.array(tables, dtype=np.int64).reshape(len(offsets), len(sites))
 
 
 def _block_gather(values: np.ndarray, idx: np.ndarray, valid: np.ndarray | None) -> np.ndarray:
@@ -223,9 +227,15 @@ class BlockMap(FactorMap):
             raise ValueError("table entries out of output range")
         self.table = table.astype(np.int64, copy=False)
         self.table.setflags(write=False)
-        # the flat table in the output dtype, which the block steps read
-        self._lookup = self.table.ravel().astype(symbol_dtype(output_alphabet.size))
+        # the flat table in the output dtype, which a block step of this stage alone reads
+        self._lookup = _read_only(self.table.ravel().astype(symbol_dtype(output_alphabet.size)))
         self.window_cost = max((len(w) for w in self.offsets), default=0)
+
+    @functools.cached_property
+    def _stage(self) -> _Stage:
+        """What a fused block step reads of this stage, by value: equal stages
+        of separately built maps have equal ones, and share fused tables."""
+        return _Stage(self.offsets, self.input_alphabet.size, self._lookup.dtype.str, self._lookup.tobytes())
 
     # bound here so a tracer can wrap them per class
     apply_batch = FactorMap.apply_batch
@@ -384,12 +394,13 @@ def _star_lookup(star: int, star_out: int) -> np.ndarray:
     """The star rule's output for each (centre, a-ray bit, b-ray bit) over
     {-1, 0, 1, *}, flat at ((c+1)*4 + a+1)*4 + b+1, in the output's symbol
     dtype: the pair of mod-2 sums for a bit centre with both rays closed on
-    bits, ``star_out`` for a ``*`` centre, and -1 (undefined) otherwise."""
+    bits, ``star_out`` for a ``*`` centre, and -1 (undefined) otherwise.
+    Read-only, with the table it views."""
     table = np.full((star + 2,) * 3, -1, dtype=symbol_dtype(star_out + 1))
     c, a, b = np.ix_(range(star), range(star), range(star))
     table[1:-1, 1:-1, 1:-1] = (c ^ a) + 2 * (c ^ b)
     table[-1] = star_out
-    return table.ravel()
+    return _read_only(table).ravel()
 
 
 def _run_star(values, step):
@@ -472,46 +483,153 @@ class StarMap(FactorMap):
         return d
 
 
+# Adjacent block stages run as one block step, a group, while the group's
+# table holds at most this many entries: the first stage's s symbols on each
+# of the k sites of the group's read cone, s**k.  timar:3's four stages read
+# 15 binary sites (2**15 entries); timar_stage(3) stays out of the group of
+# the three before it, and alone, since it and the next stage read 7 sites of
+# 16 symbols (2**28 entries).
+_FUSED_ENTRIES = 1 << 16
+
+# A block stage by value (``BlockMap._stage``): its offsets, its input
+# alphabet's size, and its flat table as the dtype and bytes of its lookup.
+_Stage = namedtuple("_Stage", "offsets size dtype data")
+# A group of adjacent block stages as one block step reads it.  Its sites M
+# are e and the products of one offset from each of its last j stages, for
+# every j; ``walk`` finds them from e, one level per stage from the last: the
+# (position in M of the parent, offset) of each site new to M, which takes the
+# next position.  ``cone`` lists the positions in M of the read cone, the
+# products o_last...o_first of one offset per stage, in the order that the
+# flat index reads them, and ``lookup`` is the group's table over the cone.
+_Group = namedtuple("_Group", "walk cone lookup size index_dtype")
+
+
+@functools.lru_cache(maxsize=64)
+def _fused_groups(run: tuple[_Stage, ...]) -> tuple[_Group, ...]:
+    """The groups of a run of adjacent block stages, formed greedily: a stage
+    joins the group before it while the group's table stays within
+    ``_FUSED_ENTRIES`` entries, and a single-site stage (offsets (e,)), which
+    adds no site, always joins.  Cached by value, at the first compile, so
+    equal runs of separately built maps share their groups' tables."""
+    parts, cone = [], None
+    for stage in run:
+        offsets = encode(stage.offsets)
+        if parts:
+            wider = np.unique(mul_codes(offsets[:, None], cone[None, :]))
+            if stage.offsets == (IDENTITY,) or parts[-1][0].size ** len(wider) <= _FUSED_ENTRIES:
+                parts[-1].append(stage)
+                cone = wider
+                continue
+        parts.append([stage])
+        cone = np.unique(offsets)
+    return tuple(_fuse(part) for part in parts)
+
+
+def _fuse(stages: Sequence[_Stage]) -> _Group:
+    """One group's walk, read cone and table.  A lone stage that reads each of
+    its sites once is its own table.  Any other group's table is its stages run
+    unfused by the block kernel on every input of its cone, an index matrix."""
+    order, position = [0], {0: 0}  # M's codes, and each code's position in M
+    walk, gathers, level = [], [], [0]  # level: the positions in M of the sites one level out
+    for stage in reversed(stages):
+        codes = np.array([order[p] for p in level], dtype=np.int64)
+        products = mul_codes(codes[:, None], encode(stage.offsets)[None, :]).reshape(len(level), len(stage.offsets))
+        products = products.tolist()
+        new = []
+        for parent, row in zip(level, products):
+            for off, code in zip(stage.offsets, row):
+                if code not in position:
+                    position[code] = len(order)
+                    order.append(code)
+                    new.append((parent, off))
+        walk.append(tuple(new))
+        outer = list(dict.fromkeys(position[code] for row in products for code in row))
+        # the stage's block table: the row of the next level out that each site's offset reads
+        row_of = {p: i for i, p in enumerate(outer)}
+        gather = [[row_of[position[code]] for code in row] for row in products]
+        gathers.append(np.array(gather, dtype=np.int64).reshape(len(level), len(stage.offsets)).T)
+        level = outer
+    first = stages[0]
+    if len(stages) == 1 and len(level) == len(first.offsets):
+        lookup = np.frombuffer(first.data, first.dtype)  # read-only; the cone is its offsets, in order
+    else:
+        # the flat index reads the cone's first site as its most significant
+        # digit, and index_matrix gives its first site the least
+        values = index_matrix(first.size, len(level), 0, first.size ** len(level))[::-1]
+        for stage, gather in zip(stages, reversed(gathers)):
+            table = np.frombuffer(stage.data, stage.dtype)
+            values = _run_block(values, BlockStep(None, gather, table, stage.size, _index_dtype(table.size)))
+        lookup = _read_only(values)[0]
+    return _Group(tuple(walk), tuple(level), lookup, first.size, _index_dtype(lookup.size))
+
+
+def _cone_rows(group: _Group, sites: SiteSet, need: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sites g of ``need`` whose group sites g*M all lie in the window, and
+    the (cone, kept sites) window positions of their read cones.  Walks the
+    window's neighbour tables of the stage offsets out from g along the group's
+    walk; each level drops the sites it left the window from, so the levels
+    after it walk only the sites still in."""
+    cols = [need]
+    for level in group.walk:
+        inside = np.ones(len(cols[0]), dtype=bool)
+        for parent, off in level:
+            cols.append(sites.neighbor_indices(off).take(cols[parent]))
+            inside &= cols[-1] >= 0
+        if not inside.all():
+            kept = np.flatnonzero(inside)
+            cols = [col.take(kept) for col in cols]
+    return cols[0], np.array([cols[i] for i in group.cone], dtype=np.int64).reshape(len(group.cone), len(cols[0]))
+
+
 def _compile_stages(stages: Sequence[FactorMap], sites: SiteSet, out_sites: SiteSet) -> Plan:
     """The plan of ``stages`` run left to right from ``sites`` to ``out_sites``.
-    A ``BlockMap`` stage is a block step on the sites it must emit whose cone
-    the step before emitted, so its table is complete.  Any other stage's plan
-    on the window is spliced in, after a gather that widens to the window.  A
-    final gather picks the output rows unless the last step emitted them."""
-    # index operations on the window's own neighbour tables only: first the
-    # window sites each stage must emit, walking back from the output sites
+    Each run of adjacent ``BlockMap`` stages splits into groups
+    (``_fused_groups``).  A group is one block step on the sites it must emit
+    whose group sites all lie in the window and whose read cone the step before
+    emitted, so its table is complete.  Any other stage's plan on the window is
+    spliced in, after a gather that widens to the window.  A final gather picks
+    the output rows unless the last step emitted them."""
     n = len(sites)
     where = sites.neighbor_indices(IDENTITY, out_sites)
+    units = []
+    for block, run in itertools.groupby(stages, lambda stage: isinstance(stage, BlockMap)):
+        units.extend(_fused_groups(tuple(stage._stage for stage in run)) if block else run)
+    # index operations on the window's own neighbour tables only: first the
+    # window sites each unit must emit, walking back from the output sites,
+    # and on the way each group's candidate sites and the positions they read
     need = where[where >= 0]
-    needs = [need]
-    for stage in reversed(stages[1:]):
-        if not isinstance(stage, BlockMap):
+    reads = []
+    for k in range(len(units) - 1, -1, -1):
+        if isinstance(units[k], _Group):
+            reads.append(_cone_rows(units[k], sites, need))
+            if k:
+                need = np.flatnonzero(np.bincount(reads[-1][1].ravel(), minlength=n))
+        else:
+            reads.append(None)
             need = np.arange(n)
-        # a stage that reads its own site needs the whole window if its output does
-        elif len(need) < n or IDENTITY not in stage.offsets:
-            reach = _stacked(sites, stage.offsets).take(need, axis=1)
-            need = np.flatnonzero(np.bincount(reach[reach >= 0], minlength=n))
-        needs.append(need)
-    # then each stage's steps; ``rows`` holds each window site's row in the
+    # then each unit's steps; ``rows`` holds each window site's row in the
     # current matrix, -1 if not emitted, and a last -1 that index -1 reads
-    rows, emit = np.append(np.arange(n), -1), np.arange(n)
+    rows, emit = _read_only(np.append(np.arange(n), -1)), np.arange(n)
     steps = []
-    for stage, need in zip(stages, reversed(needs)):
-        if isinstance(stage, BlockMap):
-            table = rows.take(_stacked(sites, stage.offsets).take(need, axis=1))
+    for unit, read in zip(units, reversed(reads)):
+        if read is not None:
+            candidates, cone = read
+            table = rows.take(cone)
             defined = np.flatnonzero((table >= 0).all(axis=0))
-            steps.append(BlockStep(need.take(defined), table.take(defined, axis=1), stage._lookup,
-                                   stage.input_alphabet.size, _index_dtype(stage._lookup.size)))
+            steps.append(BlockStep(_read_only(candidates.take(defined)), _read_only(table.take(defined, axis=1)),
+                                   unit.lookup, unit.size, unit.index_dtype))
         else:
             if len(emit) < n:
-                steps.append(GatherStep(np.arange(n), rows[:n], False))
-            steps.extend(stage.plan(sites, sites))
+                steps.append(GatherStep(_read_only(np.arange(n)), rows[:n], False))
+            steps.extend(unit.plan(sites, sites))
         emit = steps[-1].emit
         rows = np.full(n + 1, -1)
         rows[emit] = np.arange(len(emit))
+        rows.setflags(write=False)
     # the empty composition still copies its input
     if not steps or not np.array_equal(emit, where):
-        steps.append(GatherStep(where, rows[where], bool(rows[where].min(initial=0) >= 0)))
+        last = _read_only(rows[where])
+        steps.append(GatherStep(where, last, bool(last.min(initial=0) >= 0)))
     return Plan(steps)
 
 
@@ -523,8 +641,9 @@ class ComposedMap(FactorMap):
     An empty composition is the identity.
 
     Batch evaluation compiles the stages by ``_compile_stages``, as a lone
-    ``BlockMap`` compiles itself, so the result equals stage-by-stage
-    evaluation on the full window restricted to ``out_sites``.  Stages
+    ``BlockMap`` compiles itself, adjacent block stages fused into groups,
+    so the result equals stage-by-stage evaluation on the full window
+    restricted to ``out_sites``.  Stages
     run by their plans, so a stage whose class has an ``apply_batch`` of
     its own but no plan compiler is refused (NotImplementedError).
     """

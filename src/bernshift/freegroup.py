@@ -159,7 +159,7 @@ MAX_INT64_LETTERS = 31
 
 def _longest(codes: np.ndarray) -> int:
     """Letters in the longest word: the n with 4**n <= 3 * code + 1 < 4**(n + 1)."""
-    return ((3 * int(codes.max()) + 1).bit_length() - 1) // 2 if len(codes) else 0
+    return ((3 * int(codes.max()) + 1).bit_length() - 1) // 2 if codes.size else 0
 
 
 def _dtype(codes: np.ndarray, extra: int = 0):
@@ -444,8 +444,9 @@ class SiteSet:
             table = np.full((len(walked), len(first)), -1, dtype=np.int64)
             for k, (rows, cur) in enumerate(walked):
                 table[k, rows] = cur
+            # the view's base too: a write into it would change every later star plan
+            table.setflags(write=False)
             padded = table.T
-            padded.setflags(write=False)
             lengths.setflags(write=False)
             cached = (padded, lengths)
             self._rays[key] = cached

@@ -162,6 +162,64 @@ def plain_alphabet(name, symbols) -> Alphabet:
     return Alphabet(name, tuple(symbols), tag="plain")
 
 
+# The largest table a group of fused block stages may hold, by the grouping rule.
+FUSED_ENTRIES = 1 << 16
+
+
+def read_cone(group) -> list:
+    """The read cone of a group of block stages: the products o_last...o_first
+    of one offset per stage, listed level by level from e with the last
+    stage's offsets first, each product where it first appears.  A fused
+    step's table rows and flat index read the cone in this order."""
+    level = [IDENTITY]
+    for stage in reversed(group):
+        level = list(dict.fromkeys(mul(p, o) for p in level for o in stage.offsets))
+    return level
+
+
+def plan_units(stages) -> list:
+    """The units a plan runs for ``stages``, in order: a list of stages for
+    each group of adjacent block stages, and any other stage on its own.  A
+    block stage joins the group before it while the group's first input
+    alphabet size to the power of its read cone's size stays within
+    FUSED_ENTRIES, and always if its one offset is e."""
+    units = []
+    for stage in stages:
+        if isinstance(stage, BlockMap) and units and isinstance(units[-1], list):
+            size = units[-1][0].input_alphabet.size
+            if stage.offsets == (IDENTITY,) or size ** len(read_cone(units[-1] + [stage])) <= FUSED_ENTRIES:
+                units[-1].append(stage)
+                continue
+        units.append([stage] if isinstance(stage, BlockMap) else stage)
+    return units
+
+
+def group_sites(group) -> SiteSet:
+    """M, every site a group's output at e passes through: e, the read cone
+    and the sites of the stages in between."""
+    return ComposedMap(group).dependency_sites(SiteSet([IDENTITY]), 0)
+
+
+def fused_table(group) -> np.ndarray:
+    """A group's table by brute force: every input of its read cone (the
+    first cone site the most significant digit), -1 on M's other sites, run
+    through the stages one at a time on the window M; the output at e."""
+    cone, sites = read_cone(group), group_sites(group)
+    size = group[0].input_alphabet.size
+    values = np.full((len(sites), size ** len(cone)), -1, dtype=np.int64)
+    values[[sites.position(r) for r in cone]] = np.indices((size,) * len(cone)).reshape(len(cone), values.shape[1])
+    for stage in group:
+        padded = np.vstack([values, np.full((1, values.shape[1]), -1)])  # row -1: off the window
+        flat, valid = np.zeros(values.shape, dtype=np.int64), np.ones(values.shape, dtype=bool)
+        for off in stage.offsets:
+            pos = [sites.position(mul(g, off)) for g in sites]
+            col = padded[[-1 if j is None else j for j in pos]]
+            valid &= col >= 0
+            flat = flat * stage.input_alphabet.size + np.maximum(col, 0)
+        values = np.where(valid, stage.table.ravel()[flat], -1)
+    return values[sites.position(IDENTITY)]
+
+
 def naive_reduce(letters):
     """Repeatedly delete the first adjacent inverse pair until none remain."""
     w = list(letters)

@@ -36,6 +36,8 @@ from oracles import (
     first_bits_direct,
     mul,
     ow_direct,
+    plan_units,
+    read_cone,
     relabel_inverse,
     star_direct,
     timar_bits,
@@ -591,25 +593,23 @@ def test_composed_cone_matches_full_window_evaluation(m, window):
 def test_composed_stage_windows_stay_inside_the_input_window():
     for m in (1, 2, 3):
         fmap = timar(m)
+        # timar:1 to timar:3 fuse into one group: one block step for all their stages
+        (group,) = plan_units(fmap.stages)
+        assert group == list(fmap.stages)
         for r_in, out_sites in ((2, ball(1)), (m + 1, _B1_SHIFTED), (1, ball(3))):
             sites = ball(r_in)
-            steps = [step for step in fmap.plan(sites, out_sites) if isinstance(step, factormaps.BlockStep)]
-            assert len(steps) == len(fmap.stages)
-            # the sites each stage's output must cover: the later stages' cones
-            cones = [out_sites]
-            for stage in reversed(fmap.stages[1:]):
-                cones.insert(0, stage.dependency_sites(cones[0], 0))
+            (step,) = [step for step in fmap.plan(sites, out_sites) if isinstance(step, factormaps.BlockStep)]
+            # window indices, in order: the group's sites inside the input window
+            window = step.emit
+            assert (np.diff(window) > 0).all() and ((window >= 0) & (window < len(sites))).all()
+            # exactly the output sites where the stages, run one at a time on the
+            # whole window from a total input, are defined; so its table is complete
             cur = np.zeros((len(sites), 1), dtype=np.int8)
-            for stage, cone, step in zip(fmap.stages, cones, steps):
-                # window indices, in order: the stage's sites inside the input window
-                window = step.emit
-                assert (np.diff(window) > 0).all() and ((window >= 0) & (window < len(sites))).all()
-                # exactly the cone's sites where the stage, run on the whole window
-                # from a total input, is defined; so its table is complete
+            for stage in group:
                 cur = stage.apply_batch(cur, sites, sites)
-                want = (cur[:, 0] >= 0) & (cone.indices_of(sites) >= 0)
-                assert window.tolist() == np.flatnonzero(want).tolist()
-                assert (step.table >= 0).all()
+            want = (cur[:, 0] >= 0) & (out_sites.indices_of(sites) >= 0)
+            assert window.tolist() == np.flatnonzero(want).tolist()
+            assert (step.table >= 0).all() and len(step.table) == len(read_cone(group))
 
 
 def test_composed_cone_with_a_star_stage():

@@ -300,3 +300,13 @@ def test_ray_tables_store_each_step_as_one_contiguous_column():
     for rays, _ in (sites.ray_indices(GEN_A), sites.ray_indices(GEN_B, ball(2))):
         # the star kernel walks rays.T one step at a time
         assert rays.T.flags.c_contiguous and not rays.flags.writeable
+
+
+def test_a_ray_table_cannot_be_written_through_the_array_under_its_view():
+    # the cached view is the transpose of the table every later star plan on
+    # the window reads; a write into its base used to change them all
+    for rays, lengths in (ball(2).ray_indices(GEN_A), ball(3).ray_indices(GEN_B, ball(1))):
+        for table in (rays, rays.base, lengths):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[...] = 0

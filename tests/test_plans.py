@@ -1,8 +1,10 @@
 """Compiled evaluation plans: a plan's output equals stage-by-stage
 evaluation on the whole window restricted to the output sites, on the
-windows the property checks use; each step emits the window sites that
-stage-by-stage evaluation defines and holds only read-only tables; and
-plans are memoized on the input window instance."""
+windows the property checks use; adjacent block stages run as fused
+groups, each one block step whose table equals its stages run one at a
+time on every input of its read cone; each step emits the window sites
+that stage-by-stage evaluation defines and holds only read-only tables;
+and plans are memoized on the input window instance."""
 
 import numpy as np
 import pytest
@@ -24,11 +26,12 @@ from bernshift import (
     timar,
     timar_stage,
 )
+from bernshift import factormaps
 from bernshift.config import symbol_dtype
 from bernshift.factormaps import BlockStep, GatherStep, Plan, StarMap, StarStep
 from bernshift.freegroup import translated_sites
 
-from oracles import plain_alphabet
+from oracles import fused_table, group_sites, plain_alphabet, plan_units, read_cone
 
 STAR1, STAR2 = star_alphabet(1), star_alphabet(2)
 A, B = Word.parse("a"), Word.parse("b")
@@ -44,6 +47,13 @@ def _star_stages():
     return swap01, look_a, cycle5, spread, look_b
 
 
+def _look_group():
+    """One fused group whose stages do not read their own site: its read cone
+    is {ba}, and b, a site it passes through, is not in the cone."""
+    _, _, cycle5, _, look_b = _star_stages()
+    return ComposedMap([cycle5, BlockMap("look_a5", STAR2, STAR2, (A,), np.arange(5)), look_b])
+
+
 def _wide_code():
     """A two-offset block code over 150 symbols: int64 inputs and outputs
     around an int16 flat index (150^2 entries)."""
@@ -54,9 +64,18 @@ def _wide_code():
 def _maps():
     """(map, window radius, input symbols) for every plan kind."""
     swap01, look_a, cycle5, spread, look_b = _star_stages()
-    # timar:5 and timar:6 end in stages of 32^3 (the int16 edge) and 64^3
-    # (int32) index entries, and timar:6 in a 128-symbol projection
+    # fused, timar:1 to timar:3 are one block step; timar:5 and timar:6 end in
+    # groups of 32^3 (the int16 edge) and 64^3 (int32) index entries, the
+    # last with the 128-symbol projection folded in
     cases = {f"timar:{m}": (timar(m), m + 1, 2) for m in (1, 2, 3, 4, 5, 6)}
+    cases["cycle5+look_a+look_b"] = (_look_group(), 3, 5)
+    # a group whose read cone is empty (a constant last stage), and a group
+    # whose first stage reads one site twice, so its cone is smaller than its offsets
+    bits = plain_alphabet("bits", (0, 1))
+    parity = relabel("parity", ow().output_alphabet, bits, [0, 1, 1, 0])
+    cases["ow+parity+constant"] = (ComposedMap([ow(), parity, BlockMap("constant", bits, bits, (), np.array(1))]), 3, 2)
+    twice = BlockMap("twice", bits, bits, (IDENTITY, IDENTITY), np.array([[0, 1], [1, 1]]))
+    cases["twice+flip"] = (ComposedMap([twice, relabel("flip", bits, bits, [1, 0])]), 3, 2)
     cases["wide"] = (_wide_code(), 3, 150)
     cases.update({spec: (parse_map_spec(spec), 3, 2) for spec in ("ow", "coinduced:identity", "coinduced:swap")})
     cases["empty"] = (ComposedMap([]), 2, 2)
@@ -176,8 +195,11 @@ def test_block_plans_compute_flat_indices_in_the_narrowest_dtype():
     for stage, index in _INDEX_EDGES.values():
         step, = [step for step in stage.plan(sites, sites) if type(step) is BlockStep]  # a lone block code's one
         assert step.index_dtype == index
-    steps = [step for step in timar(6).plan(sites, sites) if type(step) is BlockStep]
-    assert [step.index_dtype for step in steps] == [np.int8, np.int8, np.int16, np.int16, np.int16, np.int32, np.int8]
+    # and for the fused groups of a composition: 2^3 and 2^7 entries, 2^15,
+    # then 16^3, 32^3 and 64^3
+    dtypes = {m: [step.index_dtype for step in timar(m).plan(sites, sites) if type(step) is BlockStep]
+              for m in (1, 2, 3, 6)}
+    assert dtypes == {1: [np.int8], 2: [np.int8], 3: [np.int16], 6: [np.int16, np.int16, np.int16, np.int32]}
 
 
 @pytest.mark.parametrize("case", list(_MAPS))
@@ -268,9 +290,19 @@ def test_a_plan_is_a_flat_tuple_of_steps_whose_arrays_are_read_only(case):
                 # no plan holds another plan, a window or a map
                 assert not isinstance(field, (Plan, SiteSet, FactorMap))
                 if isinstance(field, np.ndarray):
-                    assert not field.flags.writeable
+                    # nor does an array under it, which a view's writes reach
+                    assert not _writable(field)
                     with pytest.raises(ValueError):
                         field[...] = 0
+
+
+def _writable(array) -> bool:
+    """Whether ``array`` or any array under it, which it views, takes writes."""
+    while isinstance(array, np.ndarray):
+        if array.flags.writeable:
+            return True
+        array = array.base
+    return False
 
 
 def _check_gather(step, emit, want):
@@ -293,35 +325,40 @@ def _check_emits(fmap, sites, out_sites):
     if isinstance(fmap, StarMap):  # one step, which emits its centres
         assert [type(step) for step in plan] == [StarStep]
         return
-    stages = fmap.stages if isinstance(fmap, ComposedMap) else (fmap,)
-    # the window sites each stage must emit, walking back from the output
-    # sites: the sites a later block stage reads, or the whole window that a
-    # later star stage or composition maps
+    units = plan_units(fmap.stages if isinstance(fmap, ComposedMap) else (fmap,))
+    # the window sites each unit must emit, walking back from the output
+    # sites: the read cones of a later group's sites g whose group sites g*M
+    # all lie in the window, or the whole window that a later star stage or
+    # composition maps
     needs = [np.isin(np.arange(n), where)]
-    for stage in reversed(stages[1:]):
+    for unit in reversed(units[1:]):
         need = np.ones(n, dtype=bool)
-        if isinstance(stage, BlockMap):
-            need = np.isin(np.arange(n), [sites.neighbor_indices(off)[needs[0]] for off in stage.offsets])
+        if isinstance(unit, list):
+            inside = needs[0] & np.logical_and.reduce([sites.neighbor_indices(m) >= 0 for m in group_sites(unit)])
+            need = np.isin(np.arange(n), [sites.neighbor_indices(r)[inside] for r in read_cone(unit)])
         needs.insert(0, need)
     defined, emit = np.ones(n, dtype=bool), np.arange(n)  # a total input, one row per window site
-    for stage, need in zip(stages, needs):
-        if isinstance(stage, BlockMap):
-            # the stage on the whole window, from the sites defined so far
-            defined = _block_on_window(stage, np.where(defined, 0, -1)[:, None], sites)[:, 0] >= 0
+    for unit, need in zip(units, needs):
+        if isinstance(unit, list):
+            # the group's stages on the whole window, one at a time, from the sites defined so far
+            for stage in unit:
+                defined = _block_on_window(stage, np.where(defined, 0, -1)[:, None], sites)[:, 0] >= 0
             step = plan.pop(0)
             assert type(step) is BlockStep
             np.testing.assert_array_equal(step.emit, np.flatnonzero(need & defined))
-            for off, rows in zip(stage.offsets, step.table):
-                np.testing.assert_array_equal(emit[rows], sites.neighbor_indices(off)[step.emit])
+            # one table row per read cone site, in the cone's order
+            assert len(step.table) == len(read_cone(unit))
+            for r, rows in zip(read_cone(unit), step.table):
+                np.testing.assert_array_equal(emit[rows], sites.neighbor_indices(r)[step.emit])
         else:
             # the stage's own plan on the whole window, spliced in after a
             # gather that widens to the window; it emits the whole window
             if len(emit) < n:
                 _check_gather(plan.pop(0), emit, np.arange(n))
-            inner = list(stage.plan(sites, sites))
+            inner = list(unit.plan(sites, sites))
             assert all(a is b for a, b in zip(plan, inner))
             del plan[: len(inner)]
-            _check_emits(stage, sites, sites)
+            _check_emits(unit, sites, sites)
             step, defined = inner[-1], np.ones(n, dtype=bool)
         emit = step.emit
     # a final gather onto the output sites, unless the last stage emitted them
@@ -338,3 +375,56 @@ def test_each_step_emits_the_sites_that_stage_by_stage_evaluation_defines(case):
     for sites, out_sites in ((base, base), (base, ball(1)), (base, ball(r + 1)), (moved, moved),
                              (moved, translated_sites(ball(r + 1), Word.parse("bA"))[0]), (base, SiteSet([]))):
         _check_emits(fmap, sites, out_sites)
+
+
+def test_adjacent_block_stages_run_as_few_fused_steps():
+    # greedy groups within 2^16 table entries, the projection folded in
+    counts = {m: sum(type(step) is BlockStep for step in timar(m).plan(ball(3), ball(3))) for m in range(1, 7)}
+    assert counts == {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 4}
+    # a star stage ends a run: the block stages on either side of it fuse apart
+    assert [len(unit) if isinstance(unit, list) else unit for unit in plan_units(_MAPS["star_middle"][0].stages)] \
+        == [2, _MAPS["star_middle"][0].stages[2], 2]
+
+
+_FUSED = ("timar:1", "timar:2", "timar:3", "timar:4", "timar:5", "timar:6", "cycle5+look_a+look_b", "star_middle",
+          "ow+parity+constant", "twice+flip")
+
+
+@pytest.mark.parametrize("case", _FUSED)
+def test_each_fused_table_equals_its_stages_on_every_input_of_its_read_cone(case):
+    fmap, r, symbols = _MAPS[case]
+    units = [unit for unit in plan_units(fmap.stages) if isinstance(unit, list)]
+    tables = [fused_table(unit) for unit in units]
+    for unit in units:
+        assert {*read_cone(unit), IDENTITY} <= set(group_sites(unit))
+    rng = np.random.default_rng(len(case))
+    base = ball(r)
+    moved = translated_sites(base, Word.parse("bA"))[0]
+    holey = SiteSet(w for w in base if rng.random() < 0.7)  # a subset with holes
+    for sites, out_sites in ((base, base), (moved, moved), (holey, holey), (holey, ball(r + 1)), (base, moved)):
+        plan = fmap.plan(sites, out_sites)
+        steps = [step for step in plan if type(step) is BlockStep]
+        assert len(steps) == len(units)
+        for step, unit, table in zip(steps, units, tables):
+            size = unit[0].input_alphabet.size
+            assert step.size == size and step.lookup.size == size ** len(read_cone(unit))
+            np.testing.assert_array_equal(step.lookup, table)
+        # and the steps' reads and outputs on this window, holes in the input too
+        _check_emits(fmap, sites, out_sites)
+        _check(fmap, _values(rng, symbols, len(sites), np.int8), sites, out_sites)
+    # one table per group, shared by an equal map built apart and read-only
+    again = [step for step in parse_map_spec(case).plan(base, base) if type(step) is BlockStep] \
+        if case.startswith("timar") else []
+    assert all(a.lookup is b.lookup for a, b in zip(again, steps))
+    assert not any(_writable(step.lookup) for step in steps)
+
+
+def test_fused_tables_are_built_at_the_first_compile_not_when_a_map_is_built():
+    # building a map fuses nothing, so parsing one costs what it did unfused
+    calls = factormaps._fused_groups.cache_info()
+    fmap = parse_map_spec("timar:3")
+    assert factormaps._fused_groups.cache_info() == calls
+    assert all("_stage" not in vars(stage) for stage in fmap.stages)
+    fmap.plan(ball(2), ball(2))
+    after = factormaps._fused_groups.cache_info()
+    assert after.hits + after.misses == calls.hits + calls.misses + 1
