@@ -283,11 +283,18 @@ class CosetTable(NamedTuple):
 
     ``reps`` is the site set of the canonical representative of every
     coset that meets the set (its Words are decoded when first asked).
+    The same sites as held slots, coset-major and by ascending a-exponent
+    within a coset: slot k is site ``order[k]``, which is
+    ``reps[c] * a**exponent[k]`` for the coset c with
+    ``offsets[c] <= k < offsets[c + 1]``.
     """
 
     reps: "SiteSet"
     coset: np.ndarray
     power: np.ndarray
+    offsets: np.ndarray
+    exponent: np.ndarray
+    order: np.ndarray
 
 
 class SiteSet:
@@ -454,7 +461,8 @@ class SiteSet:
 
     def coset_table(self) -> CosetTable:
         """Each site's <a>-coset number and a-exponent, from stripping the
-        trailing a-digits of every code (no group multiplication)."""
+        trailing a-digits of every code (no group multiplication), and the
+        sites in slot order, from one sort."""
         if self._cosets is None:
             object.__setattr__(self, "_cosets", _build_coset_table(self.codes))
         return self._cosets
@@ -482,11 +490,33 @@ def strip_a_codes(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _build_coset_table(codes: np.ndarray) -> CosetTable:
+    """One sort of the sites by (representative, a-exponent): the key
+    rep * (2w + 1) + power + w, in a dtype that holds it."""
     rep, power = strip_a_codes(codes)
-    rep_codes, coset = np.unique(rep, return_inverse=True)
-    coset.setflags(write=False)
-    power.setflags(write=False)
-    return CosetTable(SiteSet._from_sorted(rep_codes), coset, power)
+    w = _longest(codes)
+    width = 2 * w + 1
+    if rep.dtype != object and rep.size and int(rep.max()) * width + 2 * w > np.iinfo(np.int64).max:
+        rep = rep.astype(object)
+    key = rep  # a fresh array: the key is built in its place
+    key *= width
+    key += power
+    key += w
+    order = np.argsort(key)
+    key = key.take(order)
+    key //= width  # the representative of every slot
+    first = np.empty(len(key), dtype=bool)
+    first[:1] = True
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    slot_coset = np.cumsum(first)
+    slot_coset -= 1
+    coset = np.empty_like(slot_coset)
+    coset[order] = slot_coset
+    offsets = np.append(starts, len(key))
+    exponent = power.take(order)
+    for arr in (coset, power, offsets, exponent, order):
+        arr.setflags(write=False)
+    return CosetTable(SiteSet._from_sorted(key.take(starts)), coset, power, offsets, exponent, order)
 
 
 @functools.lru_cache(maxsize=512)

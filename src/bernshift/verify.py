@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .coinduce import act_grid, agree_grid, cocycles, merge_grid, split_grid
+from .coinduce import act_slots, agree_slots, cocycles, merge_slots, split_layout, split_slots
 from .config import (
     DEFAULT_ENUMERATION_CAP,
     Configuration,
@@ -434,15 +434,15 @@ def check_coset_roundtrip(r: int, trials: int, seed: int) -> PropertyReport:
     for lo, hi in _chunks(trials, block_rows(8 * len(highs))):
         draws = rng.integers(0, highs, size=(hi - lo, len(highs)))
         xs, picks = draws[:, :-1].T.astype(symbol_dtype(2), order="C"), draws[:, -1]
-        reps, grid = split_grid(sites, xs)
-        merged_sites, merged = merge_grid(reps, grid)
+        layout, split = split_slots(sites, xs)
+        merged_sites, merged = merge_slots(layout, split)
         back = merged_sites.indices_of(sites)
         lost = np.where(back[:, None] >= 0, merged[back], -1) != xs  # -1: a site the merge lost
         bad = {int(col): {"kind": "roundtrip", "site": str(sites[int(np.argmax(lost[:, col]))])}
                for col in np.flatnonzero(lost.any(axis=0))}
         for g, cols, moved_sites, _, moved in _translated_by_g(sites, g_pool, picks, xs):
-            lhs_reps, lhs = split_grid(moved_sites, moved)
-            for col, mismatch in agree_grid(lhs_reps, lhs, reps, act_grid(g, reps, grid[:, :, cols])).items():
+            lhs = split_slots(moved_sites, moved)
+            for col, mismatch in agree_slots(*lhs, *act_slots(g, layout, split[:, cols])).items():
                 bad.setdefault(int(cols[col]), {"kind": "equivariance", "g": str(g), **mismatch})
         failures += len(bad)
         if bad and first is None:
@@ -455,24 +455,24 @@ def exact_coset_pushforward(r: int = 2, *, threads: int = 1) -> PushforwardRepor
     """Exact-uniformity counting for the coset-splitting map on binary
     inputs over ball(r).
 
-    The slot-to-site table is extracted by splitting the site numbers
-    through the real conjugacy (not assumed), then every binary input is
-    enumerated and the joint pattern over a fixed slot window
-    (representatives of length <= 1, positions |j| <= 1) is tallied; the
-    split is measure-preserving iff all counts are equal.
+    The slot-to-site table is read off the layout of the real conjugacy
+    (not assumed), then every binary input is enumerated and the joint
+    pattern over a fixed slot window (representatives of length <= 1,
+    positions |j| <= 1) is tallied; the split is measure-preserving iff
+    all counts are equal.
     """
     _require_threads(threads)
     sites = ball(r)
     n = len(sites)
     if 2**n > DEFAULT_ENUMERATION_CAP:
         raise EnumerationTooLarge(f"2^{n} inputs exceed cap")
-    reps, split = split_grid(sites, np.arange(n), 1)
-    # the window's rows: representatives of length <= 1, i.e. codes <= 4
-    rows = np.flatnonzero(reps.codes <= 4)
-    held = split[rows] >= 0
-    site_idx = split[rows][held]
+    layout = split_layout(sites, 1)
+    # the window's slots: those of the representatives of length <= 1, i.e. codes <= 4, which come first
+    slots = int(layout.offsets[np.count_nonzero(layout.reps.codes <= 4)])
+    site_idx = layout.order[:slots]
     total = 1 << n
     inputs = functools.partial(index_matrix, 2, n)
     counts, truncated = _tally(lambda values: values[site_idx], 2, inputs, _chunks(total), threads)
-    output_sites = (f"{reps[int(rows[i])]}.a^{j - 1}" for i, j in zip(*np.nonzero(held)))
+    cosets, exponents = layout.slot_cosets[:slots].tolist(), layout.exponent[:slots].tolist()
+    output_sites = (f"{layout.reps[c]}.a^{j}" for c, j in zip(cosets, exponents))
     return _exact_report(("coset_split", "U2", "U2"), map(str, sites), output_sites, total, counts, truncated)

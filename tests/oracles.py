@@ -13,6 +13,7 @@ split-apply-merge lift that ``CoinducedCellMap`` replaced, a point mass,
 a random reduced word and a plain alphabet.
 """
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -42,9 +43,9 @@ from bernshift import (
     to_coset_config,
     translate,
 )
-from bernshift.coinduce import NotInSubgroup, a_exponents, coset_configs_agree
+from bernshift.coinduce import NotInSubgroup, _slot_codes, _window, a_exponents, cocycles, coset_configs_agree
 from bernshift.config import DEFAULT_ENUMERATION_CAP
-from bernshift.freegroup import GEN_A, GEN_A_INV, GEN_B, GEN_B_INV, decode, random_reduced_codes
+from bernshift.freegroup import GEN_A, GEN_A_INV, GEN_B, GEN_B_INV, _longest, decode, encode, random_reduced_codes
 
 
 def mul(g1: Word, g2: Word) -> Word:
@@ -301,6 +302,100 @@ def merge_direct(y: CosetConfiguration) -> Configuration:
     for word, v in pairs:
         values[sites.position(word)] = v
     return Configuration(y.alphabet, sites, values)
+
+
+# The dense coset kernels the held-slot ones replaced, kept verbatim but for
+# their names: every coset holds all 2w + 1 positions of its window in one
+# (n_cosets, 2w + 1, ...) grid, -1 where no site.
+
+
+@functools.lru_cache(maxsize=512)
+def _act_gather_dense(coset_sites: SiteSet, window: int, g: Word) -> tuple[np.ndarray, ...]:
+    """Where the action of g reads each slot from: (row, column, inside).
+
+    With g^-1 c = rep(g^-1 c) * a**m the cocycle exponent is -m, so slot
+    (c, j) reads slot (g^-1 c, j + m), unless that coset is not stored or
+    j + m is off the window.  Cached like ``translated_sites``.
+    """
+    src, e = cocycles(encode([g]), coset_sites.codes)
+    rows = coset_sites._find(src)
+    width = 2 * window + 1
+    cols = np.arange(width) - e[:, None]
+    inside = (rows >= 0)[:, None] & (cols >= 0) & (cols < width)
+    gather = (np.maximum(rows, 0)[:, None], np.clip(cols, 0, width - 1), inside)
+    for arr in gather:
+        arr.setflags(write=False)
+    return gather
+
+
+def act_grid_dense(g: Word, reps: SiteSet, grid: np.ndarray) -> np.ndarray:
+    """The coinduced action on an (n_cosets, 2w + 1, rows) grid over the
+    representatives ``reps``: the entry at coset c is the a-shift, by the
+    cocycle exponent, of the entry at coset g^-1 c.
+
+    One gather of the grid.  Cosets whose source falls outside ``reps``
+    become undefined, as do window positions shifted off the edge.
+    """
+    rows, cols, inside = _act_gather_dense(reps, grid.shape[1] // 2, g)
+    return np.where(inside[..., None], grid[rows, cols], -1)
+
+
+def split_grid_dense(sites: SiteSet, values: np.ndarray, window: int | None = None) -> tuple[SiteSet, np.ndarray]:
+    """Split values on ``sites`` (one row per site, any trailing shape)
+    along <a>-cosets: the representatives, and the (n_cosets, 2w + 1, ...)
+    grid whose entry (c, j) is the value at rep(c) * a^j, -1 where no site.
+
+    This is the conjugacy between the shift on group-indexed points and
+    the coinduced action on coset-indexed ones; on finite windows it is a
+    pure re-indexing bijection of sites, compiled once per site set
+    (``SiteSet.coset_table``), so a split is one scatter into the grid.
+    The window defaults to the longest site length; with a smaller
+    explicit window, sites farther than it along their coset are dropped.
+    """
+    table = sites.coset_table()
+    w = _window(window) if window is not None else _longest(sites.codes)
+    keep = np.abs(table.power) <= w
+    grid = np.full((len(table.reps), 2 * w + 1, *values.shape[1:]), -1, dtype=values.dtype)
+    grid[table.coset[keep], table.power[keep] + w] = values[keep]
+    return table.reps, grid
+
+
+def merge_grid_dense(reps: SiteSet, grid: np.ndarray) -> tuple[SiteSet, np.ndarray]:
+    """Merge an (n_cosets, 2w + 1, ...) grid over the representatives
+    ``reps`` back to group-indexed values: the value at g is the entry at
+    (gH, a-exponent of g).
+
+    The result's sites are the slots rep(c) * a^j that hold a value (>= 0)
+    in at least one entry of their trailing axes, so a grid with no columns
+    merges to the empty set.  Taken position by position, the held slots'
+    codes (``_slot_codes``) are sorted runs, which one stable sort merges
+    into shortlex order; the values are gathered from the grid in it.
+    """
+    w = grid.shape[1] // 2
+    held = (grid.swapaxes(0, 1) >= 0).any(axis=tuple(range(2, grid.ndim)))  # position-major
+    pos, coset = divmod(np.flatnonzero(held), len(reps))
+    slots = _slot_codes(reps.codes[coset], pos, w)
+    order = np.argsort(slots, kind="stable")
+    sites = SiteSet._from_sorted(slots.take(order, out=slots))  # sorted in place
+    return sites, grid[coset.take(order), pos.take(order)]
+
+
+def agree_grid_dense(reps1: SiteSet, grid1: np.ndarray, reps2: SiteSet, grid2: np.ndarray) -> dict[int, dict]:
+    """Each column's first disagreement on the common defined slots of two (n_cosets, 2w + 1, rows)
+    grids, in (coset of grid1, position) order, keyed by column; columns that agree are absent."""
+    w1, w2 = grid1.shape[1] // 2, grid2.shape[1] // 2
+    w = min(w1, w2)
+    rows = reps2.indices_of(reps1)
+    common = np.flatnonzero(rows >= 0)
+    lhs = grid1[common, w1 - w : w1 + w + 1]
+    rhs = grid2[rows[common], w2 - w : w2 + w + 1]
+    bad = ((lhs >= 0) & (rhs >= 0) & (lhs != rhs)).reshape(-1, lhs.shape[2])
+    found = {}
+    for c in np.flatnonzero(bad.any(axis=0)).tolist():
+        i, k = divmod(int(np.argmax(bad[:, c])), 2 * w + 1)
+        found[c] = {"coset": str(reps1[int(common[i])]), "position": k - w,
+                    "lhs": int(lhs[i, k, c]), "rhs": int(rhs[i, k, c])}
+    return found
 
 
 def cocycle_direct(g: Word, c: Word) -> int:

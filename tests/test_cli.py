@@ -250,6 +250,18 @@ def test_coinduce_Jinv_refuses_a_window_that_is_no_nonnegative_integer(capsys, t
     assert code == 2 and data == {"error": {"code": "ValueError", "message": message}}
 
 
+@pytest.mark.parametrize("tool", [("act", "b"), ("Jinv",)])
+@pytest.mark.parametrize("symbol", [7, -3, 2])
+def test_coinduce_refuses_a_symbol_outside_the_alphabet(capsys, tmp_path, tool, symbol):
+    # U2's symbols are 0 and 1; null, not -1, marks an undefined slot in JSON
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"alphabet": "U2", "cosets": ["e", "b"], "window": 1,
+                                "values": [[0, symbol, None], [1, 0, 1]]}))
+    code, data = run_cli_strict(capsys, "coinduce", *tool, "--input", str(path))
+    message = f"symbol index {symbol} out of range for U2"
+    assert code == 2 and data == {"error": {"code": "ValueError", "message": message}}
+
+
 def test_coinduce_act(capsys, tmp_path):
     x = sample(uniform(bit_alphabet(1)), ball(2), 12)
     cfg = tmp_path / "x.json"

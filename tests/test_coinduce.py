@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -20,12 +22,16 @@ from bernshift import (
     uniform,
 )
 from bernshift import coinduce, coinduced_map, freegroup, verify
-from bernshift.coinduce import NotInSubgroup, act_grid, cocycles, coset_configs_agree, merge_grid, split_grid
-from bernshift.freegroup import encode, strip_a_codes, translated_sites
+from bernshift.coinduce import NotInSubgroup, SlotLayout, act_slots, agree_slots, cocycles, coset_configs_agree
+from bernshift.coinduce import grid_of_slots, merge_slots, slots_of_grid, split_slots
+from bernshift.config import index_matrix
+from bernshift.freegroup import GEN_A, encode, strip_a_codes, translated_sites
 
 from oracles import (
     ZBlockMap,
     a_power_decomposition,
+    act_grid_dense,
+    agree_grid_dense,
     cocycle_direct,
     coinduce_factor,
     coinduce_factor_direct,
@@ -33,14 +39,17 @@ from oracles import (
     coinduced_lift_direct,
     coset_configs_agree_direct,
     full_group_act,
+    gen_power,
     inv,
     merge_direct,
+    merge_grid_dense,
     mul,
     plain_alphabet,
     random_word,
     relabel_inverse,
     shortlex_key,
     split_direct,
+    split_grid_dense,
     z_relabel,
 )
 
@@ -268,7 +277,7 @@ def test_coinduced_act_preserves_iid_marginals():
     n, window = 40_000, 2
     # draw k is row k: the stream of n ``_coset_sample`` calls, stacked into one grid
     grid = rng.integers(0, 2, (n, len(reps), 2 * window + 1)).transpose(1, 2, 0)
-    v = act_grid(Word.parse("ba"), reps, grid)[reps.position(IDENTITY), window]
+    v = grid_of_slots(*act_slots(Word.parse("ba"), *slots_of_grid(reps, grid)))[reps.position(IDENTITY), window]
     assert (v >= 0).all()  # this slot stays defined under g
     assert abs(v.mean() - 0.5) < 0.01
 
@@ -415,7 +424,7 @@ def test_a_multi_column_grid_merges_to_the_union_of_held_slots():
     for sites in (ball(3), SiteSet(_LONG_WORDS + ball(1).words)):
         xs = [_partial_config(rng, sites, p_none=0.6) for _ in range(3)]
         values = np.stack([x.indices for x in xs], axis=1)
-        merged_sites, merged = merge_grid(*split_grid(sites, values))
+        merged_sites, merged = merge_slots(*split_slots(sites, values))
         union = SiteSet.from_codes(sites.codes[(values >= 0).any(axis=1)])
         assert merged_sites == union and len(union) < len(sites)
         for col, x in enumerate(xs):
@@ -424,7 +433,7 @@ def test_a_multi_column_grid_merges_to_the_union_of_held_slots():
 
 def test_a_grid_with_no_columns_merges_to_the_empty_set():
     for sites in (ball(3), SiteSet(_LONG_WORDS)):
-        merged_sites, merged = merge_grid(*split_grid(sites, np.zeros((len(sites), 0), dtype=np.int64)))
+        merged_sites, merged = merge_slots(*split_slots(sites, np.zeros((len(sites), 0), dtype=np.int64)))
         assert len(merged_sites) == 0 and merged.shape == (0, 0)
 
 
@@ -465,16 +474,165 @@ def test_exact_coset_pushforward_matches_the_oracle_split(monkeypatch):
     got = verify.exact_coset_pushforward(2).to_json()
     splits = []
 
-    def oracle_split(sites, values, window=None):
+    def oracle_split(sites, window=None):
         # the site numbers as symbols of a marker alphabet, split slot by slot
         marker = plain_alphabet(f"site_index_{len(sites)}", map(str, range(len(sites))))
-        y = split_direct(Configuration(marker, sites, values), window)
+        y = split_direct(Configuration(marker, sites, range(len(sites))), window)
         splits.append(y)
-        return y.coset_sites, y.grid
+        return SlotLayout(y.coset_sites, y.window, y.layout.offsets, y.layout.exponent, sites, y.slot_values)
 
-    monkeypatch.setattr(verify, "split_grid", oracle_split)
+    monkeypatch.setattr(verify, "split_layout", oracle_split)
     assert got == verify.exact_coset_pushforward(2).to_json()
     assert len(splits) == 1 and got["verdict"] == "pass"
+
+
+# ------------------------------------- held-slot kernels vs the dense ones
+
+_DENSE_G = ball(2).words + (Word.parse("BAbaa"), Word.parse("aaab"), Word.parse("b" * 3 + "A" * 4))
+
+
+def _holey_columns(rng, n, columns, p_hole=0.3):
+    """(n, columns) binary values with -1 holes."""
+    values = rng.integers(0, 2, (n, columns))
+    values[rng.random((n, columns)) < p_hole] = -1
+    return values
+
+
+def _assert_slot_kernels_match_the_dense_ones(sites, values, window=None):
+    layout, split = split_slots(sites, values, window)
+    reps, grid = split_grid_dense(sites, values, window)
+    assert layout.reps == reps and layout.window == grid.shape[1] // 2
+    assert np.array_equal(grid_of_slots(layout, split), grid)
+    dense_sites, dense = merge_grid_dense(reps, grid)
+    # the take back onto the split's own sites, and the sort of the slot codes of a bare layout
+    bare = SlotLayout(layout.reps, layout.window, layout.offsets, layout.exponent)
+    for merged_sites, merged in (merge_slots(layout, split), merge_slots(bare, split)):
+        assert merged_sites == dense_sites and np.array_equal(merged, dense)
+    for g in _DENSE_G:
+        moved_layout, moved = act_slots(g, layout, split)
+        moved_grid = act_grid_dense(g, reps, grid)
+        assert np.array_equal(grid_of_slots(moved_layout, moved), moved_grid)
+        assert (np.diff(moved_layout.offsets) >= 0).all()
+        for k in range(len(reps)):  # exponents ascend within every segment
+            assert (np.diff(moved_layout.exponent[moved_layout.offsets[k] : moved_layout.offsets[k + 1]]) > 0).all()
+        translated, perm = translated_sites(sites, g)
+        shifted = np.empty_like(values)
+        shifted[perm] = values
+        slots = {"moved": (moved_layout, moved), "split": (layout, split),
+                 "translated": split_slots(translated, shifted, window)}
+        dense = {"moved": (reps, moved_grid), "split": (reps, grid),
+                 "translated": split_grid_dense(translated, shifted, window)}
+        for lhs, rhs in itertools.permutations(slots, 2):
+            # the dense kernel cannot reshape an empty grid with no columns
+            want = agree_grid_dense(*dense[lhs], *dense[rhs]) if values.shape[1] else {}
+            assert agree_slots(*slots[lhs], *slots[rhs]) == want
+
+
+def _gappy_subsets(rng, r, count):
+    words = ball(r).words
+    for _ in range(count):
+        keep = rng.random(len(words)) < rng.uniform(0.2, 0.7)
+        yield SiteSet(w for w, k in zip(words, keep) if k)
+
+
+@pytest.mark.parametrize("r", range(6))
+def test_slot_kernels_match_the_dense_ones_on_balls(r):
+    rng = np.random.default_rng(90 + r)
+    sites = ball(r)
+    for window in (None, 0, 1, r + 2):
+        _assert_slot_kernels_match_the_dense_ones(sites, rng.integers(0, 2, (len(sites), 2)), window)
+        _assert_slot_kernels_match_the_dense_ones(sites, _holey_columns(rng, len(sites), 3), window)
+
+
+def test_slot_kernels_match_the_dense_ones_on_translated_balls_and_gappy_subsets():
+    rng = np.random.default_rng(96)
+    sets = [translated_sites(ball(3), g)[0] for g in (Word.parse("b"), Word.parse("BAbaa"), Word.parse("aaab"))]
+    sets += list(_gappy_subsets(rng, 4, 6))
+    # every slot carries its own exponent: some coset's held exponents are no interval
+    assert any((np.diff(s.coset_table().exponent) > 1).any() for s in sets)
+    for sites in sets:
+        for window in (None, 1, 2):
+            _assert_slot_kernels_match_the_dense_ones(sites, _holey_columns(rng, len(sites), 4), window)
+
+
+def test_slot_kernels_match_the_dense_ones_on_edge_shapes():
+    rng = np.random.default_rng(97)
+    long_sets = (SiteSet(_LONG_WORDS), SiteSet(_LONG_WORDS + ball(2).words))
+    assert all(s.codes.dtype == object for s in long_sets)
+    for sites in (ball(3), SiteSet([]), *long_sets):
+        for window in (None, 0, 3):
+            for columns in (0, 1, 3):
+                _assert_slot_kernels_match_the_dense_ones(sites, _holey_columns(rng, len(sites), columns), window)
+
+
+def test_the_grid_view_is_the_dense_split_and_is_read_only():
+    rng = np.random.default_rng(98)
+    for sites in (ball(3), next(_gappy_subsets(rng, 4, 1)), SiteSet(_LONG_WORDS)):
+        x = _partial_config(rng, sites)
+        for window in (None, 1):
+            y = to_coset_config(x, window)
+            assert np.array_equal(y.grid, split_grid_dense(sites, x.indices, window)[1])
+            assert y.grid is y.grid and not y.grid.flags.writeable
+            assert y.defined_count == int(np.count_nonzero(y.grid >= 0)) == len(y.slot_values)
+            assert (y.slot_values >= 0).all() and not y.slot_values.flags.writeable
+            with pytest.raises(ValueError):
+                y.grid[0, 0] = 1
+
+
+def test_a_split_keeps_no_copy_of_the_grid_it_was_built_from():
+    grid = np.array([[-1, 1, 0], [1, -1, 0]])
+    y = CosetConfiguration(U2, SiteSet([IDENTITY, Word.parse("b")]), 1, grid)
+    grid[0, 1] = 0  # the caller's array stays its own
+    assert y.values == ((None, 1, 0), (1, None, 0)) and grid.flags.writeable
+
+
+def test_the_coset_conjugacy_holds_for_every_binary_input_on_ball_2():
+    # all 2^17 inputs at once: split then merge gives back every input, and the action
+    # of every g in ball(2) on the split is the split of the translate on every slot it keeps
+    sites = ball(2)
+    xs = index_matrix(2, len(sites), 0, 1 << len(sites))
+    layout, split = split_slots(sites, xs)
+    merged_sites, merged = merge_slots(layout, split)
+    assert merged_sites is sites and np.array_equal(merged, xs)
+    for g in sites:
+        translated, perm = translated_sites(sites, g)
+        shifted = np.empty_like(xs)
+        shifted[perm] = xs
+        moved = act_slots(g, layout, split)
+        assert agree_slots(*split_slots(translated, shifted), *moved) == {}
+        # the slots the action keeps: the translate's sites on a stored coset, within the window
+        table = translated.coset_table()
+        kept = (layout.reps.indices_of(table.reps)[table.coset] >= 0) & (np.abs(table.power) <= layout.window)
+        moved_sites, moved_values = merge_slots(*moved)
+        assert moved_sites == SiteSet.from_codes(translated.codes[kept]) and kept.any()
+        assert np.array_equal(moved_values, shifted[kept])
+
+
+def test_value_at_reads_c_times_a_to_the_j_at_every_site():
+    rng = np.random.default_rng(99)
+    x = _partial_config(rng, ball(3))
+    y = to_coset_config(x)
+    for c in ball(3):
+        for j in range(-5, 6):
+            assert y.value_at(c, j) == x.value_at(gen_power(c, GEN_A, j)), (c, j)
+    z = to_coset_config(sample(uniform(U2), ball(2), 7))
+    assert z.value_at(Word.parse("ba"), 0) == z.value_at(Word.parse("b"), 1)
+
+
+@pytest.mark.parametrize("symbol", [7, 2, -3])
+def test_a_coset_configuration_refuses_symbols_outside_its_alphabet(symbol):
+    cosets = (IDENTITY, Word.parse("b"))
+    rows = ((0, symbol, None), (1, 0, 1))
+    grid = np.array([[0, symbol, -1], [1, 0, 1]])
+    data = {"alphabet": "U2", "cosets": ["e", "b"], "window": 1, "values": [list(row) for row in rows]}
+    for refuse in (lambda: CosetConfiguration(U2, cosets, 1, rows), lambda: CosetConfiguration(U2, cosets, 1, grid),
+                   lambda: CosetConfiguration.from_json(data)):
+        with pytest.raises(ValueError, match=f"symbol index {symbol} out of range for U2"):
+            refuse()
+    # -1 marks an undefined slot in the grid form only; the rows form marks it None
+    assert CosetConfiguration(U2, cosets, 1, np.where(grid == symbol, 0, grid)).defined_count == 5
+    with pytest.raises(ValueError, match="symbol index -1 out of range for U2"):
+        CosetConfiguration(U2, cosets, 1, ((0, -1, None), (1, 0, 1)))
 
 
 # ------------------------------------------- grid kernels vs the oracles

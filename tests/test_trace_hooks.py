@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 
 from bernshift import Configuration, SiteSet, Word, ball, bit_alphabet, config, freegroup
-from bernshift import from_coset_config, to_coset_config
+from bernshift import coinduced_act, from_coset_config, to_coset_config
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import tracing  # noqa: E402
@@ -37,7 +37,8 @@ def test_every_siteset_construction_runs_finish_init(monkeypatch):
         lambda: b.times([Word.parse("a")]),
         lambda: freegroup.translated_sites(b, Word.parse("BBABA")),
         lambda: to_coset_config(x),  # the representatives' site set
-        lambda: from_coset_config(to_coset_config(x)),
+        # a merge that sorts the codes of its slots (a split merges back onto x's own sites)
+        lambda: from_coset_config(coinduced_act(Word.parse("b"), to_coset_config(x))),
     )
     for build in builds:
         before = len(runs)

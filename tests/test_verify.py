@@ -612,17 +612,27 @@ def _cocycle_off_by_one(monkeypatch):
 
 
 def _merge_with_a_doubled_step(monkeypatch):
-    # slots built as rep * a^(2j): every other column of the slots of a window twice as wide
-    real = coinduce._slot_codes
-    monkeypatch.setattr(coinduce, "_slot_codes", lambda codes, pos, w: real(codes, 2 * pos, 2 * w))
+    # a split that forgets its site set, so that its merge builds the codes of its slots,
+    # as rep * a^(2j): every other column of the slots of a window twice as wide
+    real_codes, real_layout = coinduce._slot_codes, coinduce.split_layout
+
+    def forgetful(sites, window=None):
+        layout = real_layout(sites, window)
+        return coinduce.SlotLayout(layout.reps, layout.window, layout.offsets, layout.exponent, None, layout.order)
+
+    monkeypatch.setattr(coinduce, "_slot_codes", lambda codes, pos, w: real_codes(codes, 2 * pos, 2 * w))
+    monkeypatch.setattr(coinduce, "split_layout", forgetful)
 
 
 def _act_reading_a_shifted_column_for_b(monkeypatch):
     real = coinduce._act_gather
 
-    def shifted(coset_sites, window, g):
-        rows, cols, inside = real(coset_sites, window, g)
-        return rows, np.clip(cols + (g == Word.parse("b")), 0, 2 * window), inside
+    def shifted(layout, g):
+        # for g = b every slot reads the next slot along its coset's segment, or past its end
+        moved, take = real(layout, g)
+        if g == Word.parse("b"):
+            take = np.minimum(take + 1, len(layout.exponent) - 1)
+        return moved, take
 
     monkeypatch.setattr(coinduce, "_act_gather", shifted)
 
