@@ -334,29 +334,27 @@ _NARROW_CELLS = 4096
 def _first_bits(values: np.ndarray, rays: tuple[np.ndarray, np.ndarray], star: int) -> np.ndarray:
     """The first non-star value along each ray, one ray step at a time.
 
-    values: site-major (s, n) matrix; rays: the (m, L) site indices (-1
-    padding) and the m ray lengths of ``SiteSet.ray_indices``.  Returns
-    an (m, n) array in the dtype of values, -1 where the ray leaves the
-    site set, meets an undefined site, or runs out while still seeing
-    stars.
+    values: site-major (s, n) matrix; rays: the pair (first, walk) of
+    ``SiteSet.ray_indices``, each ray's first site index (-1 off the set)
+    and the set's step table, whose trailing -1 keeps an ended ray ended.
+    Returns an (m, n) array in the dtype of values, -1 where the ray
+    leaves the site set or meets an undefined site before a non-star
+    value.
 
     A cell is open exactly while its value so far is the last step's
-    ``*``, so each step moves only the open cells on, and the scan stops
-    once no cell is open.  Rays closed in every column drop out once they
-    hold ``_NARROW_CELLS`` cells: later steps gather the live rays only,
-    as a compact block.  Until then the scan works on its output in place.
+    ``*``, so each step moves only the open cells on; a ray that has ended
+    reads -1, which closes its cells, and the scan stops once no cell is
+    open.  Rays closed in every column drop out once they hold
+    ``_NARROW_CELLS`` cells: later steps walk and gather the live rays
+    only, as a compact block.  Until then the scan works on its output in
+    place.
     """
-    rays, lengths = rays
-    if rays.shape[1] == 0:
-        return np.full((rays.shape[0], values.shape[1]), -1, dtype=values.dtype)
-    # step k of every live ray is a site while k < the shortest live ray's length
-    shortest = lengths.min(initial=rays.shape[1])
-    cols = rays.T
-    first = _safe_gather(values, cols[0], shortest > 0)
+    pos, walk = rays
+    first = _safe_gather(values, pos, pos.min(initial=0) >= 0)
     # the live rays' rows of ``first``, and their values: ``first`` itself until rays drop out
     live, cur = slice(None), first
     open_buf = np.empty(first.shape, dtype=bool)
-    for k in range(1, len(cols)):
+    while True:
         open_rays = np.equal(cur, star, out=open_buf[: len(cur)])
         if cur.size < _NARROW_CELLS:
             if not open_rays.any():
@@ -374,17 +372,15 @@ def _first_bits(values: np.ndarray, rays: tuple[np.ndarray, np.ndarray], star: i
                 else:
                     first[live] = cur
                     live = live.take(kept)
-                cur, open_rays = cur.take(kept, axis=0), open_rays.take(kept, axis=0)
-                shortest = lengths.take(live).min()
+                cur, open_rays, pos = cur.take(kept, axis=0), open_rays.take(kept, axis=0), pos.take(kept)
         # an open cell holds *, so adding (step - *) gives it the step's value;
         # in the input's dtype this stays in [-3, 0] and cannot overflow; the
         # mask is read as int8, which spares an int8 matrix a casting loop
-        step = _safe_gather(values, cols[k][live], k < shortest)
+        pos = walk.take(pos)
+        step = _safe_gather(values, pos, pos.min(initial=0) >= 0)
         step -= star
         step *= open_rays.view(np.int8)
         cur += step
-    else:
-        cur[np.equal(cur, star, out=open_buf[: len(cur)])] = -1  # ran out while still seeing stars
     if not isinstance(live, slice):
         first[live] = cur
     return first

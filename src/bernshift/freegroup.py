@@ -303,10 +303,11 @@ class SiteSet:
     The set is the strictly increasing, read-only array ``codes`` of its
     sites' shortlex codes (construction drops duplicates and sorts);
     ``words``, iteration and indexing decode it when first asked.  Derived
-    lookup tables (neighbor, generator-ray and coset indices) and the maps'
-    evaluation plans are built on the codes and memoized on the instance,
-    which is safe because they are pure functions of the site list; they
-    are read-only, since every caller shares them.
+    lookup tables (neighbor and coset indices, and one generator-ray walk
+    per letter) and the maps' evaluation plans are built on the codes and
+    memoized on the instance, which is safe because they are pure
+    functions of the site list; they are read-only, since every caller
+    shares them.
     """
 
     __slots__ = ("codes", "_words", "_neighbors", "_rays", "_plans", "_cosets", "_hash")
@@ -419,45 +420,24 @@ class SiteSet:
         return of is None or of is self or of == self
 
     def ray_indices(self, letter: int, of: "SiteSet | None" = None) -> tuple[np.ndarray, np.ndarray]:
-        """Generator-ray lookup: indices of g*s^k for k = 1, 2, ... for
-        each site g of ``of`` (default: this set).  Cached per (letter,
-        ``of``): a run reads rays from only a few output windows.
+        """Generator-ray lookup for each site g of ``of`` (default: this
+        set), as a pair ``(first, walk)``.
 
-        Each ray stops at the first power that is not a site (membership,
-        not word length: lengths are not monotone near cancellations).
-        Step 1 looks up g*s, and every further step follows this set's
-        single-letter neighbour table from the rays still in the set only,
-        so a step costs its live rays, not the window.  Returns a padded
-        (n_sites, max_len) index array (-1 past the end), stored
-        column-major, and the ray lengths.
+        ``first`` holds the index of g*s, or -1: ``neighbor_indices`` of
+        the letter.  ``walk`` is this set's own single-letter neighbour
+        table with one trailing -1, so step k+1 of every ray is
+        ``walk.take(step k)`` and a ray that has ended (-1) stays ended.
+        Each ray thus stops at the first power that is not a site
+        (membership, not word length: lengths are not monotone near
+        cancellations).  ``walk`` is read-only and cached once per letter,
+        whatever ``of``.
         """
-        key = letter if self._own(of) else (letter, of)
-        cached = self._rays.get(key)
-        if cached is None:
-            step = self.neighbor_indices(_SINGLE[letter])
-            first = self.neighbor_indices(_SINGLE[letter], of)
-            lengths = np.zeros(len(first), dtype=np.int64)
-            # (row, position) of every ray that is still a site, one pair of arrays per step
-            rows = np.flatnonzero(first >= 0)
-            cur = first.take(rows)
-            walked = []
-            while len(rows):
-                walked.append((rows, cur))
-                lengths[rows] = len(walked)
-                cur = step.take(cur)
-                live = cur >= 0
-                rows, cur = rows[live], cur[live]
-            # column-major, so the kernels' walk along ray step k reads one contiguous column
-            table = np.full((len(walked), len(first)), -1, dtype=np.int64)
-            for k, (rows, cur) in enumerate(walked):
-                table[k, rows] = cur
-            # the view's base too: a write into it would change every later star plan
-            table.setflags(write=False)
-            padded = table.T
-            lengths.setflags(write=False)
-            cached = (padded, lengths)
-            self._rays[key] = cached
-        return cached
+        walk = self._rays.get(letter)
+        if walk is None:
+            walk = np.append(self.neighbor_indices(_SINGLE[letter]), np.int64(-1))
+            walk.setflags(write=False)
+            self._rays[letter] = walk
+        return self.neighbor_indices(_SINGLE[letter], of), walk
 
     def coset_table(self) -> CosetTable:
         """Each site's <a>-coset number and a-exponent, from stripping the

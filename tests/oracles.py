@@ -527,6 +527,26 @@ def ray_indices_direct(words, letter, of=None):
     return [row + [-1] * (width - len(row)) for row in rows], [len(row) for row in rows]
 
 
+def expand_walk(rays):
+    """The padded (rays, steps) index array and the ray lengths of a
+    ``(first, walk)`` pair of ``SiteSet.ray_indices``, in the form of
+    ``ray_indices_direct``: row i follows ``walk`` from ``first[i]``, one
+    take per step, until every ray reads -1.  A ray that restarts after
+    its -1 runs past the longest ray a set can hold, and fails here."""
+    first, walk = rays
+    bound = len(walk)  # no ray of a set of len(walk) - 1 sites is longer
+    steps, pos = [], np.asarray(first)
+    while (pos >= 0).any():
+        assert len(steps) < bound, "a ray outran its set: an ended ray restarted"
+        steps.append(pos)
+        pos = walk.take(pos)
+    padded = np.array(steps, dtype=np.int64).reshape(len(steps), len(first)).T
+    lengths = (padded >= 0).sum(axis=1)
+    # a ray is a run of sites, then -1 to the end
+    assert all((row[:n] >= 0).all() and (row[n:] < 0).all() for row, n in zip(padded, lengths))
+    return padded, lengths
+
+
 def first_bits_direct(values, rays, star):
     """The first non-star value along each ray of a padded (rays, steps)
     index array over a site-major (sites, columns) array, cell by cell:

@@ -33,6 +33,7 @@ from oracles import (
     compose,
     compose_stagewise,
     enumerate_configurations,
+    expand_walk,
     first_bits_direct,
     mul,
     ow_direct,
@@ -350,7 +351,7 @@ def _star_batch_direct(values, sites, star_in=2, star_out=4):
     """The star map on a site-major matrix over ``sites`` to itself, from the
     per-cell ray scans: * at a * centre, the pair of mod-2 sums for a bit
     centre whose two scans found bits, and -1 otherwise."""
-    a, b = (np.array(first_bits_direct(values, sites.ray_indices(s)[0], star_in)) for s in (GEN_A, GEN_B))
+    a, b = (np.array(first_bits_direct(values, expand_walk(sites.ray_indices(s))[0], star_in)) for s in (GEN_A, GEN_B))
     c = values.astype(np.int64)
     pair = np.where((c >= 0) & (a >= 0) & (b >= 0), (c ^ a) + 2 * (c ^ b), -1)
     return np.where(c == star_in, star_out, pair)
@@ -366,15 +367,16 @@ def test_star_scan_over_live_rays_matches_the_per_cell_oracle(n_cols, hole_rate)
     values = _star_rows(rng, n_cols, len(sites), hole_rate).T.astype(np.int8, order="C")
     for letter in (GEN_A, GEN_B):
         rays = sites.ray_indices(letter)
+        padded, lengths = expand_walk(rays)
         got = factormaps._first_bits(values, rays, 2)
-        want = first_bits_direct(values, rays[0], 2)
+        want = first_bits_direct(values, padded, 2)
         assert got.dtype == np.int8 and got.tolist() == want
         # the step at which each ray has closed in every column: rays drop
         # out at many different steps, and some cells run out on stars
-        seen = np.where((rays[0] >= 0)[..., None], values[np.maximum(rays[0], 0)], -1) == 2
+        seen = np.where((padded >= 0)[..., None], values[np.maximum(padded, 0)], -1) == 2
         open_steps = np.where(seen.all(axis=1), seen.shape[1], seen.argmin(axis=1))
         assert len(set(open_steps.max(axis=1).tolist())) >= 5
-        assert ((seen | (rays[0] < 0)[..., None]).all(axis=1) & (rays[1] > 0)[:, None]).any()
+        assert ((seen | (padded < 0)[..., None]).all(axis=1) & (lengths > 0)[:, None]).any()
     got = star(0.25).apply_batch(values, sites, sites)
     assert got.tolist() == _star_batch_direct(values, sites).tolist()
 
@@ -384,19 +386,21 @@ def test_star_scan_gathers_only_the_live_rays(n_cols, monkeypatch):
     # rays e*a^k, b*a^k, B*a^k on a ragged window, read as * except at ba:
     # the ray from b closes in every column at step 0, the ray from B runs
     # out after 2 steps, the ray from e after 6; once a closed ray holds
-    # _NARROW_CELLS cells, later steps gather only the rays still open
+    # _NARROW_CELLS cells, later steps walk and gather only the rays still open
     words = ["e", "b", "B"] + ["a" * j for j in range(1, 7)] + ["ba", "ba" + "a", "Ba", "Baa"]
     sites = SiteSet(Word.parse(w) for w in words)
     out = SiteSet(Word.parse(w) for w in ("e", "b", "B"))
     values = np.array([[1 if str(w) == "ba" else 2] * n_cols for w in sites], dtype=np.int8)
     rays = sites.ray_indices(GEN_A, out)
-    assert rays[1].tolist() == [6, 2, 2]
+    padded, lengths = expand_walk(rays)
+    assert lengths.tolist() == [6, 2, 2]
     gathers = _spy_gathers(monkeypatch)
     got = factormaps._first_bits(values, rays, 2)
-    assert got.tolist() == first_bits_direct(values, rays[0], 2) == [[-1] * n_cols, [1] * n_cols, [-1] * n_cols]
-    # the ray from B reads the -1 past its end at step 2, and drops out after it;
+    assert got.tolist() == first_bits_direct(values, padded, 2) == [[-1] * n_cols, [1] * n_cols, [-1] * n_cols]
+    # the ray from B reads the -1 past its end at step 2, and drops out after
+    # it; the ray from e reads the -1 past its end at step 6, which closes it;
     # a block of fewer cells is walked whole, in place
-    want = [3, 2, 2, 1, 1, 1] if n_cols >= factormaps._NARROW_CELLS else [3] * 6
+    want = [3, 2, 2, 1, 1, 1, 1] if n_cols >= factormaps._NARROW_CELLS else [3] * 7
     assert [len(idx) for idx in gathers] == want
 
 
@@ -404,28 +408,30 @@ def test_star_scan_gathers_only_the_live_rays(n_cols, monkeypatch):
 @pytest.mark.parametrize("r_out", [0, 1])
 def test_star_scan_works_in_place_while_every_ray_is_live(r_out, n_cols, monkeypatch):
     # the Monte Carlo layout with all-star columns: every ray stays open to
-    # its end, so until the shortest has read past its end (to the end, on
-    # a small block) each step reads its column of the ray table itself
+    # its end and reads the -1 past it, so until the shortest has read past
+    # its end (to the end, on a small block) each step walks every ray, and
+    # the first step gathers the cached first-site table itself
     m = star(0.25)
     out_sites = ball(r_out)
     dep = m.dependency_sites(out_sites, 8)
     values = np.full((len(dep), n_cols), 2, dtype=np.int8)
     values[:, 0] = np.random.default_rng(4).integers(0, 2, len(dep))
     rays = dep.ray_indices(GEN_A, out_sites)
+    padded, lengths = expand_walk(rays)
     gathers = _spy_gathers(monkeypatch)
     got = factormaps._first_bits(values, rays, 2)
-    assert got.tolist() == first_bits_direct(values, rays[0], 2)
-    assert len(gathers) == rays[0].shape[1]
-    in_place = [np.shares_memory(idx, rays[0]) for idx in gathers]
+    assert got.tolist() == first_bits_direct(values, padded, 2)
+    assert len(gathers) == padded.shape[1] + 1 and gathers[0] is rays[0]
+    whole = [len(idx) == len(out_sites) for idx in gathers]
     small = len(out_sites) * n_cols < factormaps._NARROW_CELLS
-    assert in_place == [small or k <= rays[1].min() for k in range(len(gathers))]
+    assert whole == [small or k <= lengths.min() for k in range(len(gathers))]
 
 
 @pytest.mark.parametrize("dtype", [np.int8, np.int64])
 def test_star_scan_on_a_zero_step_ray_table_is_undefined(dtype):
     sites = SiteSet([IDENTITY, Word.parse("b")])
     rays = sites.ray_indices(GEN_A)
-    assert rays[0].shape == (2, 0)
+    assert rays[0].tolist() == [-1, -1] and expand_walk(rays)[0].shape == (2, 0)
     got = factormaps._first_bits(np.zeros((2, 5), dtype=dtype), rays, 2)
     assert got.dtype == dtype and got.tolist() == [[-1] * 5] * 2
 

@@ -13,11 +13,12 @@ from bernshift import (
     gen_power,
     inv,
     mul,
+    star,
 )
 from bernshift.freegroup import GEN_A, GEN_A_INV, GEN_B, GEN_B_INV, MAX_INT64_LETTERS, encode
 
 import oracles
-from oracles import a_power_decomposition, naive_reduce, random_word, random_word_direct, reduce_word, shortlex_key
+from oracles import a_power_decomposition, expand_walk, naive_reduce, random_word, random_word_direct, reduce_word, shortlex_key
 
 letter_lists = st.lists(st.integers(min_value=0, max_value=3), max_size=14)
 words = letter_lists.map(Word)
@@ -192,7 +193,7 @@ def test_neighbor_indices():
 def test_ray_indices_follow_membership_not_length():
     # bA * a = b: the ray re-enters shorter words before leaving the ball.
     sites = ball(2)
-    idx, lengths = sites.ray_indices(GEN_A)
+    idx, lengths = expand_walk(sites.ray_indices(GEN_A))
     i = sites.position(Word.parse("bA"))
     ray = [str(sites[j]) for j in idx[i] if j >= 0]
     assert ray[:2] == ["b", "ba"]
@@ -201,24 +202,44 @@ def test_ray_indices_follow_membership_not_length():
 
 def test_cached_site_tables_are_read_only():
     sites = ball(2)
-    idx, lengths = sites.ray_indices(GEN_B)
+    first, walk = sites.ray_indices(GEN_B)
     table = sites.coset_table()
-    for arr in (sites.neighbor_indices(Word.parse("ab")), idx, lengths, table.coset, table.power):
+    for arr in (sites.neighbor_indices(Word.parse("ab")), first, walk, table.coset, table.power):
         with pytest.raises(ValueError):
             arr[0] = 7
     assert sites.neighbor_indices(Word.parse("ab")) is sites.neighbor_indices(Word.parse("ab"))
 
 
 def test_ray_tables_are_cached_per_letter_and_window():
-    # a Monte Carlo run reads the rays of one output window in every chunk
+    # a Monte Carlo run reads the rays of one output window in every chunk;
+    # the walk is the set's own, one per letter, whatever the window
     sites, out = ball(4), ball(1)
-    first = sites.ray_indices(GEN_A, out)
-    assert sites.ray_indices(GEN_A, SiteSet(out.words)) is first  # an equal window hits
-    assert sites.ray_indices(GEN_B, out) is not first
+    first, walk = sites.ray_indices(GEN_A, out)
+    again = sites.ray_indices(GEN_A, SiteSet(out.words))  # an equal window hits
+    assert again[0] is first and again[1] is walk
+    other = sites.ray_indices(GEN_B, out)
+    assert other[0] is not first and other[1] is not walk
     with pytest.raises(ValueError):
-        first[0][0, 0] = 7
+        first[0] = 7
     own = sites.ray_indices(GEN_A)
-    assert sites.ray_indices(GEN_A, sites) is own and sites.ray_indices(GEN_A, SiteSet(sites.words)) is own
+    assert own[1] is walk and own[0] is not first
+    for same in (sites, SiteSet(sites.words)):
+        assert sites.ray_indices(GEN_A, same)[0] is own[0] and sites.ray_indices(GEN_A, same)[1] is walk
+
+
+def test_a_fresh_window_builds_no_ray_data_beyond_its_neighbour_tables():
+    # a star plan reads each ray's first site from the neighbour table of its
+    # letter and walks the window's own table: the only ray data is that
+    # table once more per letter, with its trailing -1
+    sites, out = ball(5), ball(2)
+    star(0.25).apply_batch(np.full((len(sites), 3), 2, dtype=np.int8), sites, out)
+    assert sorted(sites._rays) == [GEN_A, GEN_B]
+    for letter in (GEN_A, GEN_B):
+        walk = sites._rays[letter]
+        own = sites.neighbor_indices(Word((letter,)))
+        assert walk.shape == (len(sites) + 1,) and walk[:-1].tolist() == own.tolist() and walk[-1] == -1
+        assert sites.ray_indices(letter, out)[0] is sites.neighbor_indices(Word((letter,)), out)
+    assert sum(walk.nbytes for walk in sites._rays.values()) == 2 * 8 * (len(sites) + 1)
 
 
 @pytest.mark.parametrize(

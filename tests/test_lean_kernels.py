@@ -296,17 +296,20 @@ def test_a_block_code_that_skips_its_own_site_is_defined_on_its_dependency_sites
 
 
 def test_ray_tables_store_each_step_as_one_contiguous_column():
+    # the star kernel's step is one take of the contiguous int64 walk
     sites = ball(4)
-    for rays, _ in (sites.ray_indices(GEN_A), sites.ray_indices(GEN_B, ball(2))):
-        # the star kernel walks rays.T one step at a time
-        assert rays.T.flags.c_contiguous and not rays.flags.writeable
+    for first, walk in (sites.ray_indices(GEN_A), sites.ray_indices(GEN_B, ball(2))):
+        for table in (first, walk):
+            assert table.ndim == 1 and table.dtype == np.int64 and table.flags.c_contiguous
+            assert not table.flags.writeable
 
 
 def test_a_ray_table_cannot_be_written_through_the_array_under_its_view():
-    # the cached view is the transpose of the table every later star plan on
-    # the window reads; a write into its base used to change them all
-    for rays, lengths in (ball(2).ray_indices(GEN_A), ball(3).ray_indices(GEN_B, ball(1))):
-        for table in (rays, rays.base, lengths):
+    # every later star plan on the window reads these tables; a write into
+    # one, or into an array under it, used to change them all
+    for first, walk in (ball(2).ray_indices(GEN_A), ball(3).ray_indices(GEN_B, ball(1))):
+        tables = [first, walk] + [t.base for t in (first, walk) if t.base is not None]
+        for table in tables:
             assert not table.flags.writeable
             with pytest.raises(ValueError):
                 table[...] = 0

@@ -11,7 +11,7 @@ import pytest
 
 from bernshift import CosetConfiguration, SiteSet, Word, ball, check_cocycle, from_coset_config, ow
 from bernshift import Configuration, bit_alphabet, sample, to_coset_config, uniform
-from bernshift import star, timar
+from bernshift import IDENTITY, factormaps, star, timar
 from bernshift.freegroup import (
     GEN_A,
     GEN_A_INV,
@@ -33,6 +33,8 @@ from oracles import (
     ball_direct,
     coset_table_direct,
     dependency_direct,
+    expand_walk,
+    first_bits_direct,
     gen_power,
     inv,
     mul,
@@ -59,10 +61,10 @@ def assert_tables_match(sites, words, of=None):
             got = sites.neighbor_indices(off, SiteSet(of)).tolist()
             assert got == neighbor_indices_direct(words, off, of)
     for letter in (GEN_A, GEN_A_INV, GEN_B, GEN_B_INV):
-        padded, lengths = sites.ray_indices(letter)
+        padded, lengths = expand_walk(sites.ray_indices(letter))
         assert (padded.tolist(), lengths.tolist()) == ray_indices_direct(words, letter)
         if of is not None:
-            padded, lengths = sites.ray_indices(letter, SiteSet(of))
+            padded, lengths = expand_walk(sites.ray_indices(letter, SiteSet(of)))
             assert (padded.tolist(), lengths.tolist()) == ray_indices_direct(words, letter, of)
     table = sites.coset_table()
     reps, coset, power = coset_table_direct(words)
@@ -114,25 +116,50 @@ _RAY_WINDOWS = {
 @pytest.mark.parametrize("letter", [GEN_A, GEN_A_INV, GEN_B, GEN_B_INV])
 @pytest.mark.parametrize("of", list(_RAY_WINDOWS))
 def test_live_ray_tables_match_the_oracle_where_rays_end_at_many_steps(letter, of):
-    # rays of ball(5) end at every step from 0 to 10; each step walks only
-    # the rays still in the set, and the table keeps its layout
+    # rays of ball(5) end at every step from 0 to 10; each walks the set's
+    # own step table from its first site until it reads the trailing -1
     words, of_words = ball_direct(5), _RAY_WINDOWS[of]
     sites = ball(5)
-    rays, lengths = sites.ray_indices(letter, None if of_words is None else SiteSet(of_words))
+    first, walk = sites.ray_indices(letter, None if of_words is None else SiteSet(of_words))
+    rays, lengths = expand_walk((first, walk))
     assert (rays.tolist(), lengths.tolist()) == ray_indices_direct(words, letter, of_words)
     if of != "empty":
         assert len(set(lengths.tolist())) >= 6
-    assert rays.dtype == lengths.dtype == np.int64
-    assert rays.T.flags.c_contiguous and not rays.flags.writeable and not lengths.flags.writeable
+    assert first.dtype == walk.dtype == np.int64
+    assert not first.flags.writeable and not walk.flags.writeable
+    assert walk.tolist() == neighbor_indices_direct(words, Word((letter,))) + [-1]
 
 
 @pytest.mark.parametrize("letter", [GEN_A, GEN_B_INV])
 def test_live_ray_tables_of_an_empty_set_have_no_steps(letter):
     for sites, of in ((SiteSet([]), None), (SiteSet([]), ball(1)), (ball(2), SiteSet([]))):
-        rays, lengths = sites.ray_indices(letter, of)
+        first, walk = sites.ray_indices(letter, of)
         n = len(sites if of is None else of)
+        assert first.tolist() == [-1] * n and len(walk) == len(sites) + 1 and walk[-1] == -1
+        rays, lengths = expand_walk((first, walk))
         assert rays.shape == (n, 0) and lengths.tolist() == [0] * n
-        assert rays.dtype == lengths.dtype == np.int64 and not rays.flags.writeable
+        assert first.dtype == walk.dtype == np.int64 and not first.flags.writeable and not walk.flags.writeable
+
+
+@pytest.mark.parametrize("letter", [GEN_A, GEN_A_INV, GEN_B, GEN_B_INV])
+def test_an_ended_ray_stays_ended_where_the_last_site_has_an_in_set_neighbour(letter):
+    # the shortlex-last site g ends in s^-1, so g*s is a site: a walk that
+    # read its own last entry for an ended ray (-1) would restart the ray
+    # at g*s; this set has such a last site for every letter s
+    s, back = Word((letter,)), Word((letter ^ 1,))
+    other = Word((GEN_B if letter in (GEN_A, GEN_A_INV) else GEN_A,) * 2)
+    words = [IDENTITY, s, mul(s, s), other, mul(other, back)]
+    sites = SiteSet(words)
+    assert sites.words[-1] == mul(other, back) and sites.neighbor_indices(s)[-1] >= 0
+    first, walk = sites.ray_indices(letter)
+    padded, lengths = expand_walk((first, walk))
+    want, want_lengths = ray_indices_direct(words, letter)
+    assert (padded.tolist(), lengths.tolist()) == (want, want_lengths)
+    assert 0 < min(n for n in want_lengths if n) < max(want_lengths)  # a ray ends while another runs on
+    rng = np.random.default_rng(letter)
+    values = rng.integers(0, 3, (len(sites), 64)).astype(np.int8)
+    got = factormaps._first_bits(values, (first, walk), 2)
+    assert got.tolist() == first_bits_direct(values, np.array(want, dtype=np.int64), 2)
 
 
 @pytest.mark.parametrize("length", [30, 31, 32, 40])
