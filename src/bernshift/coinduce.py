@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import Alphabet, Configuration, alphabet_by_name, json_boundary, json_indices
+from .config import Alphabet, Configuration, alphabet_by_name, json_boundary, json_indices, symbol_indices
 from .factormaps import BlockMap
 from .freegroup import GEN_A_INV, SiteSet, Word, decode, encode
 from .freegroup import _dtype, _longest, inv_codes, mul_codes, strip_a_codes
@@ -168,13 +168,16 @@ class CosetConfiguration:
 
     Stored by held slots: a ``SlotLayout`` over ``coset_sites``, the site
     set of the canonical (shortlex sorted) representatives, with half-width
-    ``window``, and ``slot_values``, the read-only int64 symbol index of
-    every slot that holds a value, in the layout's slot order.  ``grid``
-    (a read-only (n_cosets, 2w + 1) int64 array whose row i covers
-    positions -w..w of coset i, -1 = undefined), ``cosets`` (Words) and
-    ``values`` (rows with None) are boundary views drawn when first asked.
-    The constructor takes the rows or the grid form, with symbol indices
-    in 0..size-1 and None (rows) or -1 (grid) where undefined.  Immutable.
+    ``window``, and ``slot_values``, the read-only symbol index of every
+    slot that holds a value, in the layout's slot order and in the
+    alphabet's ``symbol_dtype`` (int8 up to 128 symbols, else int64), like
+    ``Configuration.indices``.  ``grid`` (a read-only (n_cosets, 2w + 1)
+    array in the same dtype, whose row i covers positions -w..w of coset
+    i, -1 = undefined), ``cosets`` (Words) and ``values`` (rows with None)
+    are boundary views drawn when first asked.  The constructor takes the
+    rows or the grid form (an integer array of any dtype), with symbol
+    indices in 0..size-1 and None (rows) or -1 (grid) where undefined, and
+    checks them as ``config.symbol_indices`` does.  Immutable.
     """
 
     __slots__ = ("alphabet", "layout", "slot_values", "_grid", "_values")
@@ -184,32 +187,27 @@ class CosetConfiguration:
         if (codes[1:] <= codes[:-1]).any():
             raise ValueError("cosets must be distinct and shortlex-sorted")
         window = _window(window)
-        width = 2 * window + 1
+        width, rows = 2 * window + 1, len(values)
         if not isinstance(values, np.ndarray) or values.dtype == object:
             if any(len(row) != width for row in values):
                 raise ValueError(f"each row must have {width} slots")
-            undefined = np.array([[v is None for v in row] for row in values], dtype=bool)
-            grid = np.array([[-1 if v is None else v for v in row] for row in values], dtype=np.int64)
-        else:
-            grid = np.asarray(values, dtype=np.int64)
-            undefined = grid == -1
-        grid = grid.reshape(len(grid), width)
+            values = [v for row in values for v in row]
+        grid = symbol_indices(alphabet, values).reshape(rows, width)
         if len(grid) != len(codes):
             raise ValueError("one row per coset required")
         # a canonical representative's last letter is no a-letter
         bad = np.flatnonzero((codes > 0) & ((codes - 1) % 4 <= GEN_A_INV))
         if len(bad):
             raise ValueError(f"{decode(codes[bad[:1]])[0]} is not a canonical coset representative")
-        bad = grid[((grid < 0) & ~undefined.reshape(grid.shape)) | (grid >= alphabet.size)]
-        if len(bad):
-            raise ValueError(f"symbol index {bad[0]} out of range for {alphabet.name}")
         sites = cosets if isinstance(cosets, SiteSet) else SiteSet._from_sorted(codes)
         self._set(alphabet, *slots_of_grid(sites, grid))
 
     @classmethod
     def _from_slots(cls, alphabet: Alphabet, layout: SlotLayout, values: np.ndarray) -> "CosetConfiguration":
-        """From int64 values in a layout's slot order, -1 where undefined,
-        with no check: the slots that hold a value."""
+        """From values in a layout's slot order, -1 where undefined, with no
+        check: the slots that hold a value.  The values are a stored
+        configuration's, so they are in the alphabet's ``symbol_dtype``
+        already and are kept as they are."""
         held = values >= 0
         if not held.all():
             layout, values = layout.restrict(held), values[held]

@@ -12,7 +12,7 @@ import functools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NoReturn, Sequence
 
 import numpy as np
 
@@ -167,41 +167,70 @@ def json_boundary(parse):
 
 
 def json_indices(values, count: int) -> list:
-    """A JSON list of ``count`` symbol indices, each an int or null; a
-    float or a bool is no symbol index."""
+    """A JSON list of ``count`` values; the constructor it feeds refuses
+    any that is neither a symbol index nor null (``symbol_indices``)."""
     if not isinstance(values, list) or len(values) != count:
         raise ValueError(f"need a list of {count} values")
-    bad = [v for v in values if v is not None and type(v) is not int]
-    if bad:
-        raise ValueError(f"value {bad[0]!r} is neither a symbol index nor null")
     return values
+
+
+def symbol_indices(alphabet: Alphabet, values) -> np.ndarray:
+    """A fresh array of symbol indices over ``alphabet``, in its
+    ``symbol_dtype``, -1 where undefined: from an integer array of any
+    shape in that form, or from a sequence of ints with None where
+    undefined (in which -1 is refused, as None marks an undefined site
+    there).  A float or a bool is no symbol index.  Every index is checked
+    against -1..size-1 before the cast, with one min/max pass, so that
+    none wraps (256 is no int8 0)."""
+    size = alphabet.size
+    if isinstance(values, np.ndarray) and values.dtype != object:
+        if values.dtype.kind not in "iu":
+            raise ValueError(f"symbol indices must be integers, not {values.dtype}")
+        if values.size and (int(values.min()) < -1 or int(values.max()) >= size):
+            _refuse(alphabet, values.ravel().tolist(), -1)
+        return values.astype(symbol_dtype(size))
+    values = list(values)
+    if not set(map(type, values)) <= {int, type(None)}:  # one pass over the types in the common case
+        for v in values:
+            if v is not None and (isinstance(v, bool) or not isinstance(v, (int, np.integer))):
+                raise ValueError(f"value {v!r} is neither a symbol index nor null")
+    try:
+        indices = np.array([-1 if v is None else v for v in values], dtype=np.int64)
+    except OverflowError:
+        _refuse(alphabet, values, None)
+    if indices.size and (int(indices.min()) < -1 or int(indices.max()) >= size
+                         or np.count_nonzero(indices == -1) != values.count(None)):
+        _refuse(alphabet, values, None)
+    return indices.astype(symbol_dtype(size))
+
+
+def _refuse(alphabet: Alphabet, values: list, undefined) -> NoReturn:
+    """Raise for the first of ``values``, other than the mark ``undefined``
+    (-1 or None), that is out of range for ``alphabet``."""
+    bad = next(v for v in values if v != undefined and not 0 <= v < alphabet.size)
+    raise ValueError(f"symbol index {bad} out of range for {alphabet.name}")
 
 
 class Configuration:
     """A partial symbol assignment on a site set.
 
-    Stored as one read-only int64 array ``indices``: the symbol index at
-    ``sites[i]``, or -1 where the configuration is undefined (the batch
-    convention).  ``values`` is the boundary view, a tuple with None at
-    undefined sites, built when first asked.  The constructor takes that
-    view, or an integer array in the index form.  Immutable.
+    Stored as one read-only array ``indices`` in the alphabet's
+    ``symbol_dtype`` (int8 up to 128 symbols, else int64), the dtype of
+    every batch matrix: the symbol index at ``sites[i]``, or -1 where the
+    configuration is undefined (the batch convention).  ``values`` is the
+    boundary view, a tuple with None at undefined sites, built when first
+    asked.  The constructor takes that view, or an integer array of any
+    dtype in the index form, and copies it (``symbol_indices``).  The
+    dtype depends on the alphabet alone, so equal values are equal bytes.
+    Immutable.
     """
 
     __slots__ = ("alphabet", "sites", "indices", "_values")
 
     def __init__(self, alphabet: Alphabet, sites: SiteSet, values: Sequence[int | None] | np.ndarray):
-        if isinstance(values, np.ndarray) and values.dtype != object:
-            indices = np.array(values, dtype=np.int64)
-            undefined = indices == -1
-        else:
-            values = tuple(values)
-            undefined = np.array([v is None for v in values], dtype=bool)
-            indices = np.array([-1 if v is None else v for v in values], dtype=np.int64)
+        indices = symbol_indices(alphabet, values)
         if indices.shape != (len(sites),):
             raise ValueError("one value per site required")
-        bad = np.flatnonzero(((indices < 0) & ~undefined) | (indices >= alphabet.size))
-        if len(bad):
-            raise ValueError(f"symbol index {indices[bad[0]]} out of range for {alphabet.name}")
         indices.setflags(write=False)
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "sites", sites)
@@ -268,7 +297,7 @@ def translate(g: Word, x: Configuration) -> Configuration:
     """The shift action on configurations: value of the result at g*f is
     the value of x at f, i.e. (g.x)(h) = x(g^-1 h)."""
     new_sites, perm = translated_sites(x.sites, g)
-    values = np.empty(len(new_sites), dtype=np.int64)
+    values = np.empty(len(new_sites), dtype=x.indices.dtype)
     values[perm] = x.indices
     return Configuration(x.alphabet, new_sites, values)
 
@@ -276,7 +305,8 @@ def translate(g: Word, x: Configuration) -> Configuration:
 def restrict(x: Configuration, sub: SiteSet) -> Configuration:
     """Restriction to a site set; sites absent from x become undefined."""
     # index -1 (absent) reads the appended undefined entry
-    return Configuration(x.alphabet, sub, np.append(x.indices, -1)[x.sites.indices_of(sub)])
+    padded = np.concatenate((x.indices, [-1]), dtype=x.indices.dtype)
+    return Configuration(x.alphabet, sub, padded[x.sites.indices_of(sub)])
 
 
 def sample(

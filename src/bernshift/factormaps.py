@@ -46,7 +46,10 @@ class FactorMap:
     window_cost: int | None  # None = unbounded lookahead
 
     def apply(self, x: Configuration) -> Configuration:
-        """The batch kernel on the one row of x, over x's own sites."""
+        """The batch kernel on the one row of x, over x's own sites: the plan
+        reads x's indices as they are stored, in the input alphabet's
+        ``symbol_dtype``, and its output, in the output alphabet's, is stored
+        as it comes (the constructor copies it; nothing widens)."""
         self.check_alphabet(x)
         out = self.apply_batch(x.indices[:, None], x.sites, x.sites)[:, 0]
         # only the empty composition has no output alphabet: it is the identity

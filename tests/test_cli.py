@@ -262,6 +262,16 @@ def test_coinduce_refuses_a_symbol_outside_the_alphabet(capsys, tmp_path, tool, 
     assert code == 2 and data == {"error": {"code": "ValueError", "message": message}}
 
 
+@pytest.mark.parametrize("symbol", [256, -129, 2**31])
+def test_coinduce_j_refuses_a_symbol_that_would_wrap_in_int8(capsys, tmp_path, symbol):
+    # U2 stores int8 indices: 256 and -129 would wrap to 0 and 127 if cast before the check
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"alphabet": "U2", "sites": ["e", "a", "b"], "values": [0, symbol, 1]}))
+    code, data = run_cli_strict(capsys, "coinduce", "J", "--input", str(path))
+    message = f"symbol index {symbol} out of range for U2"
+    assert code == 2 and data == {"error": {"code": "ValueError", "message": message}}
+
+
 def test_coinduce_act(capsys, tmp_path):
     x = sample(uniform(bit_alphabet(1)), ball(2), 12)
     cfg = tmp_path / "x.json"
